@@ -9,15 +9,21 @@ reduction.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import max_assignment
-from .core import MCEstimate, Permutation, ProblemParams, as_seedspec
-from .detect import CHUNK, threshold_test
+from .core import (
+    MCEstimate,
+    Permutation,
+    ProblemParams,
+    as_seedspec,
+    binomial_ci,
+    chunks,
+    parallel_map,
+)
+from .detect import threshold_test
 from .errors import DomainError, InvalidAlternateError, SizeCapError
 from .gen import DatabasePair, sample_alt
 
@@ -103,22 +109,11 @@ def recovery_error_mc(
     if trials < 1:
         raise DomainError("trials must be >= 1")
     spec = as_seedspec(seed, "align/recovery-error")
-    tasks = [
-        (params, spec, start, min(CHUNK, trials - start))
-        for start in range(0, trials, CHUNK)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_recovery_chunk, tasks, chunksize=4))
-    else:
-        counts = [_recovery_chunk(t) for t in tasks]
-    failures = sum(counts)
-    p = failures / trials
-    if failures == 0 or failures == trials:
-        ci = 3.0 / trials
-    else:
-        ci = 3.0 * math.sqrt(p * (1.0 - p) / trials)
-    return MCEstimate(value=p, ci_radius=ci, trials=trials)
+    tasks = [(params, spec, start, size) for start, size in chunks(trials)]
+    failures = sum(parallel_map(_recovery_chunk, tasks, workers))
+    return MCEstimate(
+        value=failures / trials, ci_radius=binomial_ci(failures, trials), trials=trials
+    )
 
 
 def recovery_to_detection(pair: DatabasePair, rho: float, threshold2: float) -> int:

@@ -18,11 +18,11 @@ turns any of them into the squared correlation needed to meet a target risk.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import parallel_map
 from .errors import (
     ConditionViolatedError,
     DomainError,
@@ -84,18 +84,6 @@ def g_md(gamma, rho):
         - np.log1p(q_minus_u / (2.0 * u))
     )
     return _as_float_or_array(out, scalar)
-
-
-@dataclass(frozen=True)
-class ExponentPair:
-    """The two Chernoff exponents at a common tuning parameter."""
-
-    g_fa: float
-    g_md: float
-
-
-def exponent_pair(gamma: float, rho: float) -> ExponentPair:
-    return ExponentPair(g_fa=g_fa(gamma), g_md=g_md(gamma, rho))
 
 
 def _two_exp_bound(gamma, d: float, rho: float):
@@ -185,11 +173,12 @@ def chernoff_lambdas(t: float, n: float, d: float, rho: float) -> tuple[float, f
     return lam_fa, lam_md
 
 
-def mgf_alt(lam: float, n: float, d: float, rho: float) -> float:
-    """Moment generating function of the statistic under the correlated law.
+def log_mgf_alt(lam: float, n: float, d: float, rho: float) -> float:
+    """Log moment generating function of the statistic under the correlated law.
 
-    (1 - 2 n lam |rho| - n^2 lam^2 (1-rho^2))^(-d/2), valid for
+    -(d/2) ln(1 - 2 n lam |rho| - n^2 lam^2 (1-rho^2)), valid for
     lam in (-1/(n(1-|rho|)), 1/(n(1+|rho|))).  rho = 0 recovers the null MGF.
+    Stays finite where ``mgf_alt`` underflows to 0 (large d).
     """
     rho = float(rho)
     if abs(rho) >= 1.0:
@@ -202,7 +191,15 @@ def mgf_alt(lam: float, n: float, d: float, rho: float) -> float:
             f"lambda = {lam} outside the MGF strip ({lo}, {hi}) "
             "(bound constraint 1 - 2 n lam |rho| - n^2 lam^2 (1-rho^2) > 0)"
         )
-    return math.exp(-0.5 * d * math.log(base))
+    return -0.5 * d * math.log(base)
+
+
+def mgf_alt(lam: float, n: float, d: float, rho: float) -> float:
+    """Moment generating function of the statistic under the correlated law.
+
+    (1 - 2 n lam |rho| - n^2 lam^2 (1-rho^2))^(-d/2); see ``log_mgf_alt``.
+    """
+    return math.exp(log_mgf_alt(lam, n, d, rho))
 
 
 def mgf_null(lam: float, n: float, d: float) -> float:
@@ -580,6 +577,19 @@ class BoundCurvePoint:
     rho2_rec_ach: float | None
     rho2_rec_conv: float | None
 
+    @property
+    def converse_exceeds_achievable(self) -> bool:
+        """Whether the detection converse lies above the achievable rho^2.
+
+        Both are bounds on the same threshold, so this ordering violation
+        means one of them is wrong; undefined values never violate it.
+        """
+        return (
+            self.rho2_det_ach is not None
+            and self.rho2_det_conv is not None
+            and self.rho2_det_conv > self.rho2_det_ach
+        )
+
 
 def _curve_point(args) -> tuple[BoundCurvePoint, list[str]]:
     axis_value, n, d, target_risk, k_star, margin, epsilon_d = args
@@ -639,17 +649,12 @@ def curve_points(
         nn = v if axis == "n" else float(n)
         dd = v if axis == "d" else float(d)
         tasks.append((v, nn, dd, target_risk, k_star, margin, epsilon_d))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_curve_point, tasks))
-    else:
-        results = [_curve_point(t) for t in tasks]
+    results = parallel_map(_curve_point, tasks, workers)
     points = [p for p, _ in results]
     notes = [msg for _, msgs in results for msg in msgs]
-    for p in points:
-        if p.rho2_det_ach is not None and p.rho2_det_conv is not None:
-            if p.rho2_det_conv > p.rho2_det_ach:
-                notes.append(
-                    f"axis={p.axis!r}: detection converse exceeds achievable"
-                )
+    notes += [
+        f"axis={p.axis!r}: detection converse exceeds achievable"
+        for p in points
+        if p.converse_exceeds_achievable
+    ]
     return points, notes

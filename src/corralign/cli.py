@@ -83,15 +83,40 @@ class ExperimentConfig:
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
+_INT_FIELDS = ("n", "trials", "seed", "threads", "kstar")
+_REAL_FIELDS = ("d", "rho", "threshold", "risk", "margin", "epsilon_d")
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Inverse of ``ExperimentConfig.render``."""
+
+def _has_field_type(key: str, value, command: str) -> bool:
+    """Whether a config value has its field's type; booleans are not numbers.
+
+    ``d`` is a real only for ``curve``; the simulations need whole dimensions.
+    """
+    if key in _INT_FIELDS or (key == "d" and command != "curve"):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if key in _REAL_FIELDS:
+        return (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max  # finite, and fits a float
+        )
+    return isinstance(value, str)
+
+
+def _json_object(text: str, source: str) -> dict:
+    """Parse ``text`` as a JSON object; ``source`` names it in errors."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from None
+        raise UsageError(f"{source} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise UsageError("config must be a JSON object")
+        raise UsageError(f"{source} must be a JSON object")
+    return data
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Inverse of ``ExperimentConfig.render``."""
+    data = _json_object(text, "config")
     command = data.get("command")
     if command is None:
         raise UsageError("config missing required field 'command'")
@@ -107,6 +132,8 @@ def _parse_grid(value) -> tuple[float, float, int]:
         value = parts
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise UsageError("field 'grid' must have the form start:stop:count")
+    if any(isinstance(v, bool) for v in value) or isinstance(value[2], float):
+        raise UsageError("field 'grid' must contain two reals and a whole count")
     try:
         start, stop, count = float(value[0]), float(value[1]), int(value[2])
     except (TypeError, ValueError):
@@ -126,18 +153,21 @@ def _build_config(command: str, values: dict) -> ExperimentConfig:
     for key in values:
         if key not in _FIELD_NAMES or key == "command":
             raise UsageError(f"unknown config field {key!r}")
+
+    def fail(field: str, why: str):
+        raise UsageError(f"invalid field {field!r}: {why}")
+
     kwargs: dict[str, object] = {"command": command}
     for key, value in values.items():
         if value is None:
             continue
         if key == "grid":
             kwargs[key] = _parse_grid(value)
-        else:
+        elif _has_field_type(key, value, command):
             kwargs[key] = value
+        else:
+            fail(key, f"wrong type {type(value).__name__} ({value!r})")
     config = ExperimentConfig(**kwargs)
-
-    def fail(field: str, why: str):
-        raise UsageError(f"invalid field {field!r}: {why}")
 
     if config.trials < 1:
         fail("trials", "must be a positive integer")
@@ -242,12 +272,7 @@ def resolve_config(argv) -> ExperimentConfig:
                 text = fh.read()
         except OSError as exc:
             raise OutputError(f"cannot read config file '{path}': {exc}") from None
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file '{path}' is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise UsageError(f"config file '{path}' must hold a JSON object")
+        data = _json_object(text, f"config file '{path}'")
         file_command = data.pop("command", None)
         if file_command is not None and file_command != namespace.command:
             raise UsageError(
@@ -285,6 +310,25 @@ def _json_report(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _write_results(config: ExperimentConfig, results: dict) -> None:
+    """Write one simulation's results: a JSON report or a one-row CSV."""
+    if config.resolved_format() == "json":
+        payload = {
+            "schema": 1,
+            "command": config.command,
+            "config": json.loads(config.render()),
+            "results": results,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        _write_output(config.out, _json_report(payload))
+    else:
+        header = ",".join(results)
+        row = ",".join(
+            _fmt(v) if isinstance(v, float) else str(v) for v in results.values()
+        )
+        _write_output(config.out, f"{header}\n{row}\n")
+
+
 def run_simulate_detection(config: ExperimentConfig) -> int:
     """Estimate both error rates of the threshold test and report bounds."""
     _emit_resolved(config)
@@ -311,21 +355,7 @@ def run_simulate_detection(config: ExperimentConfig) -> int:
         "risk_bound": bound,
         "risk_bound_simple": simple_bound,
     }
-    if config.resolved_format() == "json":
-        payload = {
-            "schema": 1,
-            "command": config.command,
-            "config": json.loads(config.render()),
-            "results": results,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-        _write_output(config.out, _json_report(payload))
-    else:
-        header = ",".join(results)
-        row = ",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in results.values()
-        )
-        _write_output(config.out, f"{header}\n{row}\n")
+    _write_results(config, results)
     return 0
 
 
@@ -344,21 +374,7 @@ def run_simulate_recovery(config: ExperimentConfig) -> int:
             params.n, params.d, params.rho2, epsilon_d=config.epsilon_d
         ),
     }
-    if config.resolved_format() == "json":
-        payload = {
-            "schema": 1,
-            "command": config.command,
-            "config": json.loads(config.render()),
-            "results": results,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-        _write_output(config.out, _json_report(payload))
-    else:
-        header = ",".join(results)
-        row = ",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in results.values()
-        )
-        _write_output(config.out, f"{header}\n{row}\n")
+    _write_results(config, results)
     return 0
 
 
@@ -410,11 +426,7 @@ def run_curve(config: ExperimentConfig) -> int:
         }
         _write_output(config.out, _json_report(payload))
     for p in points:
-        if (
-            p.rho2_det_ach is not None
-            and p.rho2_det_conv is not None
-            and p.rho2_det_conv > p.rho2_det_ach
-        ):
+        if p.converse_exceeds_achievable:
             print(
                 f"error: detection converse exceeds achievable at axis={p.axis!r}",
                 file=sys.stderr,

@@ -1,10 +1,11 @@
-"""Problem parameters, permutation combinatorics, and deterministic seeding.
+"""Problem parameters, permutation combinatorics, seeding, and execution.
 
 Everything downstream (samplers, decoders, bounds, oracles) builds on the types
 here.  The combinatorial helpers use exact integer arithmetic throughout; the
 seeding scheme derives every random stream as a pure function of
 ``(master_seed, stream_label, index)`` so that Monte-Carlo results never depend
-on scheduling or worker count.
+on scheduling or worker count.  ``parallel_map`` is the one process fan-out and
+``binomial_ci`` the one interval for Monte-Carlo error counts.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +28,40 @@ PARTITION_CAP = 60
 
 #: Largest n for which all of S_n is materialised (8! = 40320 rows).
 FACTORIAL_CAP = 8
+
+#: Trials per parallel work unit.  Each trial is seeded independently from
+#: (master seed, stream, trial index), so this only affects task batching.
+CHUNK = 64
+
+
+def parallel_map(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order, over ``workers`` processes.
+
+    A process pool is used only when ``workers > 1`` and there is more than
+    one task; ``fn`` must be a module-level function.  A worker's exception
+    is re-raised in the caller.
+    """
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def chunks(trials: int) -> list[tuple[int, int]]:
+    """``(start, size)`` work units covering trial indices 0 .. trials - 1."""
+    return [(start, min(CHUNK, trials - start)) for start in range(0, trials, CHUNK)]
+
+
+def binomial_ci(count: int, trials: int) -> float:
+    """3-sigma half-width of the rate count / trials.
+
+    Degenerate counts (0 or ``trials``) take the rule-of-three radius
+    3 / trials instead of a zero-width interval.
+    """
+    if count == 0 or count == trials:
+        return 3.0 / trials
+    p = count / trials
+    return 3.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
 @dataclass(frozen=True)

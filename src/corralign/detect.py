@@ -9,19 +9,14 @@ estimation may plant the identity permutation without loss of generality.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds
-from .core import ProblemParams, as_seedspec
+from .core import ProblemParams, as_seedspec, binomial_ci, chunks, parallel_map
 from .errors import DomainError
 from .gen import DatabasePair
-
-#: Trials per parallel work unit.  Each trial is seeded independently from
-#: (master seed, arm, trial index), so this only affects task batching.
-CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -121,13 +116,6 @@ def _risk_chunk(args) -> int:
     return errors
 
 
-def _rate_half_width(count: int, trials: int) -> float:
-    if count == 0 or count == trials:
-        return 3.0 / trials
-    p = count / trials
-    return 3.0 * math.sqrt(p * (1.0 - p) / trials)
-
-
 def monte_carlo_risk(
     params: ProblemParams,
     threshold: float,
@@ -148,22 +136,17 @@ def monte_carlo_risk(
     if not math.isfinite(threshold):
         raise DomainError("threshold must be finite")
     base = as_seedspec(seed, "detect/monte-carlo-risk")
-    tasks = []
-    for arm in ("null", "alt"):
-        arm_spec = base.stream(arm)
-        for start in range(0, trials, CHUNK):
-            size = min(CHUNK, trials - start)
-            tasks.append((params, threshold, arm, arm_spec, start, size))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_risk_chunk, tasks, chunksize=4))
-    else:
-        counts = [_risk_chunk(t) for t in tasks]
+    tasks = [
+        (params, threshold, arm, base.stream(arm), start, size)
+        for arm in ("null", "alt")
+        for start, size in chunks(trials)
+    ]
+    counts = parallel_map(_risk_chunk, tasks, workers)
     fa = sum(c for t, c in zip(tasks, counts) if t[2] == "null")
     md = sum(c for t, c in zip(tasks, counts) if t[2] == "alt")
     return RiskEstimate(
         fa_rate=fa / trials,
         md_rate=md / trials,
         trials=trials,
-        ci_radius=max(_rate_half_width(fa, trials), _rate_half_width(md, trials)),
+        ci_radius=max(binomial_ci(fa, trials), binomial_ci(md, trials)),
     )

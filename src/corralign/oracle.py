@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +22,17 @@ import numpy as np
 from . import bounds
 from .core import (
     CycleType,
+    MCEstimate,
     Permutation,
     ProblemParams,
     SeedSpec,
     as_seedspec,
+    binomial_ci,
     cycle_decompose,
     cycle_type_count,
     enumerate_cycle_types,
     enumerate_permutations,
+    parallel_map,
 )
 from .errors import DomainError, SizeCapError
 from .gen import DatabasePair, sample_alt
@@ -198,27 +200,40 @@ def _mc_cap(n: int) -> None:
         raise SizeCapError(f"Monte-Carlo likelihood statistics are capped at n = {MC_CAP}")
 
 
-def _mc_likelihood_reduce(n, d, rho, trials, seed, transform):
-    """Stream batches of null draws through transform(log_l) and average."""
-    spec = as_seedspec(seed, "oracle/likelihood-mc")
+def _batches(spec: SeedSpec, trials: int):
+    """Yield ``(rng, size)`` for each batch of ``trials`` draws.
+
+    Batch b holds up to ``_BATCH`` draws from ``spec.rng(b)``.
+    """
+    for batch, start in enumerate(range(0, trials, _BATCH)):
+        yield spec.rng(batch), min(_BATCH, trials - start)
+
+
+def _mc_mean(spec: SeedSpec, trials: int, draw) -> tuple[float, float]:
+    """Sample mean of ``draw(rng, size)`` values and its 3-sigma radius.
+
+    The values come in ``_batches``; the radius uses the sample variance.
+    """
     total = 0.0
     total_sq = 0.0
-    done = 0
-    batch_index = 0
-    while done < trials:
-        size = min(_BATCH, trials - done)
-        rng = spec.rng(batch_index)
-        xs = rng.standard_normal((size, n, d))
-        ys = rng.standard_normal((size, n, d))
-        w = transform(_batched_log_l(xs, ys, rho))
+    for rng, size in _batches(spec, trials):
+        w = draw(rng, size)
         total += float(w.sum())
         total_sq += float((w * w).sum())
-        done += size
-        batch_index += 1
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
-    ci = 3.0 * math.sqrt(var / trials)
-    return mean, ci
+    return mean, 3.0 * math.sqrt(var / trials)
+
+
+def _mc_likelihood_reduce(n, d, rho, trials, seed, transform):
+    """Stream batches of null draws through transform(log_l) and average."""
+
+    def draw(rng, size):
+        xs = rng.standard_normal((size, n, d))
+        ys = rng.standard_normal((size, n, d))
+        return transform(_batched_log_l(xs, ys, rho))
+
+    return _mc_mean(as_seedspec(seed, "oracle/likelihood-mc"), trials, draw)
 
 
 def mc_second_moment(n: int, d: int, rho: float, trials: int, seed):
@@ -227,8 +242,6 @@ def mc_second_moment(n: int, d: int, rho: float, trials: int, seed):
     The interval is honest only where E_0 L^4 is finite (small rho^2); see
     the caller notes in the tests for the divergence threshold.
     """
-    from .core import MCEstimate
-
     _mc_cap(n)
     mean, ci = _mc_likelihood_reduce(
         n, d, rho, trials, seed, lambda log_l: np.exp(2.0 * log_l)
@@ -238,8 +251,6 @@ def mc_second_moment(n: int, d: int, rho: float, trials: int, seed):
 
 def tv_risk_lower_bound_mc(n: int, d: int, rho: float, trials: int, seed):
     """Risk floor 1 - E_0 |L - 1| estimated by Monte Carlo."""
-    from .core import MCEstimate
-
     _mc_cap(n)
     mean, ci = _mc_likelihood_reduce(
         n, d, rho, trials, seed, lambda log_l: np.abs(np.expm1(log_l))
@@ -276,22 +287,11 @@ def quadratic_mgf_check(R: np.ndarray, b: np.ndarray, trials: int, seed) -> Chec
     sign, logdet = np.linalg.slogdet(eye - r)
     closed = math.exp(0.5 * float(b @ np.linalg.solve(eye - r, b)) - 0.5 * logdet)
 
-    spec = as_seedspec(seed, "oracle/quadratic-mgf")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    batch = 0
-    while done < trials:
-        size = min(_BATCH, trials - done)
-        x = spec.rng(batch).standard_normal((size, dim))
-        vals = np.exp(0.5 * np.einsum("ti,ij,tj->t", x, r, x) + x @ b)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += size
-        batch += 1
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    ci = 3.0 * math.sqrt(var / trials)
+    def draw(rng, size):
+        x = rng.standard_normal((size, dim))
+        return np.exp(0.5 * np.einsum("ti,ij,tj->t", x, r, x) + x @ b)
+
+    mean, ci = _mc_mean(as_seedspec(seed, "oracle/quadratic-mgf"), trials, draw)
     return CheckResult(
         name="quadratic-mgf",
         passed=abs(mean - closed) <= ci + 1e-12,
@@ -368,13 +368,6 @@ def circulant_det_check(cycle_len: int, rho: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _tail_ci(count: int, trials: int) -> float:
-    if count == 0 or count == trials:
-        return 3.0 / trials
-    p = count / trials
-    return 3.0 * math.sqrt(p * (1.0 - p) / trials)
-
-
 def laurent_massart_check(d: int, alpha, t_grid, trials: int, seed) -> CheckResult:
     """Lower-tail bound for weighted chi-square sums, on a grid of t values.
 
@@ -392,19 +385,14 @@ def laurent_massart_check(d: int, alpha, t_grid, trials: int, seed) -> CheckResu
     norm_sq = float(alpha @ alpha)
     spec = as_seedspec(seed, "oracle/laurent-massart")
     counts = np.zeros(ts.shape[0], dtype=np.int64)
-    done = 0
-    batch = 0
-    while done < trials:
-        size = min(_BATCH, trials - done)
-        x = spec.rng(batch).standard_normal((size, d))
+    for rng, size in _batches(spec, trials):
+        x = rng.standard_normal((size, d))
         s = (x * x - 1.0) @ alpha
         counts += (s[:, None] <= -ts[None, :]).sum(axis=0)
-        done += size
-        batch += 1
     bounds_grid = np.exp(-(ts**2) / (4.0 * norm_sq))
     worst = -math.inf
     for t, c, bnd in zip(ts, counts, bounds_grid):
-        excess = c / trials - (bnd + _tail_ci(int(c), trials))
+        excess = c / trials - (bnd + binomial_ci(int(c), trials))
         worst = max(worst, float(excess))
     return CheckResult(
         name="tail-squares",
@@ -461,20 +449,15 @@ def gaussian_chaos_check(A: np.ndarray, t_grid, trials: int, seed) -> CheckResul
     trace = float(np.trace(a))
     spec = as_seedspec(seed, "oracle/gaussian-chaos")
     counts = np.zeros(ts.shape[0], dtype=np.int64)
-    done = 0
-    batch = 0
-    while done < trials:
-        size = min(_BATCH, trials - done)
-        x = spec.rng(batch).standard_normal((size, dim))
+    for rng, size in _batches(spec, trials):
+        x = rng.standard_normal((size, dim))
         q = np.einsum("ti,ij,tj->t", x, a, x) - trace
         counts += (q[:, None] >= ts[None, :]).sum(axis=0)
-        done += size
-        batch += 1
     worst = -math.inf
     for t, c in zip(ts, counts):
         rate = min(half_rate(alpha, float(t)), half_rate(lam, float(t)))
         bnd = 0.0 if math.isinf(rate) else 2.0 * math.exp(-(float(t) / 16.0) * rate)
-        excess = c / trials - (min(bnd, 1.0) + _tail_ci(int(c), trials))
+        excess = c / trials - (min(bnd, 1.0) + binomial_ci(int(c), trials))
         worst = max(worst, float(excess))
     return CheckResult(
         name="tail-chaos",
@@ -601,7 +584,7 @@ def truncated_first_moment_check(
         if not truncation_event_holds(pair, identity, schedule, params.rho_sign):
             failures += 1
     rate = failures / trials
-    ci = _tail_ci(failures, trials)
+    ci = binomial_ci(failures, trials)
     return CheckResult(
         name="truncation-first-moment",
         passed=rate <= deficit + ci,
@@ -723,7 +706,7 @@ def _chk_chernoff_identity(spec: SeedSpec) -> CheckResult:
         lam_fa, lam_md = bounds.chernoff_lambdas(t, n, d, rho)
         lhs_fa = -lam_fa * t - 0.5 * d * math.log1p(-((n * lam_fa) ** 2))
         rhs_fa = -0.5 * d * bounds.g_fa(gamma)
-        lhs_md = lam_md * t + math.log(bounds.mgf_alt(-lam_md, n, d, rho))
+        lhs_md = lam_md * t + bounds.log_mgf_alt(-lam_md, n, d, rho)
         rhs_md = -0.5 * d * bounds.g_md(gamma, rho)
         scale = max(1.0, abs(rhs_fa), abs(rhs_md))
         worst = max(worst, abs(lhs_fa - rhs_fa) / scale, abs(lhs_md - rhs_md) / scale)
@@ -735,22 +718,13 @@ def _chk_chernoff_identity(spec: SeedSpec) -> CheckResult:
 def _chk_null_mgf(spec: SeedSpec) -> CheckResult:
     n, d, lam = 3, 4, 0.05
     closed = bounds.mgf_null(lam, n, d)
-    trials = 200_000
-    total = 0.0
-    total_sq = 0.0
-    for batch in range(trials // _BATCH + 1):
-        size = min(_BATCH, trials - batch * _BATCH)
-        if size <= 0:
-            break
-        rng = spec.rng(batch)
+
+    def draw(rng, size):
         xs = rng.standard_normal((size, n, d))
         ys = rng.standard_normal((size, n, d))
-        t_vals = np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1))
-        vals = np.exp(lam * t_vals)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / trials
-    ci = 3.0 * math.sqrt(max(total_sq / trials - mean * mean, 0.0) / trials)
+        return np.exp(lam * np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1)))
+
+    mean, ci = _mc_mean(spec, 200_000, draw)
     return CheckResult("null-mgf-mc", abs(mean - closed) <= ci, mean, closed,
                        f"3-sigma {ci:.2e} at lambda={lam}, n={n}, d={d}")
 
@@ -759,23 +733,14 @@ def _chk_null_mgf(spec: SeedSpec) -> CheckResult:
 def _chk_alt_mgf(spec: SeedSpec) -> CheckResult:
     n, d, rho, lam = 2, 3, 0.5, 0.05
     closed = bounds.mgf_alt(lam, n, d, rho)
-    trials = 200_000
-    total = 0.0
-    total_sq = 0.0
-    for batch in range(trials // _BATCH + 1):
-        size = min(_BATCH, trials - batch * _BATCH)
-        if size <= 0:
-            break
-        rng = spec.rng(batch)
+
+    def draw(rng, size):
         ys = rng.standard_normal((size, n, d))
         zs = rng.standard_normal((size, n, d))
         xs = rho * ys + math.sqrt(1.0 - rho * rho) * zs
-        t_vals = np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1))
-        vals = np.exp(lam * t_vals)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / trials
-    ci = 3.0 * math.sqrt(max(total_sq / trials - mean * mean, 0.0) / trials)
+        return np.exp(lam * np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1)))
+
+    mean, ci = _mc_mean(spec, 200_000, draw)
     return CheckResult("alt-mgf-mc", abs(mean - closed) <= ci, mean, closed,
                        f"3-sigma {ci:.2e} at lambda={lam}, n={n}, d={d}, rho={rho}")
 
@@ -788,10 +753,7 @@ def _chk_stat_moments(spec: SeedSpec) -> CheckResult:
     t_null = np.empty(trials)
     t_alt = np.empty(trials)
     done = 0
-    batch = 0
-    while done < trials:
-        size = min(_BATCH, trials - done)
-        rng = spec.rng(batch)
+    for rng, size in _batches(spec, trials):
         ys = rng.standard_normal((size, 4, 8))
         xs = rng.standard_normal((size, 4, 8))
         t_null[done:done + size] = np.einsum(
@@ -802,7 +764,6 @@ def _chk_stat_moments(spec: SeedSpec) -> CheckResult:
         t_alt[done:done + size] = np.einsum(
             "tj,tj->t", xs2.sum(axis=1), ys2.sum(axis=1))
         done += size
-        batch += 1
     n, d = 4, 8
     checks = [
         (abs(t_null.mean()), 3.0 * t_null.std() / math.sqrt(trials)),
@@ -1013,11 +974,7 @@ def _chk_trunc_vs_uncond(spec: SeedSpec) -> CheckResult:
 def _chk_curve_ordering(spec: SeedSpec) -> CheckResult:
     points, notes = bounds.curve_points(
         "d", np.geomspace(100.0, 10_000.0, 5), n=10_000.0, target_risk=0.1)
-    bad = 0
-    for p in points:
-        if p.rho2_det_ach is not None and p.rho2_det_conv is not None:
-            if p.rho2_det_conv > p.rho2_det_ach:
-                bad += 1
+    bad = sum(p.converse_exceeds_achievable for p in points)
     return CheckResult("curve-ordering", bad == 0, float(bad), 0.0,
                        f"{len(points)} grid points; notes: {len(notes)}")
 
@@ -1040,9 +997,4 @@ def verify(seed: int = 0, workers: int = 1) -> VerifyReport:
     """
     master = int(seed)
     tasks = [(name, master) for name in VERIFY_CHECKS]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_named, tasks))
-    else:
-        results = [_run_named(t) for t in tasks]
-    return VerifyReport(checks=tuple(results))
+    return VerifyReport(checks=tuple(parallel_map(_run_named, tasks, workers)))

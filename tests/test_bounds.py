@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corralign.bounds import (
+    BoundCurvePoint,
     chernoff_lambdas,
     curve_points,
     default_k_star,
@@ -13,6 +14,7 @@ from corralign.bounds import (
     g_fa,
     g_md,
     invert_for_rho2,
+    log_mgf_alt,
     mgf_alt,
     mgf_null,
     minimize_two_exponent,
@@ -148,6 +150,20 @@ class TestMgfs:
         lam, n, d, rho = 0.05, 2, 3, 0.5
         base = 1.0 - 2.0 * n * lam * abs(rho) - (n * lam) ** 2 * (1.0 - rho * rho)
         assert mgf_alt(lam, n, d, rho) == pytest.approx(base ** (-d / 2))
+
+    def test_log_alt_beyond_underflow(self):
+        expect = math.log(mgf_alt(0.01, 2, 3, 0.5))
+        assert log_mgf_alt(0.01, 2, 3, 0.5) == pytest.approx(expect)
+        # At large d the MGF underflows to 0 while its log stays finite:
+        # here the base is 1 + rho^2 / (1 - rho^2).
+        n, d, rho = 100, 2000, 0.9
+        u = 1.0 - rho * rho
+        lam = -rho / (u * n)
+        assert mgf_alt(lam, n, d, rho) == 0.0
+        expect = -0.5 * d * math.log(1.0 + rho * rho / u)
+        assert log_mgf_alt(lam, n, d, rho) == pytest.approx(expect)
+        with pytest.raises(DomainError):
+            log_mgf_alt(1.0, 2, 3, 0.5)
 
     def test_strip_validation(self):
         with pytest.raises(DomainError):
@@ -302,6 +318,16 @@ class TestCurvePoints:
                 assert p.rho2_det_conv <= p.rho2_det_ach
             if p.rho2_rec_ach is not None and p.rho2_rec_conv is not None:
                 assert p.rho2_rec_conv <= p.rho2_rec_ach
+
+    def test_converse_exceeds_achievable(self):
+        def point(ach, conv):
+            return BoundCurvePoint(100.0, ach, conv, None, None)
+
+        assert point(0.1, 0.2).converse_exceeds_achievable
+        assert not point(0.2, 0.1).converse_exceeds_achievable
+        assert not point(0.1, 0.1).converse_exceeds_achievable
+        assert not point(None, 0.2).converse_exceeds_achievable
+        assert not point(0.1, None).converse_exceeds_achievable
 
     def test_axis_validation(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from corralign import bounds
+from corralign.bounds import BoundCurvePoint
 from corralign.cli import (
     CURVE_HEADER,
     ExperimentConfig,
@@ -65,6 +67,11 @@ class TestConfigRoundTrip:
             parse_config(
                 json.dumps({"command": "curve", "axis": "d", "grid": "10:90", "n": 5})
             )
+        for grid in ([10, 90, 2.5], [True, 90, 5]):
+            with pytest.raises(UsageError, match="grid"):
+                parse_config(
+                    json.dumps({"command": "curve", "axis": "d", "grid": grid, "n": 5})
+                )
 
     def test_validation_messages_name_field(self):
         with pytest.raises(UsageError, match="'trials'"):
@@ -169,7 +176,47 @@ class TestMainExitCodes:
         assert payload["results"]["error_bound"] > 0.0
 
 
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("simulate-detection", "trials", "5"),
+            ("simulate-detection", "rho", "0.3"),
+            ("simulate-detection", "threads", 2.5),
+            ("simulate-detection", "seed", 1.5),
+            ("simulate-recovery", "d", 10.9),
+            ("simulate-recovery", "n", True),
+            ("curve", "margin", float("nan")),
+            ("curve", "out", 5),
+        ],
+    )
+    def test_wrong_type_is_usage_error(self, tmp_path, capsys, command, field, value):
+        config = {"n": 20, "d": 50, "rho": 0.3, "trials": 5}
+        if command == "curve":
+            config = {"axis": "d", "grid": "100:200:2", "n": 100}
+        config[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: invalid field '{field}'" in err
+        assert "Traceback" not in err
+
+    def test_curve_takes_real_d(self):
+        cfg = parse_config(
+            json.dumps({"command": "curve", "axis": "n", "grid": "10:90:5", "d": 10.9})
+        )
+        assert cfg.d == 10.9
+
+
 class TestCurveOutput:
+    def test_ordering_violation_is_2(self, monkeypatch, capsys):
+        bad = BoundCurvePoint(100.0, 0.1, 0.2, None, None)
+        monkeypatch.setattr(bounds, "curve_points", lambda *a, **k: ([bad], []))
+        assert main(["curve", "--axis", "d", "--grid", "100:100:1", "--n", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "error: detection converse exceeds achievable at axis=100.0" in err
+
     def test_csv_golden_header(self, tmp_path):
         out = tmp_path / "curve.csv"
         code = main(

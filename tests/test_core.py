@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corralign
 from corralign.core import (
     FACTORIAL_CAP,
     CycleType,
@@ -14,11 +16,13 @@ from corralign.core import (
     ProblemParams,
     SeedSpec,
     as_seedspec,
+    binomial_ci,
     cycle_decompose,
     cycle_type_count,
     derangement_count,
     enumerate_cycle_types,
     enumerate_permutations,
+    parallel_map,
     prob_fixed_points,
     uniform_permutation,
 )
@@ -186,3 +190,40 @@ class TestMCEstimate:
             MCEstimate(value=0.5, ci_radius=-0.1, trials=100)
         with pytest.raises(ValueError):
             MCEstimate(value=0.5, ci_radius=0.1, trials=0)
+
+
+def _square(x):
+    return x * x
+
+
+def _fail_on_three(x):
+    if x == 3:
+        raise ValueError("task three failed")
+    return x
+
+
+class TestParallelMap:
+    def test_results_in_task_order(self):
+        tasks = list(range(23))
+        assert parallel_map(_square, tasks, workers=2) == [t * t for t in tasks]
+        assert parallel_map(_square, tasks, workers=1) == [t * t for t in tasks]
+
+    def test_worker_exception_reraised(self):
+        with pytest.raises(ValueError, match="task three failed"):
+            parallel_map(_fail_on_three, list(range(6)), workers=2)
+
+
+class TestBinomialCi:
+    def test_rule_of_three_at_degenerate_counts(self):
+        assert binomial_ci(0, 200) == 3.0 / 200
+        assert binomial_ci(200, 200) == 3.0 / 200
+
+    def test_three_sigma(self):
+        assert binomial_ci(25, 100) == pytest.approx(3.0 * math.sqrt(0.25 * 0.75 / 100))
+
+
+def test_pool_and_interval_live_only_in_core():
+    """A second process fan-out or binomial-interval copy must not creep back."""
+    sources = {p.name: p.read_text() for p in Path(corralign.__file__).parent.glob("*.py")}
+    for needle in ("ProcessPoolExecutor", "3.0 / trials"):
+        assert [name for name, text in sources.items() if needle in text] == ["core.py"]
