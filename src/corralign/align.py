@@ -56,10 +56,11 @@ def _require_corr(rho: float) -> float:
 
 
 def ml_decode(pair: DatabasePair, rho: float) -> AlignmentResult:
-    """Exact maximum-likelihood alignment via O(n^3) assignment.
+    """Maximum-likelihood alignment via O(n^3) assignment.
 
-    Ties between equally likely permutations resolve to the
-    lexicographically smallest one.
+    The score is maximal up to ``max_assignment``'s per-edge tie tolerance
+    (``1e-9 * max(1, max|S|)``); among permutations tied within it, the
+    lexicographically smallest one is returned.
     """
     sign = _require_corr(rho)
     solution = max_assignment(score_matrix(pair, sign))

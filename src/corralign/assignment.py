@@ -1,11 +1,14 @@
-"""Exact max-weight assignment with dual certificates.
+"""Max-weight assignment with dual certificates and lex-min tie-breaking.
 
 Shortest-augmenting-path solver (Jonker–Volgenant style, O(n^3)) run on the
 negated, shifted score matrix.  The returned row/column duals certify
 optimality: ``row_duals[i] + col_duals[j] >= score[i, j]`` everywhere with
-equality on the matched edges.  Ties between optimal assignments are broken
-toward the lexicographically smallest permutation by restricting to the
-dual-tight subgraph.
+equality on the matched edges.  An edge counts as tight when its dual
+residual is within ``1e-9 * max(1, max|score|)``; among the assignments
+made of tight edges, the lexicographically smallest permutation is
+returned.  So the result is optimal up to that per-edge tolerance (within
+n times it in total), not exactly: a permutation that beats it by less
+than the tolerance counts as tied.
 """
 
 from __future__ import annotations
@@ -125,11 +128,14 @@ def _lex_min_tight(tight: np.ndarray) -> np.ndarray:
 
 
 def max_assignment(score: np.ndarray) -> AssignmentSolution:
-    """Exact maximizer of sum(score[i, sigma_i]) over permutations.
+    """Maximizer of sum(score[i, sigma_i]) over permutations, up to a tolerance.
 
-    When several permutations attain the maximum (detected through the dual
-    certificate's tight edges), the lexicographically smallest one is
-    returned.  Raises DomainError on non-square or non-finite input.
+    Edges whose dual residual is within ``1e-9 * max(1, max|score|)`` count
+    as tight, and the lexicographically smallest permutation of tight edges
+    is returned.  Its total is optimal up to that per-edge tolerance: for
+    ``[[1e6, 1e6 + 1e-4], [1e6, 1e6]]`` the identity (2e6) is returned over
+    the swap (2e6 + 1e-4).  Raises DomainError on non-square or non-finite
+    input.
     """
     score = np.asarray(score, dtype=np.float64)
     if score.ndim != 2 or score.shape[0] != score.shape[1]:

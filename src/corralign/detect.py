@@ -1,9 +1,10 @@
 """Sum-of-inner-products detection: statistic, threshold tests, MC risk.
 
 The statistic ``T = sign(rho) * <sum of X rows, sum of Y rows>`` costs O(nd)
-and its law under the correlated hypothesis does not depend on the hidden
-permutation (it is a function of column sums only), so Monte-Carlo risk
-estimation may plant the identity permutation without loss of generality.
+and is a function of the column sums only.  Under either hypothesis each
+coordinate pair of the two sums is N(0, n [[1, r], [r, 1]]) with r = 0 or
+rho, whatever the hidden permutation, so Monte-Carlo risk estimation draws
+the two length-d sums directly: O(d) per trial instead of O(nd).
 """
 
 from __future__ import annotations
@@ -80,34 +81,24 @@ def optimal_gamma(params: ProblemParams) -> tuple[float, float]:
 def _risk_chunk(args) -> int:
     """Count threshold-test errors over one batch of seeded trials.
 
-    Mirrors the samplers' draw order on reused buffers (null: X then Y;
-    correlated: Y then noise Z, X = rho Y + sqrt(1-rho^2) Z with the planted
-    identity) and evaluates T through its column-sum form, pushing the
-    correlated mixture through the sums by linearity so each trial costs
-    only the Gaussian draws plus two row reductions.
+    Each trial draws two standard-normal d-vectors g1, g2 from its own
+    generator and forms the column sums directly: y_sum = sqrt(n) g1 and
+    x_sum = sqrt(n) g2 (null) or x_sum = rho y_sum + sqrt(1-rho^2) sqrt(n) g2
+    (correlated).  That is the samplers' law of the sums, at O(d) per trial.
     """
     params, threshold, arm, seed_spec, start, size = args
     sign = params.rho_sign
-    shape = (params.n, params.d)
     correlated = arm == "alt" and params.rho != 0.0
     rho = params.rho
     noise = math.sqrt(1.0 - params.rho2)
-    first = np.empty(shape)
-    second = np.empty(shape)
-    first_sum = np.empty(params.d)
-    second_sum = np.empty(params.d)
+    draws = np.empty((2, params.d))
+    g1, g2 = draws
     errors = 0
     for index in range(start, start + size):
-        rng = seed_spec.rng(index)
-        rng.standard_normal(out=first)
-        rng.standard_normal(out=second)
-        np.sum(first, axis=0, out=first_sum)
-        np.sum(second, axis=0, out=second_sum)
-        if correlated:
-            # first = Y, second = Z: column sums of X are rho ysum + noise zsum.
-            t_stat = float((rho * first_sum + noise * second_sum) @ first_sum)
-        else:
-            t_stat = float(first_sum @ second_sum)
+        seed_spec.rng(index).standard_normal(out=draws)
+        # <x_sum, y_sum> = n <x_sum / sqrt(n), g1>
+        x_unit = rho * g1 + noise * g2 if correlated else g2
+        t_stat = params.n * float(x_unit @ g1)
         label = threshold_test(sign * t_stat, threshold)
         if arm == "null":
             errors += label  # false alarm
@@ -125,9 +116,11 @@ def monte_carlo_risk(
 ) -> RiskEstimate:
     """Estimate both error rates over `trials` draws per hypothesis.
 
-    The missed-detection arm plants the identity permutation (the statistic's
-    correlated law is permutation-invariant); with rho = 0 it degenerates to
-    a second independent null arm.  Each trial derives its generator from
+    Each trial draws the two column sums, not the n x d databases, so it
+    costs O(d) time and memory (see ``_risk_chunk``); the statistic's law is
+    that of ``sip_statistic`` on ``gen.sample_null``/``sample_alt``, whatever
+    the planted permutation.  With rho = 0 the missed-detection arm is a
+    second independent null arm.  Each trial derives its generator from
     (seed, arm, trial index) alone, so results are identical for any worker
     count.
     """

@@ -59,6 +59,17 @@ class TestMaxAssignment:
         sol = max_assignment(score)
         assert sol.cols_of_rows.tolist() == [0, 1]
 
+    def test_tie_tolerance_is_per_edge(self):
+        # The swap scores 2e6 + 1e-4, the identity 2e6; edges within
+        # 1e-9 * max|S| = 1e-3 of tight count as tied, so the lex-min
+        # identity is returned.  The guarantee is optimal up to that
+        # tolerance, not exact.
+        score = np.array([[1e6, 1e6 + 1e-4], [1e6, 1e6]])
+        sol = max_assignment(score)
+        assert sol.cols_of_rows.tolist() == [0, 1]
+        assert sol.value == 2e6
+        assert score[[0, 1], [1, 0]].sum() - sol.value <= 2 * 1e-9 * np.abs(score).max()
+
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             max_assignment(np.zeros((2, 3)))

@@ -1,9 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from corralign.bounds import minimize_two_exponent
-from corralign.core import Permutation, ProblemParams, SeedSpec
+from corralign.core import Permutation, ProblemParams, SeedSpec, binomial_ci
 from corralign.detect import (
     RiskEstimate,
     monte_carlo_risk,
@@ -14,6 +17,29 @@ from corralign.detect import (
 )
 from corralign.errors import DomainError, InvalidAlternateError
 from corralign.gen import sample_alt, sample_null
+
+
+def _chi2_difference_sf(c1, c2, t, d):
+    """P(c1 A - c2 B >= t) for independent chi-square_d variables A and B."""
+    lo, hi = stats.chi2.ppf(1e-16, d), stats.chi2.isf(1e-16, d)
+    value, _ = integrate.quad(
+        lambda b: stats.chi2.pdf(b, d) * stats.chi2.sf((t + c2 * b) / c1, d),
+        lo, hi, limit=400, points=[d],
+    )
+    return value
+
+
+def _exact_rates(params, threshold):
+    """Exact (false alarm, missed detection) rates of the threshold test.
+
+    T/n = ((1+|rho|)/2) A - ((1-|rho|)/2) B with A, B independent chi2_d;
+    rho = 0 gives the null law.
+    """
+    r = abs(params.rho)
+    t = threshold / params.n
+    fa = _chi2_difference_sf(0.5, 0.5, t, params.d)
+    md = 1.0 - _chi2_difference_sf((1.0 + r) / 2.0, (1.0 - r) / 2.0, t, params.d)
+    return fa, md
 
 
 def _double_sum(pair, rho_sign):
@@ -167,3 +193,61 @@ class TestMonteCarloRisk:
         p = ProblemParams(n=10, d=400, rho=0.8)
         est = monte_carlo_risk(p, nominal_threshold(p), 400, 3)
         assert est.risk() <= 0.02
+
+
+LAW_TRIALS = 20_000
+
+#: (params, threshold as a multiple of the nominal one).
+LAW_CASES = [
+    (ProblemParams(n=5, d=20, rho=math.sqrt(0.1)), 1.0),
+    (ProblemParams(n=5, d=20, rho=-math.sqrt(0.1)), 1.0),
+    (ProblemParams(n=5, d=20, rho=math.sqrt(0.1)), 1.5),
+]
+LAW_IDS = ["rho+", "rho-", "rho+-high-threshold"]
+
+
+def _assert_law(fa, md, params, threshold):
+    p_fa, p_md = _exact_rates(params, threshold)
+    assert abs(fa / LAW_TRIALS - p_fa) <= binomial_ci(fa, LAW_TRIALS), (fa, p_fa)
+    assert abs(md / LAW_TRIALS - p_md) <= binomial_ci(md, LAW_TRIALS), (md, p_md)
+
+
+class TestRiskLaw:
+    """Both draw paths against the exact law of T.
+
+    ``monte_carlo_risk`` draws the column sums directly; the samplers draw
+    whole databases.  Tying each to the exact law ties them to each other.
+    """
+
+    @pytest.mark.parametrize("params,scale", LAW_CASES, ids=LAW_IDS)
+    def test_column_sum_path(self, params, scale):
+        threshold = scale * nominal_threshold(params)
+        est = monte_carlo_risk(params, threshold, LAW_TRIALS, 31)
+        fa = round(est.fa_rate * LAW_TRIALS)
+        md = round(est.md_rate * LAW_TRIALS)
+        _assert_law(fa, md, params, threshold)
+
+    @pytest.mark.parametrize("params,scale", LAW_CASES, ids=LAW_IDS)
+    def test_full_matrix_path(self, params, scale):
+        threshold = scale * nominal_threshold(params)
+        rng = np.random.default_rng(32)
+        planted = Permutation(np.roll(np.arange(params.n), 1))
+        sign = params.rho_sign
+        fa = md = 0
+        for _ in range(LAW_TRIALS):
+            fa += threshold_test(sip_statistic(sample_null(params, rng), sign), threshold)
+            pair = sample_alt(params, planted, rng)
+            md += 1 - threshold_test(sip_statistic(pair, sign), threshold)
+        _assert_law(fa, md, params, threshold)
+
+
+def test_monte_carlo_risk_memory_does_not_grow_with_n():
+    # An n x d draw at this size would take 40 MB per buffer.
+    p = ProblemParams(n=100_000, d=50, rho=0.3)
+    tracemalloc.start()
+    try:
+        monte_carlo_risk(p, nominal_threshold(p), 64, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
