@@ -1,14 +1,18 @@
 """Max-weight assignment with dual certificates and lex-min tie-breaking.
 
-Shortest-augmenting-path solver (Jonker–Volgenant style, O(n^3)) run on the
-negated, shifted score matrix.  The returned row/column duals certify
-optimality: ``row_duals[i] + col_duals[j] >= score[i, j]`` everywhere with
-equality on the matched edges.  An edge counts as tight when its dual
-residual is within ``1e-9 * max(1, max|score|)``; among the assignments
-made of tight edges, the lexicographically smallest permutation is
-returned.  So the result is optimal up to that per-edge tolerance (within
-n times it in total), not exactly: a permutation that beats it by less
-than the tolerance counts as tied.
+Two paths, with one result.  When every row's maximum beats its runner-up
+by more than ``n * tol`` and the row argmaxes form a permutation, that
+permutation is returned, certified by ``row_duals = row max`` and
+``col_duals = 0``.  Otherwise a shortest-augmenting-path solver
+(Jonker–Volgenant style, O(n^3)) runs on the negated, shifted score matrix,
+and an alternating-cycle search (O(n^3) at worst) turns its matching into
+the lexicographically smallest one made of tight edges.  Either way the
+duals certify optimality: ``row_duals[i] + col_duals[j] >= score[i, j]``
+everywhere with equality on the matched edges.  An edge counts as tight
+when its dual residual is within ``tol = 1e-9 * max(1, max|score|)``.  So
+the result is optimal up to that per-edge tolerance (within n times it in
+total), not exactly: a permutation that beats it by less than the
+tolerance counts as tied.
 """
 
 from __future__ import annotations
@@ -90,41 +94,71 @@ def _jv_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cols_of_rows, u[1:].copy(), v[1:].copy()
 
 
-def _kuhn_feasible(tight: np.ndarray, start_row: int, col_taken: np.ndarray) -> bool:
-    """Can rows start_row..n-1 be perfectly matched into the free columns?"""
-    n = tight.shape[0]
-    match_col = np.full(n, -1, dtype=np.int64)
+def _lex_min_tight(tight: np.ndarray, match: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest perfect matching of the tight graph.
 
-    def try_row(r: int, visited: np.ndarray) -> bool:
-        for j in np.nonzero(tight[r] & ~col_taken)[0]:
-            if not visited[j]:
-                visited[j] = True
-                if match_col[j] == -1 or try_row(int(match_col[j]), visited):
-                    match_col[j] = r
-                    return True
+    Starts from the perfect matching ``match`` (row -> column) and fixes rows
+    in order.  With rows before i fixed, row i can take a tight column
+    j < match[i] iff an alternating path leads from j back to match[i] through
+    rows after i: j's row moves to another tight column, that column's row
+    moves on, and so on until one takes match[i].  One backward search from
+    match[i] over the rows after i finds every such j at once; the smallest is
+    taken and the matching rotated along the cycle.  A row with a single tight
+    edge is never on such a cycle, so only rows with more are visited.  Each
+    search is O(n^2), O(n^3) in total.
+    """
+    n = tight.shape[0]
+    match = match.copy()
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[match] = np.arange(n)
+    for i in np.flatnonzero(tight.sum(axis=1) > 1):
+        target = match[i]
+        cand = np.flatnonzero(tight[i, :target])
+        cand = cand[row_of[cand] > i]
+        if cand.size == 0:
+            continue
+        # succ[c]: the column that c's row takes when the cycle rotates.
+        succ = np.full(n, -1, dtype=np.int64)
+        reached = np.zeros(n, dtype=bool)
+        reached[target] = True
+        open_rows = np.zeros(n, dtype=bool)
+        open_rows[i + 1:] = True
+        frontier = np.array([target])
+        while frontier.size and not reached[cand[0]]:
+            into = tight[:, frontier] & open_rows[:, None]
+            rows = np.flatnonzero(into.any(axis=1))
+            open_rows[rows] = False
+            cols = match[rows]
+            succ[cols] = frontier[into[rows].argmax(axis=1)]
+            reached[cols] = True
+            frontier = cols
+        hits = cand[reached[cand]]
+        if hits.size == 0:
+            continue
+        path = [int(hits[0])]
+        while path[-1] != target:
+            path.append(int(succ[path[-1]]))
+        cycle_rows = [i] + [int(row_of[c]) for c in path[:-1]]
+        match[cycle_rows] = path
+        row_of[path] = cycle_rows
+    return match
+
+
+def _argmax_is_certified(score: np.ndarray, argmax: np.ndarray, tol: float) -> bool:
+    """Is the row argmax a permutation that beats each runner-up by > n * tol?
+
+    Then every other permutation falls short of it by more than 2n * tol,
+    while a perfect matching of JV-tight edges falls short of the dual
+    objective, and so of the argmax, by at most n * tol.  The argmax is then
+    the only such matching: the JV path would return it too.
+    """
+    n = score.shape[0]
+    if np.unique(argmax).size < n:
         return False
-
-    for r in range(start_row, n):
-        if not try_row(r, np.zeros(n, dtype=bool)):
-            return False
-    return True
-
-
-def _lex_min_tight(tight: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest perfect matching of a feasible tight graph."""
-    n = tight.shape[0]
-    chosen = np.full(n, -1, dtype=np.int64)
-    col_taken = np.zeros(n, dtype=bool)
-    for i in range(n):
-        for j in np.nonzero(tight[i] & ~col_taken)[0]:
-            col_taken[j] = True
-            if _kuhn_feasible(tight, i + 1, col_taken):
-                chosen[i] = j
-                break
-            col_taken[j] = False
-        if chosen[i] == -1:
-            raise RuntimeError("tight subgraph lost feasibility during refinement")
-    return chosen
+    if n == 1:
+        return True
+    runner_up = np.partition(score, n - 2, axis=1)[:, n - 2]
+    return bool((score[np.arange(n), argmax] - runner_up).min() > n * tol)
 
 
 def max_assignment(score: np.ndarray) -> AssignmentSolution:
@@ -134,8 +168,10 @@ def max_assignment(score: np.ndarray) -> AssignmentSolution:
     as tight, and the lexicographically smallest permutation of tight edges
     is returned.  Its total is optimal up to that per-edge tolerance: for
     ``[[1e6, 1e6 + 1e-4], [1e6, 1e6]]`` the identity (2e6) is returned over
-    the swap (2e6 + 1e-4).  Raises DomainError on non-square or non-finite
-    input.
+    the swap (2e6 + 1e-4).  A row argmax that is a permutation with every
+    top-two gap above ``n`` times the tolerance is the only such permutation
+    and is returned without running the solver.  Raises DomainError on
+    non-square or non-finite input.
     """
     score = np.asarray(score, dtype=np.float64)
     if score.ndim != 2 or score.shape[0] != score.shape[1]:
@@ -145,16 +181,21 @@ def max_assignment(score: np.ndarray) -> AssignmentSolution:
         raise DomainError("score matrix must be nonempty")
     if not np.all(np.isfinite(score)):
         raise DomainError("score matrix must be finite")
-    shift = float(score.max())
-    cols_of_rows, u, v = _jv_min(shift - score)
-    row_duals = shift - u
-    col_duals = -v
     tol = 1e-9 * max(1.0, float(np.abs(score).max()))
-    tight = row_duals[:, None] + col_duals[None, :] - score <= tol
-    tight[np.arange(n), cols_of_rows] = True
-    if np.any(tight.sum(axis=1) > 1):
-        cols_of_rows = _lex_min_tight(tight)
-    value = float(score[np.arange(n), cols_of_rows].sum())
+    rows = np.arange(n)
+    cols_of_rows = score.argmax(axis=1)
+    if _argmax_is_certified(score, cols_of_rows, tol):
+        row_duals = score[rows, cols_of_rows]
+        col_duals = np.zeros(n)
+    else:
+        shift = float(score.max())
+        cols_of_rows, u, v = _jv_min(shift - score)
+        row_duals = shift - u
+        col_duals = -v
+        tight = row_duals[:, None] + col_duals[None, :] - score <= tol
+        tight[rows, cols_of_rows] = True
+        cols_of_rows = _lex_min_tight(tight, cols_of_rows)
+    value = float(score[rows, cols_of_rows].sum())
     return AssignmentSolution(
         cols_of_rows=cols_of_rows,
         row_duals=row_duals,

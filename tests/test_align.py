@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from corralign import assignment
 from corralign.align import (
     BRUTE_FORCE_CAP,
     brute_force_decode,
@@ -12,13 +14,44 @@ from corralign.align import (
     score_matrix,
 )
 from corralign.assignment import max_assignment
-from corralign.core import Permutation, ProblemParams, SeedSpec, uniform_permutation
+from corralign.core import (
+    Permutation,
+    ProblemParams,
+    SeedSpec,
+    enumerate_permutations,
+    uniform_permutation,
+)
 from corralign.errors import DomainError, InvalidAlternateError, SizeCapError
 from corralign.gen import DatabasePair, sample_alt, sample_null
 
 
 def _random_pair(rng, n, d):
     return DatabasePair(x=rng.standard_normal((n, d)), y=rng.standard_normal((n, d)))
+
+
+@st.composite
+def _small_int_scores(draw):
+    n = draw(st.integers(1, 7))
+    entries = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+    return np.array(entries, dtype=np.float64).reshape(n, n)
+
+
+def _tol(score):
+    return 1e-9 * max(1.0, float(np.abs(score).max()))
+
+
+@pytest.fixture
+def jv_calls(monkeypatch):
+    """Count the solves that reach the JV core rather than the argmax path."""
+    calls = []
+    jv_min = assignment._jv_min
+
+    def spy(cost):
+        calls.append(cost.shape[0])
+        return jv_min(cost)
+
+    monkeypatch.setattr(assignment, "_jv_min", spy)
+    return calls
 
 
 class TestScoreMatrix:
@@ -69,6 +102,46 @@ class TestMaxAssignment:
         assert sol.cols_of_rows.tolist() == [0, 1]
         assert sol.value == 2e6
         assert score[[0, 1], [1, 0]].sum() - sol.value <= 2 * 1e-9 * np.abs(score).max()
+
+    @given(_small_int_scores())
+    @settings(max_examples=300, deadline=None)
+    def test_lex_min_over_all_permutations(self, score):
+        # Integer entries: tolerance-tight means exactly tight, so the result
+        # must be the first optimum in lexicographic order.
+        n = score.shape[0]
+        perms = enumerate_permutations(n)
+        totals = score[np.arange(n), perms].sum(axis=1)
+        expected = perms[np.argmax(totals == totals.max())]
+        assert max_assignment(score).cols_of_rows.tolist() == expected.tolist()
+
+    def test_dense_tie_is_identity(self):
+        assert max_assignment(np.zeros((200, 200))).cols_of_rows.tolist() == list(range(200))
+
+    @pytest.mark.parametrize("n", [50, 200, 500])
+    def test_matches_scipy_on_both_paths(self, n, jv_calls):
+        d = 300
+        planted = uniform_permutation(n, SeedSpec(n, "planted"))
+        null = sample_null(ProblemParams(n=n, d=d, rho=0.9), SeedSpec(n, "null"))
+        alt = sample_alt(ProblemParams(n=n, d=d, rho=0.9), planted, SeedSpec(n, "alt"))
+        cases = [(score_matrix(null, 1.0), 1, None), (score_matrix(alt, 1.0), 0, planted)]
+        # One row of the planted case with its top-two gap in (tol, n * tol]:
+        # the argmax is still a permutation, but the solve must go to JV.
+        near = score_matrix(alt, 1.0)
+        row = n // 2
+        top = near[row].argmax()
+        near[row, (top + 1) % n] = near[row, top] - 2 * _tol(near)
+        top2 = np.sort(near[row])[-2:]
+        assert _tol(near) < top2[1] - top2[0] <= n * _tol(near)
+        cases.append((near, 1, planted))
+        for score, jv_expected, expected in cases:
+            before = len(jv_calls)
+            sol = max_assignment(score)
+            assert len(jv_calls) - before == jv_expected
+            rows, cols = linear_sum_assignment(score, maximize=True)
+            assert sol.value == pytest.approx(score[rows, cols].sum(), rel=1e-9)
+            assert sol.certificate_gap(score) <= _tol(score)
+            if expected is not None:
+                assert sol.cols_of_rows.tolist() == expected.map.tolist()
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):

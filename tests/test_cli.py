@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -300,3 +301,26 @@ class TestSimulateDeterminism:
             payload["config"].pop("out")
         assert pa == pb
         assert ta and tb
+
+
+class TestSimulateRecoveryGolden:
+    # The first run's trials mostly take the solver's row-argmax path, the
+    # second's (near the recovery threshold) the JV path and its tie-break;
+    # together they pin both paths' results.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["--n", "30", "--d", "100", "--rho", "0.7", "--trials", "200", "--seed", "5"],
+                "8989b4cd5acafe6c731a16630ae7c2628ccbeac48360031fa6b3ae07b5e5c6d7",
+            ),
+            (
+                ["--n", "200", "--d", "300", "--rho", "0.23", "--trials", "40", "--seed", "3"],
+                "b30cec1f6318d970d1424c0d1ef24b9b1fd37174661b531555a2d4d64d72a971",
+            ),
+        ],
+    )
+    def test_csv_stdout_digest(self, args, digest, capsys):
+        assert main(["simulate-recovery", *args, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
