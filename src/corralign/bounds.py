@@ -18,6 +18,7 @@ turns any of them into the squared correlation needed to meet a target risk.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -495,12 +496,15 @@ _PRESCAN = np.unique(
 )
 
 
+#: Absolute width in rho2 at which ``invert_for_rho2`` stops bisecting.
+INVERT_TOL = 1e-10
+
+
 def invert_for_rho2(
     bound_kind: str,
     n: float,
     d: float,
     target_risk: float,
-    tol: float = 1e-10,
     *,
     k_star: int | None = None,
     margin: float = 0.1,
@@ -509,7 +513,11 @@ def invert_for_rho2(
     """Squared correlation at which a bound family meets a target risk.
 
     Every implemented bound decreases in rho2, which a coarse pre-scan
-    asserts before bisecting to absolute tolerance ``tol``.  Raises
+    asserts before bisecting to absolute width ``INVERT_TOL``.  The
+    bisection brackets the end of the pre-scan prefix where the bound is
+    still on the high side of the target (``> target`` for achievability,
+    ``>= target`` for converses) and reports the bracket's high end for
+    achievability, its low end for converses.  Raises
     ``InversionUndefinedError`` when the target is never crossed on (0, 1)
     or monotonicity fails.
     """
@@ -527,49 +535,38 @@ def invert_for_rho2(
                 f"{bound_kind} bound is not decreasing in rho2; inversion undefined"
             )
 
-    # Bracket the crossing of f(rho2) = target: f is decreasing, so we need a
-    # low point above target and a high point at-or-below it.
-    above = vals > target
-    if mode == "ach":
-        # smallest rho2 with f <= target
-        if not above[0]:
-            # already at target at the left edge; report the edge point
+    high = operator.gt if mode == "ach" else operator.ge
+    high_side = high(vals, target)
+    if not high_side[0]:
+        if mode == "ach":
             return float(_PRESCAN[0])
-        if above[-1]:
-            raise InversionUndefinedError(
-                f"{bound_kind} bound never reaches target {target} on (0, 1)"
-            )
-        j = int(np.argmax(~above))  # first index at or below target
-        lo, hi = float(_PRESCAN[j - 1]), float(_PRESCAN[j])
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if f(mid) <= target:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    # mode == "conv": largest rho2 with f >= target
-    at_or_above = vals >= target
-    if not at_or_above[0]:
         raise InversionUndefinedError(
             f"{bound_kind} bound is below target {target} everywhere on (0, 1)"
         )
-    if at_or_above[-1]:
-        return float(_PRESCAN[-1])
-    j = int(np.argmax(~at_or_above))  # first index strictly below target
+    if high_side[-1]:
+        if mode == "conv":
+            return float(_PRESCAN[-1])
+        raise InversionUndefinedError(
+            f"{bound_kind} bound never reaches target {target} on (0, 1)"
+        )
+    j = int(np.argmin(high_side))  # first pre-scan point past the crossing
     lo, hi = float(_PRESCAN[j - 1]), float(_PRESCAN[j])
-    while hi - lo > tol:
+    while hi - lo > INVERT_TOL:
         mid = 0.5 * (lo + hi)
-        if f(mid) >= target:
+        if high(f(mid), target):
             lo = mid
         else:
             hi = mid
-    return lo
+    return hi if mode == "ach" else lo
 
 
 @dataclass(frozen=True)
 class BoundCurvePoint:
-    """One curve row: the axis value and up to four rho^2 bound values."""
+    """One curve row: the axis value and up to four rho^2 bound values.
+
+    The fields, in ``BOUND_KINDS`` order after ``axis``, are the columns of
+    the curve report; None marks an undefined inversion.
+    """
 
     axis: float
     rho2_det_ach: float | None
@@ -593,30 +590,25 @@ class BoundCurvePoint:
 
 def _curve_point(args) -> tuple[BoundCurvePoint, list[str]]:
     axis_value, n, d, target_risk, k_star, margin, epsilon_d = args
-    values: dict[str, float | None] = {}
+    values: list[float | None] = []
     notes: list[str] = []
     for kind in BOUND_KINDS:
         try:
-            values[kind] = invert_for_rho2(
-                kind,
-                n,
-                d,
-                target_risk,
-                k_star=k_star,
-                margin=margin,
-                epsilon_d=epsilon_d,
+            values.append(
+                invert_for_rho2(
+                    kind,
+                    n,
+                    d,
+                    target_risk,
+                    k_star=k_star,
+                    margin=margin,
+                    epsilon_d=epsilon_d,
+                )
             )
         except InversionUndefinedError as exc:
-            values[kind] = None
+            values.append(None)
             notes.append(f"axis={axis_value!r} {kind}: {exc}")
-    point = BoundCurvePoint(
-        axis=float(axis_value),
-        rho2_det_ach=values["det-ach"],
-        rho2_det_conv=values["det-conv"],
-        rho2_rec_ach=values["rec-ach"],
-        rho2_rec_conv=values["rec-conv"],
-    )
-    return point, notes
+    return BoundCurvePoint(float(axis_value), *values), notes
 
 
 def curve_points(

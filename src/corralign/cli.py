@@ -29,7 +29,8 @@ from .core import ProblemParams, SeedSpec
 from .detect import monte_carlo_risk, nominal_threshold, optimal_gamma
 from .errors import CorralignError
 
-CURVE_HEADER = "axis,rho2_det_ach,rho2_det_conv,rho2_rec_ach,rho2_rec_conv"
+CURVE_HEADER = ",".join(f.name for f in dataclasses.fields(bounds.BoundCurvePoint))
+_VERIFY_COLUMNS = ("name", "passed", "statistic", "reference")
 
 COMMANDS = ("simulate-detection", "simulate-recovery", "curve", "verify")
 
@@ -198,6 +199,8 @@ def _build_config(command: str, values: dict) -> ExperimentConfig:
         for field in ("n", "d", "rho"):
             if getattr(config, field) is None:
                 fail(field, f"required by {command}")
+        if config.rho == 0.0:
+            fail("rho", f"must be nonzero for {command}")
     if command == "curve":
         if config.axis is None:
             fail("axis", "required by curve")
@@ -287,8 +290,15 @@ def resolve_config(argv) -> ExperimentConfig:
     return _build_config(namespace.command, values)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _cell(value) -> str:
+    """One CSV cell: 17-digit floats, 0/1 for booleans, empty for None."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 def _write_output(out: str | None, text: str) -> None:
@@ -306,32 +316,37 @@ def _emit_resolved(config: ExperimentConfig) -> None:
     print(f"config: {config.render()}", file=sys.stderr)
 
 
-def _json_report(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _write_report(
+    config: ExperimentConfig, fields: dict, rows: list[dict], columns=None
+) -> None:
+    """Write one run's report: ``fields`` in the JSON envelope, or a CSV table.
+
+    The CSV has a header of ``columns`` (default: the first row's keys) and
+    one line per row.
+    """
+    if config.resolved_format() == "json":
+        payload = {"schema": 1, "command": config.command, **fields}
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        columns = list(rows[0]) if columns is None else columns
+        lines = [",".join(columns)]
+        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _write_output(config.out, text)
 
 
 def _write_results(config: ExperimentConfig, results: dict) -> None:
     """Write one simulation's results: a JSON report or a one-row CSV."""
-    if config.resolved_format() == "json":
-        payload = {
-            "schema": 1,
-            "command": config.command,
-            "config": json.loads(config.render()),
-            "results": results,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-        _write_output(config.out, _json_report(payload))
-    else:
-        header = ",".join(results)
-        row = ",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in results.values()
-        )
-        _write_output(config.out, f"{header}\n{row}\n")
+    fields = {
+        "config": json.loads(config.render()),
+        "results": results,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    _write_report(config, fields, [results])
 
 
 def run_simulate_detection(config: ExperimentConfig) -> int:
     """Estimate both error rates of the threshold test and report bounds."""
-    _emit_resolved(config)
     params = ProblemParams(n=int(config.n), d=int(config.d), rho=float(config.rho))
     threshold = (
         float(config.threshold)
@@ -361,7 +376,6 @@ def run_simulate_detection(config: ExperimentConfig) -> int:
 
 def run_simulate_recovery(config: ExperimentConfig) -> int:
     """Estimate the exact-alignment error of ML decoding and report bounds."""
-    _emit_resolved(config)
     params = ProblemParams(n=int(config.n), d=int(config.d), rho=float(config.rho))
     seed = SeedSpec(master_seed=config.seed, stream_label="cli/simulate-recovery")
     estimate = recovery_error_mc(params, config.trials, seed, workers=config.threads)
@@ -378,19 +392,8 @@ def run_simulate_recovery(config: ExperimentConfig) -> int:
     return 0
 
 
-def _curve_rows(points) -> str:
-    lines = [CURVE_HEADER]
-    for p in points:
-        cells = [_fmt(p.axis)]
-        for value in (p.rho2_det_ach, p.rho2_det_conv, p.rho2_rec_ach, p.rho2_rec_conv):
-            cells.append("" if value is None else _fmt(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def run_curve(config: ExperimentConfig) -> int:
     """Invert all four bound families along the grid and write the curve."""
-    _emit_resolved(config)
     start, stop, count = config.grid
     values = np.linspace(start, stop, count)
     points, notes = bounds.curve_points(
@@ -406,25 +409,8 @@ def run_curve(config: ExperimentConfig) -> int:
     )
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
-    if config.resolved_format() == "csv":
-        _write_output(config.out, _curve_rows(points))
-    else:
-        payload = {
-            "schema": 1,
-            "command": config.command,
-            "config": json.loads(config.render()),
-            "rows": [
-                {
-                    "axis": p.axis,
-                    "rho2_det_ach": p.rho2_det_ach,
-                    "rho2_det_conv": p.rho2_det_conv,
-                    "rho2_rec_ach": p.rho2_rec_ach,
-                    "rho2_rec_conv": p.rho2_rec_conv,
-                }
-                for p in points
-            ],
-        }
-        _write_output(config.out, _json_report(payload))
+    rows = [dataclasses.asdict(p) for p in points]
+    _write_report(config, {"config": json.loads(config.render()), "rows": rows}, rows)
     for p in points:
         if p.converse_exceeds_achievable:
             print(
@@ -437,33 +423,10 @@ def run_curve(config: ExperimentConfig) -> int:
 
 def run_verify(config: ExperimentConfig) -> int:
     """Run the oracle suite; exit 0 only if every check passes."""
-    _emit_resolved(config)
     report = oracle.verify(seed=config.seed, workers=config.threads)
-    if config.resolved_format() == "json":
-        payload = {
-            "schema": 1,
-            "command": "verify",
-            "seed": config.seed,
-            "passed": report.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "statistic": c.statistic,
-                    "reference": c.reference,
-                    "detail": c.detail,
-                }
-                for c in report.checks
-            ],
-        }
-        _write_output(config.out, _json_report(payload))
-    else:
-        lines = ["name,passed,statistic,reference"]
-        for c in report.checks:
-            lines.append(
-                f"{c.name},{int(c.passed)},{_fmt(c.statistic)},{_fmt(c.reference)}"
-            )
-        _write_output(config.out, "\n".join(lines) + "\n")
+    rows = [dataclasses.asdict(c) for c in report.checks]
+    fields = {"seed": config.seed, "passed": report.passed, "checks": rows}
+    _write_report(config, fields, rows, _VERIFY_COLUMNS)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures)
         print(f"verification failed: {names}", file=sys.stderr)
@@ -482,6 +445,7 @@ _RUNNERS = {
 def main(argv=None) -> int:
     try:
         config = resolve_config(argv)
+        _emit_resolved(config)
         return _RUNNERS[config.command](config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

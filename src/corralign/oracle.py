@@ -486,10 +486,14 @@ def truncation_event_holds(
 
     The event constrains every size-k subset (k >= k_star) of the
     permutation's fixed points: both row-norm sums must exceed w_k while the
-    aligned inner-product sum stays below v_k.  ``sorted`` evaluates the
-    extremal subsets exactly via sorted prefix sums; ``enumerate`` checks
-    every subset (fixed-point sets up to 12); ``sample`` spot-checks random
-    subsets with the supplied generator.
+    aligned inner-product sum stays below v_k.  For each k the methods find
+    the extremal subset sums (the two smallest norm sums and the largest
+    cross sum), which are then tested once: ``sorted`` exactly, from sorted
+    prefix sums; ``enumerate`` exactly, over every subset (fixed-point sets
+    up to 12); ``sample`` over ``sample_budget`` random subsets per k drawn
+    with the supplied generator, so it can miss a violation but never
+    invents one.  ``sample`` draws its whole budget for every k, whatever
+    the outcome.
     """
     if rho_sign not in (1.0, -1.0, 1, -1):
         raise DomainError(f"rho_sign must be +1 or -1, got {rho_sign}")
@@ -500,51 +504,48 @@ def truncation_event_holds(
         return True
     x = pair.x[fixed]
     y = pair.y[fixed]
-    sx = np.sum(x * x, axis=1)
-    sy = np.sum(y * y, axis=1)
-    cross = float(rho_sign) * np.sum(x * y, axis=1)
-
+    # Rows: norm sums of x, of y, and the cross sums negated, so the
+    # extremal size-k sum of every row is its smallest.
+    terms = np.stack(
+        [
+            np.sum(x * x, axis=1),
+            np.sum(y * y, axis=1),
+            -float(rho_sign) * np.sum(x * y, axis=1),
+        ]
+    )
     if method == "sorted":
-        px = np.concatenate([[0.0], np.cumsum(np.sort(sx))])
-        py = np.concatenate([[0.0], np.cumsum(np.sort(sy))])
-        pc = np.concatenate([[0.0], np.cumsum(np.sort(cross)[::-1])])
-        for k in range(k_star, n1 + 1):
-            j = k - k_star
-            if px[k] <= schedule.w[j] or py[k] <= schedule.w[j]:
-                return False
-            if pc[k] >= schedule.v[j]:
-                return False
-        return True
+        smallest = np.cumsum(np.sort(terms, axis=1), axis=1)[:, k_star - 1 :]
+    else:
+        if method == "enumerate":
+            if n1 > ENUMERATE_CAP:
+                raise SizeCapError(
+                    f"subset enumeration is capped at {ENUMERATE_CAP} fixed points"
+                )
 
-    if method == "enumerate":
-        if n1 > ENUMERATE_CAP:
-            raise SizeCapError(
-                f"subset enumeration is capped at {ENUMERATE_CAP} fixed points"
-            )
-        for k in range(k_star, n1 + 1):
-            j = k - k_star
-            for subset in itertools.combinations(range(n1), k):
-                idx = list(subset)
-                if sx[idx].sum() <= schedule.w[j] or sy[idx].sum() <= schedule.w[j]:
-                    return False
-                if cross[idx].sum() >= schedule.v[j]:
-                    return False
-        return True
+            def subsets(k: int) -> np.ndarray:
+                return np.array(list(itertools.combinations(range(n1), k)))
 
-    if method == "sample":
-        if rng is None:
-            raise DomainError("method='sample' requires a generator")
-        for k in range(k_star, n1 + 1):
-            j = k - k_star
-            for _ in range(sample_budget):
-                idx = rng.choice(n1, size=k, replace=False)
-                if sx[idx].sum() <= schedule.w[j] or sy[idx].sum() <= schedule.w[j]:
-                    return False
-                if cross[idx].sum() >= schedule.v[j]:
-                    return False
-        return True
+        elif method == "sample":
+            if rng is None:
+                raise DomainError("method='sample' requires a generator")
 
-    raise DomainError(f"unknown method {method!r}")
+            def subsets(k: int) -> np.ndarray:
+                draws = [rng.choice(n1, size=k, replace=False) for _ in range(sample_budget)]
+                return np.array(draws, dtype=np.intp).reshape(-1, k)
+
+        else:
+            raise DomainError(f"unknown method {method!r}")
+        smallest = np.stack(
+            [
+                terms[:, subsets(k)].sum(axis=2).min(axis=1, initial=np.inf)
+                for k in range(k_star, n1 + 1)
+            ],
+            axis=1,
+        )
+    norm_x, norm_y, neg_cross = smallest
+    w = schedule.w[: smallest.shape[1]]
+    v = schedule.v[: smallest.shape[1]]
+    return not (np.any(norm_x <= w) or np.any(norm_y <= w) or np.any(-neg_cross >= v))
 
 
 def truncated_first_moment_check(

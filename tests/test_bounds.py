@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corralign.bounds import (
+    _PRESCAN,
     BoundCurvePoint,
     chernoff_lambdas,
     curve_points,
@@ -301,6 +302,23 @@ class TestInversion:
         # The recovery-converse floor never exceeds 1 - 1/n^2 - 4/n.
         with pytest.raises(InversionUndefinedError):
             invert_for_rho2("rec-conv", 10, 100, 0.999)
+
+    # The four edges of the one bracket search: the bound already on the low
+    # side of the target at the first pre-scan point, or still on the high
+    # side at the last one, for each convention.
+    def test_ach_below_target_at_left_edge_reports_edge(self):
+        assert invert_for_rho2("rec-ach", 100, 1e15, 0.1) == _PRESCAN[0]
+
+    def test_conv_above_target_at_right_edge_reports_edge(self):
+        assert invert_for_rho2("rec-conv", 1e6, 1, 0.1) == _PRESCAN[-1]
+
+    def test_ach_above_target_at_right_edge_raises(self):
+        with pytest.raises(InversionUndefinedError, match="never reaches"):
+            invert_for_rho2("rec-ach", 1e6, 1, 0.1)
+
+    def test_conv_below_target_at_left_edge_raises(self):
+        with pytest.raises(InversionUndefinedError, match="below target .* everywhere"):
+            invert_for_rho2("det-conv", 1000, 500, 0.999999)
 
 
 class TestCurvePoints:

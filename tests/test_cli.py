@@ -1,9 +1,11 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from corralign import bounds
+import corralign
+from corralign import bounds, cli
 from corralign.bounds import BoundCurvePoint
 from corralign.cli import (
     CURVE_HEADER,
@@ -177,6 +179,28 @@ class TestMainExitCodes:
         assert payload["results"]["error_bound"] > 0.0
 
 
+class TestZeroRho:
+    # rho = 0 has no correlated law; it must fail in validation, before any
+    # trial is drawn.
+    @pytest.mark.parametrize(
+        "command, sampler, extra",
+        [
+            ("simulate-detection", "monte_carlo_risk", ["--threshold", "5"]),
+            ("simulate-recovery", "recovery_error_mc", []),
+        ],
+    )
+    def test_rejected_before_sampling(self, monkeypatch, capsys, command, sampler, extra):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{sampler} called")
+
+        monkeypatch.setattr(cli, sampler, spy)
+        args = [command, "--n", "20", "--d", "50", "--rho", "0", "--trials", "5", *extra]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "usage error: invalid field 'rho'" in err
+        assert "Traceback" not in err
+
+
 class TestConfigTypes:
     @pytest.mark.parametrize(
         "command, field, value",
@@ -324,3 +348,49 @@ class TestSimulateRecoveryGolden:
         assert main(["simulate-recovery", *args, "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_CURVE_GOLDEN_ARGS = [
+    "curve", "--axis", "d", "--grid", "18.420680743952367:10000:4", "--n", "10000",
+]
+
+
+class TestReportGolden:
+    # verify pins the check rows of both formats; the curve grid starts at
+    # d = ln(1e8), where det-ach is undefined, so it pins an empty cell, a
+    # JSON null and the warning beside the four bound columns.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["verify", "--seed", "0", "--format", "csv"],
+                "18ab4beb8d9349113ff3342fa9ca6d40cc3205a0b89f0d8d37d4b982d7ba0a73",
+            ),
+            (
+                ["verify", "--seed", "0", "--format", "json"],
+                "e32b8e6117888d93232c47e505d880b548d4a71c295d8786fe973ab097eab4eb",
+            ),
+            (
+                [*_CURVE_GOLDEN_ARGS, "--format", "csv"],
+                "519d96abf2086abccfdb835461072e9efc43c9fdb513dec2abe45fa343525bd6",
+            ),
+            (
+                [*_CURVE_GOLDEN_ARGS, "--format", "json"],
+                "9a907cbd568e7815a890f5b01811cef98b2b57a7a0c5ced1aa2c860478bbfdde",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, args, digest, capsys):
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        if args[0] == "curve":
+            assert captured.err.count("warning: axis=18.420680743952367 det-ach:") == 1
+
+
+def test_bound_columns_and_report_envelope_declared_once():
+    """The bound column names live in bounds.py; one writer builds the envelope."""
+    sources = {p.name: p.read_text() for p in Path(corralign.__file__).parent.glob("*.py")}
+    for column in ("rho2_det_ach", "rho2_det_conv", "rho2_rec_ach", "rho2_rec_conv"):
+        assert [name for name, text in sources.items() if column in text] == ["bounds.py"]
+    assert sources["cli.py"].count('"schema": 1') == 1

@@ -18,6 +18,7 @@ from corralign.errors import DomainError, SizeCapError
 from corralign.gen import DatabasePair, sample_alt, sample_null
 from corralign.oracle import (
     CIRCULANT_CAP,
+    ENUMERATE_CAP,
     MC_CAP,
     SECOND_MOMENT_CAP,
     VERIFY_CHECKS,
@@ -258,6 +259,10 @@ class TestTruncationEvent:
             exact = truncation_event_holds(pair, perm, tight, 1.0, method="enumerate")
             if not sampled:
                 assert not exact
+        # With no subsets drawn there is nothing to violate.
+        assert truncation_event_holds(
+            pair, perm, tight, 1.0, method="sample", rng=spec.rng(0), sample_budget=0
+        )
 
     def test_vacuous_when_too_few_fixed_points(self):
         p, sch = self._setup(k_star=7)
@@ -287,6 +292,26 @@ class TestTruncationEvent:
         rate = fails / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1.0 / trials) / trials)
         assert rate <= deficit + 3.0 * sigma
+
+    def test_enumerate_capped(self):
+        n = ENUMERATE_CAP + 1
+        p, sch = self._setup(n=n, d=60)
+        ident = Permutation.identity(n)
+        pair = sample_alt(p, ident, SeedSpec(16, "t"))
+        with pytest.raises(SizeCapError, match="capped"):
+            truncation_event_holds(pair, ident, sch, 1.0, method="enumerate")
+        truncation_event_holds(pair, ident, sch, 1.0, method="sorted")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"method": "sample"}, "requires a generator"), ({"method": "both"}, "unknown method")],
+    )
+    def test_method_errors(self, kwargs, message):
+        p, sch = self._setup()
+        ident = Permutation.identity(p.n)
+        pair = sample_alt(p, ident, SeedSpec(17, "t"))
+        with pytest.raises(DomainError, match=message):
+            truncation_event_holds(pair, ident, sch, 1.0, **kwargs)
 
     def test_first_moment_check_helper(self):
         res = truncated_first_moment_check(12, 40, math.sqrt(0.2), 4, 1.0, 500, 15)
