@@ -13,6 +13,11 @@ Four bound families are implemented:
 All bound functions accept real-valued n and d (curves sample non-integer
 grid points) and evaluate large powers in log space.  ``invert_for_rho2``
 turns any of them into the squared correlation needed to meet a target risk.
+
+``invert_for_rho2``, ``minimize_two_exponent`` and ``detection_ach_risk``
+also take arrays, one lane per point: ``curve_points`` inverts a block of
+grid points at once.  Lanes step together but never mix, so each gets the
+floats of its own scalar call (see docs/math_notes.md, section 3).
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ def _as_float_or_array(x, scalar: bool):
     return float(x) if scalar else x
 
 
+def _g_fa(g):
+    s = np.expm1(0.5 * np.log1p(g))  # sqrt(1+gamma) - 1
+    return s - np.log1p(0.5 * s)
+
+
 def g_fa(gamma):
     """False-alarm exponent of the threshold test at tuning parameter gamma.
 
@@ -50,12 +60,17 @@ def g_fa(gamma):
     Accepts scalars or arrays; nonnegative and increasing.
     """
     g = np.asarray(gamma, dtype=np.float64)
-    scalar = g.ndim == 0
     if np.any(g < 0.0):
         raise DomainError("gamma must be nonnegative")
-    s = np.expm1(0.5 * np.log1p(g))  # sqrt(1+gamma) - 1
-    out = s - np.log1p(0.5 * s)
-    return _as_float_or_array(out, scalar)
+    return _as_float_or_array(_g_fa(g), g.ndim == 0)
+
+
+def _g_md(g, abs_rho, u, log_u):
+    """``g_md`` without checks, elementwise; u = 1 - rho^2 and log_u = ln u."""
+    root = np.sqrt(g)
+    q = np.hypot(u, root)  # sqrt(u^2 + gamma)
+    q_minus_u = g / (q + u)
+    return q_minus_u / u - abs_rho * root / u - log_u - np.log1p(q_minus_u / (2.0 * u))
 
 
 def g_md(gamma, rho):
@@ -72,82 +87,140 @@ def g_md(gamma, rho):
     if rho == 0.0:
         return g_fa(gamma)
     g = np.asarray(gamma, dtype=np.float64)
-    scalar = g.ndim == 0
     if np.any(g < 0.0):
         raise DomainError("gamma must be nonnegative")
     u = 1.0 - rho * rho
-    q = np.hypot(u, np.sqrt(g))  # sqrt(u^2 + gamma)
-    q_minus_u = g / (q + u)
-    out = (
-        q_minus_u / u
-        - abs(rho) * np.sqrt(g) / u
-        - math.log(u)
-        - np.log1p(q_minus_u / (2.0 * u))
-    )
-    return _as_float_or_array(out, scalar)
+    return _as_float_or_array(_g_md(g, abs(rho), u, math.log(u)), g.ndim == 0)
 
 
-def _two_exp_bound(gamma, d: float, rho: float):
-    """exp(-d/2 g_fa) + exp(-d/2 g_md), in log space; vectorized in gamma."""
-    la = -0.5 * d * np.asarray(g_fa(gamma))
-    lb = -0.5 * d * np.asarray(g_md(gamma, rho))
+def _two_exp_bound(gamma, neg_half_d, abs_rho, u, log_u):
+    """exp(-d/2 g_fa) + exp(-d/2 g_md), in log space; elementwise in all arguments."""
+    la = neg_half_d * _g_fa(gamma)
+    lb = neg_half_d * _g_md(gamma, abs_rho, u, log_u)
     return np.exp(np.logaddexp(la, lb))
 
 
-def _golden_min(f, a: float, b: float, rel_tol: float = 1e-10, max_iter: int = 200):
-    """Golden-section minimization on [a, b]; returns (x, f(x))."""
+def _golden_min(f, a, b, *lane_args, rel_tol: float = 1e-10, max_iter: int = 200):
+    """Golden-section minimization of many lanes at once; returns (x, f(x)).
+
+    Lane i minimizes ``f(x, *(arg[i] for arg in lane_args))`` on
+    [a[i], b[i]]; ``f`` is elementwise over arrays.  The lanes step together
+    but never mix, and each stops at its own tolerance, so every lane
+    follows the arithmetic of a search run on it alone.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    x_out, f_out = np.empty(a.size), np.empty(a.size)
+    lanes = np.arange(a.size)
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        fbest = min(f1, f2)
-        if abs(f1 - f2) <= rel_tol * max(abs(fbest), 1e-300):
-            break
-    return (x1, f1) if f1 < f2 else (x2, f2)
+    f1, f2 = f(x1, *lane_args), f(x2, *lane_args)
+    for _ in range(max_iter if a.size else 0):
+        left = f1 < f2  # keep [a, x2], else [x1, b]
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        step = invphi * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = f(x, *lane_args)
+        x1, f1, x2, f2 = (
+            np.where(left, x, x2),
+            np.where(left, fx, f2),
+            np.where(left, x1, x),
+            np.where(left, f1, fx),
+        )
+        fbest = np.minimum(f1, f2)
+        done = np.abs(f1 - f2) <= rel_tol * np.maximum(np.abs(fbest), 1e-300)
+        if done.any():
+            first = f1[done] < f2[done]
+            x_out[lanes[done]] = np.where(first, x1[done], x2[done])
+            f_out[lanes[done]] = np.where(first, f1[done], f2[done])
+            keep = ~done
+            if not keep.any():
+                return x_out, f_out
+            lanes, a, b, x1, x2, f1, f2 = (v[keep] for v in (lanes, a, b, x1, x2, f1, f2))
+            lane_args = tuple(v[keep] for v in lane_args)
+    first = f1 < f2
+    x_out[lanes] = np.where(first, x1, x2)
+    f_out[lanes] = np.where(first, f1, f2)
+    return x_out, f_out
 
 
-def minimize_two_exponent(d: float, rho2: float) -> tuple[float, float]:
+#: Most lanes one lockstep ``minimize_two_exponent`` pass holds; a larger
+#: call runs in passes of this many, so its scan stays near 130 kB per array.
+LANE_CAP = 256
+
+
+def minimize_two_exponent(d, rho2):
     """Minimize the two-exponential risk bound over gamma in (0, 4 rho^2).
 
     A 64-point coarse scan guards against non-unimodality before a
     golden-section refinement; gamma = rho^2 (the balanced choice) is always
-    kept as a candidate.  Returns (gamma, bound).
+    kept as a candidate.  Returns (gamma, bound): floats for scalar inputs.
+    Array inputs broadcast to one lane per (d, rho^2) pair, and each lane
+    gets the floats its scalar call would.  The lanes run in lockstep, at
+    most ``LANE_CAP`` at a time.
     """
-    if not 0.0 < rho2 < 1.0:
+    d_in, r2_in = np.broadcast_arrays(
+        np.asarray(d, dtype=np.float64), np.asarray(rho2, dtype=np.float64)
+    )
+    dd, r2 = d_in.ravel(), r2_in.ravel()
+    if not np.all((0.0 < r2) & (r2 < 1.0)):
         raise DomainError("rho2 must lie in (0, 1)")
-    if d < 1.0:
+    if np.any(dd < 1.0):
         raise DomainError("d must be >= 1")
-    rho = math.sqrt(rho2)
+    passes = [_minimize_lanes(dd[i : i + LANE_CAP], r2[i : i + LANE_CAP])
+              for i in range(0, max(r2.size, 1), LANE_CAP)]
+    if not d_in.shape:
+        return float(passes[0][0][0]), float(passes[0][1][0])
+    gamma, bound = (np.concatenate(parts).reshape(d_in.shape) for parts in zip(*passes))
+    return gamma, bound
+
+
+def _linspace_lanes(start, stop, num: int):
+    """Row i is ``np.linspace(start[i], stop[i], num)``, bit for bit.
+
+    An array call of ``np.linspace`` takes its divide-first path for every
+    row once any row's step underflows to 0; here each row takes its own.
+    """
+    delta = (stop - start)[:, None]
+    step = delta / (num - 1)
+    k = np.arange(num, dtype=np.float64)
+    rows = np.where(step == 0.0, k / (num - 1) * delta, k * step) + start[:, None]
+    rows[:, -1] = stop
+    return rows
+
+
+def _minimize_lanes(d, rho2):
+    """``minimize_two_exponent`` on 1-D lanes, all in one lockstep pass."""
+    rho = np.sqrt(rho2)
+    u = 1.0 - rho * rho
+    # math.log, as the scalar g_md takes it; numpy's log may differ in the last bit.
+    lane_args = (-0.5 * d, rho, u, np.array([math.log(x) for x in u.tolist()]))
     hi = 4.0 * rho2
     eps = 1e-12 * hi
-    grid = np.linspace(eps, hi - eps, 64)
-    vals = _two_exp_bound(grid, d, rho)
-    i = int(np.argmin(vals))
-    lo_b = grid[max(i - 1, 0)]
-    hi_b = grid[min(i + 1, grid.size - 1)]
+    grid = _linspace_lanes(eps, hi - eps, 64)
+    vals = _two_exp_bound(grid, *(v[:, None] for v in lane_args))
+    lanes = np.arange(rho2.size)
+    i = np.argmin(vals, axis=1)
+    lo_b = grid[lanes, np.maximum(i - 1, 0)]
+    hi_b = grid[lanes, np.minimum(i + 1, grid.shape[1] - 1)]
+    gamma, bound = _golden_min(_two_exp_bound, lo_b, hi_b, *lane_args)
+    # The first smallest of (golden, scan, balanced), as min() over the three.
+    candidates = ((grid[lanes, i], vals[lanes, i]), (rho2, _two_exp_bound(rho2, *lane_args)))
+    for cand_gamma, cand_bound in candidates:
+        better = cand_bound < bound
+        gamma = np.where(better, cand_gamma, gamma)
+        bound = np.where(better, cand_bound, bound)
+    return gamma, bound
 
-    def f(gamma: float) -> float:
-        return float(_two_exp_bound(gamma, d, rho))
 
-    x, fx = _golden_min(f, float(lo_b), float(hi_b))
-    candidates = [(x, fx), (float(grid[i]), float(vals[i])), (rho2, f(rho2))]
-    return min(candidates, key=lambda t: t[1])
-
-
-def detection_ach_risk(d: float, rho2: float) -> float:
+def detection_ach_risk(d, rho2):
     """Guaranteed risk of the optimally tuned threshold test.
 
     Always at most 2 exp(-d rho^2 / 60); d may be any real >= 1 so curves
-    stay smooth.
+    stay smooth.  Array inputs give one risk per lane, as in
+    ``minimize_two_exponent``.
     """
     return minimize_two_exponent(d, rho2)[1]
 
@@ -230,6 +303,11 @@ def default_k_star(n: float) -> int:
     return int(min(math.floor(n), math.ceil(13.0 * math.sqrt(n))))
 
 
+#: Most subset sizes (k_star .. floor(n)) a truncation schedule may have; a
+#: longer one raises ``ConditionViolatedError``.  Binds only above n ~ 10^6.
+SCHEDULE_CAP = 10**6
+
+
 @dataclass(frozen=True, eq=False)
 class TruncationSchedule:
     """Per-subset-size thresholds defining the truncation event.
@@ -260,60 +338,6 @@ class TruncationSchedule:
         )
 
 
-def truncation_schedule(
-    n: float,
-    d: float,
-    rho2: float,
-    k_star: int | None = None,
-    margin: float = 0.1,
-) -> TruncationSchedule:
-    """Build the truncation thresholds r_k, s_k, w_k, v_k for k = k_star..n.
-
-    ``r_k = (1+margin) sqrt(ln(en/k))`` and
-    ``s_k = (1+margin) sqrt(ln(en/k)) max(2, sqrt((1-rho^2)/rho^2))``, which
-    satisfy the strict floor inequalities for any margin > 0; the remaining
-    flags (r_k < sqrt(d)/2, w_k > 0) depend on d and are recorded on the
-    result.  Raises ``ConditionViolatedError`` when d < 4 ln(en/k_star),
-    when k_star is out of range, or when margin <= 0.
-    """
-    if not 0.0 < rho2 < 1.0:
-        raise ConditionViolatedError("truncation schedule requires 0 < rho2 < 1")
-    if margin <= 0.0:
-        raise ConditionViolatedError("margin must be > 0")
-    n_top = int(math.floor(n))
-    if k_star is None:
-        k_star = default_k_star(n)
-    if not 1 <= k_star <= n_top:
-        raise ConditionViolatedError(f"k_star must lie in [1, {n_top}], got {k_star}")
-    ln_star = 1.0 + math.log(n / k_star)  # ln(en/k_star)
-    if d < 4.0 * ln_star:
-        raise ConditionViolatedError(
-            f"d >= 4 ln(en/k_star) fails: d = {d}, 4 ln(en/k_star) = {4.0 * ln_star}"
-        )
-    ks = np.arange(k_star, n_top + 1, dtype=np.float64)
-    ln_terms = 1.0 + np.log(n / ks)
-    floor_r = np.sqrt(ln_terms)
-    mult = max(2.0, math.sqrt((1.0 - rho2) / rho2))
-    r = (1.0 + margin) * floor_r
-    s = r * mult
-    rho = math.sqrt(rho2)
-    sqrt_d = math.sqrt(d)
-    w = d * ks - 2.0 * sqrt_d * ks * r
-    v = rho * d * ks + 4.0 * rho * sqrt_d * ks * s
-    return TruncationSchedule(
-        k_star=int(k_star),
-        ks=ks,
-        r=r,
-        s=s,
-        w=w,
-        v=v,
-        r_below_half_sqrt_d=bool(np.all(r < 0.5 * sqrt_d)),
-        r_above_floor=bool(np.all(r > floor_r)),
-        s_above_floor=bool(np.all(s > floor_r * mult)),
-        w_positive=bool(np.all(w > 0.0)),
-    )
-
-
 @dataclass(frozen=True)
 class TruncationExponents:
     """Exponential rates governing the truncated converse.
@@ -330,36 +354,156 @@ class TruncationExponents:
     second_moment: float
 
 
+@dataclass(frozen=True, eq=False)
+class _TruncationGrid:
+    """The rho2-free part of a truncation schedule and of its rates.
+
+    Everything here depends on (n, d, k_star, margin) alone, so an inversion
+    over rho2 builds it once and evaluates ``schedule`` and ``rates`` per
+    rho2 with the arithmetic a fresh schedule would use.
+    """
+
+    d: float
+    k_star: int
+    ks: np.ndarray
+    ln_terms: np.ndarray  # ln(en/k)
+    floor_r: np.ndarray  # sqrt(ln(en/k)), the floor r_k must exceed
+    r: np.ndarray
+    w: np.ndarray
+    w_over_ks: np.ndarray
+    neg_dn_over_2ks: np.ndarray  # -d n / (2k)
+    log_ks: np.ndarray
+    deficit_norm: float  # min_k r_k^2 - ln(en/k)
+    r_below_half_sqrt_d: bool
+    r_above_floor: bool
+    w_positive: bool
+
+    def schedule(self, rho2: float) -> TruncationSchedule:
+        mult = max(2.0, math.sqrt((1.0 - rho2) / rho2))
+        s = self.r * mult
+        rho = math.sqrt(rho2)
+        v = rho * self.d * self.ks + 4.0 * rho * math.sqrt(self.d) * self.ks * s
+        return TruncationSchedule(
+            k_star=self.k_star,
+            ks=self.ks,
+            r=self.r,
+            s=s,
+            w=self.w,
+            v=v,
+            r_below_half_sqrt_d=self.r_below_half_sqrt_d,
+            r_above_floor=self.r_above_floor,
+            s_above_floor=bool(np.all(s > self.floor_r * mult)),
+            w_positive=self.w_positive,
+        )
+
+    def rates(self, schedule: TruncationSchedule, rho2: float) -> TruncationExponents:
+        d = self.d
+        rho = math.sqrt(rho2)
+        u = 1.0 - rho2
+        sqrt_d = math.sqrt(d)
+        s = schedule.s
+        # Minima are exact, so the order of the four-way minimum is free.
+        four_way = np.minimum(
+            np.minimum(s / (rho * sqrt_d), 4.0 * rho * s / (u * sqrt_d)),
+            min(1.0 / rho, 2.0 / math.sqrt(u)),
+        )
+        psi2 = float(np.min((rho * sqrt_d * s / 4.0) * four_way - self.ln_terms))
+        drift = self.w_over_ks - schedule.v / (self.ks * rho)
+        psi = float(
+            np.min(
+                self.neg_dn_over_2ks * (rho2**2 / (1.0 - rho2**2))
+                - d * rho2 / u
+                + (2.0 * rho2 / u) * drift
+                + self.log_ks - 1.0
+            )
+        )
+        return TruncationExponents(
+            deficit_norm=self.deficit_norm, deficit_cross=psi2, second_moment=psi
+        )
+
+
+def _grid_of(n, d, k_star, ks, ln_terms, floor_r, r, w) -> _TruncationGrid:
+    return _TruncationGrid(
+        d=d,
+        k_star=int(k_star),
+        ks=ks,
+        ln_terms=ln_terms,
+        floor_r=floor_r,
+        r=r,
+        w=w,
+        w_over_ks=w / ks,
+        neg_dn_over_2ks=-(d * n / (2.0 * ks)),
+        log_ks=np.log(ks),
+        deficit_norm=float(np.min(r**2 - ln_terms)),
+        r_below_half_sqrt_d=bool(np.all(r < 0.5 * math.sqrt(d))),
+        r_above_floor=bool(np.all(r > floor_r)),
+        w_positive=bool(np.all(w > 0.0)),
+    )
+
+
+def _truncation_grid(n: float, d: float, k_star: int | None, margin: float) -> _TruncationGrid:
+    """The rho2-free schedule arrays, read-only; raises as ``truncation_schedule``."""
+    if margin <= 0.0:
+        raise ConditionViolatedError("margin must be > 0")
+    n_top = int(math.floor(n))
+    if k_star is None:
+        k_star = default_k_star(n)
+    if not 1 <= k_star <= n_top:
+        raise ConditionViolatedError(f"k_star must lie in [1, {n_top}], got {k_star}")
+    if n_top - k_star + 1 > SCHEDULE_CAP:
+        raise ConditionViolatedError(
+            f"schedule of {n_top - k_star + 1} subset sizes exceeds the cap {SCHEDULE_CAP}"
+        )
+    ln_star = 1.0 + math.log(n / k_star)  # ln(en/k_star)
+    if d < 4.0 * ln_star:
+        raise ConditionViolatedError(
+            f"d >= 4 ln(en/k_star) fails: d = {d}, 4 ln(en/k_star) = {4.0 * ln_star}"
+        )
+    ks = np.arange(k_star, n_top + 1, dtype=np.float64)
+    ln_terms = 1.0 + np.log(n / ks)
+    floor_r = np.sqrt(ln_terms)
+    r = (1.0 + margin) * floor_r
+    w = d * ks - 2.0 * math.sqrt(d) * ks * r
+    grid = _grid_of(n, d, k_star, ks, ln_terms, floor_r, r, w)
+    for value in vars(grid).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return grid
+
+
+def truncation_schedule(
+    n: float,
+    d: float,
+    rho2: float,
+    k_star: int | None = None,
+    margin: float = 0.1,
+) -> TruncationSchedule:
+    """Build the truncation thresholds r_k, s_k, w_k, v_k for k = k_star..n.
+
+    ``r_k = (1+margin) sqrt(ln(en/k))`` and
+    ``s_k = (1+margin) sqrt(ln(en/k)) max(2, sqrt((1-rho^2)/rho^2))``, which
+    satisfy the strict floor inequalities for any margin > 0; the remaining
+    flags (r_k < sqrt(d)/2, w_k > 0) depend on d and are recorded on the
+    result.  Raises ``ConditionViolatedError`` when d < 4 ln(en/k_star),
+    when k_star is out of range, when margin <= 0, or when the schedule
+    would have more than ``SCHEDULE_CAP`` subset sizes.  ``ks``, ``r`` and
+    ``w`` do not depend on rho2 and are read-only.
+    """
+    if not 0.0 < rho2 < 1.0:
+        raise ConditionViolatedError("truncation schedule requires 0 < rho2 < 1")
+    return _truncation_grid(n, d, k_star, margin).schedule(rho2)
+
+
 def truncation_exponents(
     schedule: TruncationSchedule, n: float, d: float, rho2: float
 ) -> TruncationExponents:
     """Minima over k of the three rate expressions for a given schedule."""
-    rho = math.sqrt(rho2)
-    u = 1.0 - rho2
     ks = schedule.ks
     ln_terms = 1.0 + np.log(n / ks)
-    psi1 = float(np.min(schedule.r**2 - ln_terms))
-    sqrt_d = math.sqrt(d)
-    s = schedule.s
-    four_way = np.minimum.reduce(
-        [
-            np.full_like(s, 1.0 / rho),
-            np.full_like(s, 2.0 / math.sqrt(u)),
-            s / (rho * sqrt_d),
-            4.0 * rho * s / (u * sqrt_d),
-        ]
+    grid = _grid_of(
+        n, d, schedule.k_star, ks, ln_terms, np.sqrt(ln_terms), schedule.r, schedule.w
     )
-    psi2 = float(np.min((rho * sqrt_d * s / 4.0) * four_way - ln_terms))
-    drift = schedule.w / ks - schedule.v / (ks * rho)
-    psi = float(
-        np.min(
-            -(d * n / (2.0 * ks)) * (rho2**2 / (1.0 - rho2**2))
-            - d * rho2 / u
-            + (2.0 * rho2 / u) * drift
-            + np.log(ks) - 1.0
-        )
-    )
-    return TruncationExponents(deficit_norm=psi1, deficit_cross=psi2, second_moment=psi)
+    return grid.rates(schedule, rho2)
 
 
 def truncated_converse_risk(
@@ -379,33 +523,49 @@ def truncated_converse_risk(
     """
     if not 0.0 <= rho2 < 1.0:
         raise DomainError("rho2 must lie in [0, 1)")
-    uncond = unconditional_converse_risk(n, d, rho2)
     if rho2 == 0.0:
+        return unconditional_converse_risk(n, d, rho2)
+    return _truncated_converse(_truncation_grid_or_none(n, d, k_star, margin), n, d, rho2)
+
+
+def _truncated_converse(
+    grid: _TruncationGrid | None, n: float, d: float, rho2: float
+) -> float:
+    """``truncated_converse_risk`` for 0 < rho2 < 1 on a prebuilt grid (None: no schedule)."""
+    uncond = unconditional_converse_risk(n, d, rho2)
+    if grid is None:
         return uncond
-    try:
-        schedule = truncation_schedule(n, d, rho2, k_star=k_star, margin=margin)
-    except ConditionViolatedError:
+    ks = grid.k_star
+    u = 1.0 - rho2
+    t1 = 0.5 * d * n * (rho2 / u) ** 2 + d * ks * rho2 / u
+    if t1 > 700.0:
+        # B2 overflows whatever the schedule; checked first, as it needs no arrays.
         return uncond
+    schedule = grid.schedule(rho2)
     if not schedule.valid:
         return uncond
-    rates = truncation_exponents(schedule, n, d, rho2)
+    rates = grid.rates(schedule, rho2)
     m = min(rates.deficit_norm, rates.deficit_cross)
     psi = rates.second_moment
     if m <= 0.0 or psi <= 0.0:
         return uncond
-    ks = schedule.k_star
     log_d1 = math.log(4.0) - ks * m - math.log(-math.expm1(-m))
     if log_d1 > 50.0:
         return uncond
     d1 = math.exp(log_d1)
-    u = 1.0 - rho2
-    t1 = 0.5 * d * n * (rho2 / u) ** 2 + d * ks * rho2 / u
     log_tail = -ks * psi - math.log(-math.expm1(-psi))
-    if t1 > 700.0 or log_tail > 700.0:
+    if log_tail > 700.0:
         return uncond
     b2 = math.exp(t1) + math.exp(log_tail)
     value = 1.0 - (math.sqrt(b2 - 1.0 + 2.0 * d1) + d1)
     return max(0.0, value, uncond)
+
+
+def _truncation_grid_or_none(n, d, k_star, margin) -> _TruncationGrid | None:
+    try:
+        return _truncation_grid(n, d, k_star, margin)
+    except ConditionViolatedError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -454,38 +614,6 @@ def recovery_conv_perr(n: float, d: float, rho2: float, epsilon_d: float = 0.0) 
 # ---------------------------------------------------------------------------
 
 
-def _bound_callable(kind, n, d, target_risk, k_star, margin, epsilon_d):
-    """The decreasing function f(rho2) and its crossing target for a kind.
-
-    Conventions (documented in the CLI manual):
-
-    * ``det-ach``:  smallest rho2 with detection_ach_risk(d, rho2) <= target.
-    * ``det-conv``: largest rho2 with truncated_converse_risk >= target
-      (below the returned rho2 the certified risk exceeds the target, so no
-      test can meet it).
-    * ``rec-ach``:  smallest rho2 with recovery_ach_perr <= target / 2 (the
-      alignment stage is granted half of the detection risk budget).
-    * ``rec-conv``: largest rho2 with recovery_conv_perr >= target.
-    """
-    if kind == "det-ach":
-        return (lambda r2: detection_ach_risk(d, r2)), target_risk, "ach"
-    if kind == "det-conv":
-        return (
-            lambda r2: truncated_converse_risk(n, d, r2, k_star=k_star, margin=margin),
-            target_risk,
-            "conv",
-        )
-    if kind == "rec-ach":
-        return (lambda r2: recovery_ach_perr(n, d, r2)), 0.5 * target_risk, "ach"
-    if kind == "rec-conv":
-        return (
-            lambda r2: recovery_conv_perr(n, d, r2, epsilon_d=epsilon_d),
-            target_risk,
-            "conv",
-        )
-    raise DomainError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
-
-
 _PRESCAN = np.unique(
     np.concatenate(
         [
@@ -500,17 +628,85 @@ _PRESCAN = np.unique(
 INVERT_TOL = 1e-10
 
 
+def _lane_risk(kind, n, d, k_star, margin, epsilon_d):
+    """The bound of one (n, d) lane as a scalar function of rho2.
+
+    ``det-conv`` builds its rho2-free schedule arrays here, once for every
+    rho2 the inversion tries.  (``det-ach`` lanes are evaluated together,
+    by array calls of ``detection_ach_risk``.)
+    """
+    if kind == "det-conv":
+        grid = _truncation_grid_or_none(n, d, k_star, margin)
+        return lambda r2: _truncated_converse(grid, n, d, r2)
+    if kind == "rec-ach":
+        return lambda r2: recovery_ach_perr(n, d, r2)
+    return lambda r2: recovery_conv_perr(n, d, r2, epsilon_d=epsilon_d)
+
+
+def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -> list:
+    """The bracket-and-bisect search, run for ``lanes`` lanes in lockstep.
+
+    ``risk(sel, rho2)`` evaluates lanes ``sel`` at the rho2 values, one
+    each.  Returns, per lane, the float or the ``InversionUndefinedError``.
+    """
+    sel = np.repeat(np.arange(lanes), _PRESCAN.size)
+    table = risk(sel, np.tile(_PRESCAN, lanes)).reshape(lanes, _PRESCAN.size)
+    high = operator.gt if mode == "ach" else operator.ge
+    out: list = []
+    lo, hi = np.zeros(lanes), np.zeros(lanes)
+    for lane, vals in enumerate(table):
+        finite = vals[np.isfinite(vals)]
+        increases = np.diff(finite) > 1e-9 * np.maximum(np.abs(finite[:-1]), 1.0)
+        high_side = high(vals, target)
+        if np.any(increases):
+            out.append(InversionUndefinedError(
+                f"{bound_kind} bound is not decreasing in rho2; inversion undefined"
+            ))
+        elif not high_side[0]:
+            out.append(float(_PRESCAN[0]) if mode == "ach" else InversionUndefinedError(
+                f"{bound_kind} bound is below target {target} everywhere on (0, 1)"
+            ))
+        elif high_side[-1]:
+            out.append(float(_PRESCAN[-1]) if mode == "conv" else InversionUndefinedError(
+                f"{bound_kind} bound never reaches target {target} on (0, 1)"
+            ))
+        else:
+            j = int(np.argmin(high_side))  # first pre-scan point past the crossing
+            lo[lane], hi[lane] = _PRESCAN[j - 1], _PRESCAN[j]
+            out.append(None)
+    bracketed = np.array([lane for lane, v in enumerate(out) if v is None], dtype=np.intp)
+    active = bracketed
+    while (active := active[hi[active] - lo[active] > INVERT_TOL]).size:
+        mid = 0.5 * (lo[active] + hi[active])
+        up = high(risk(active, mid), target)
+        lo[active[up]] = mid[up]
+        hi[active[~up]] = mid[~up]
+    for lane in bracketed:
+        out[lane] = float(hi[lane] if mode == "ach" else lo[lane])
+    return out
+
+
 def invert_for_rho2(
     bound_kind: str,
-    n: float,
-    d: float,
+    n,
+    d,
     target_risk: float,
     *,
     k_star: int | None = None,
     margin: float = 0.1,
     epsilon_d: float = 0.0,
-) -> float:
+):
     """Squared correlation at which a bound family meets a target risk.
+
+    Conventions (documented in the CLI manual):
+
+    * ``det-ach``:  smallest rho2 with detection_ach_risk(d, rho2) <= target.
+    * ``det-conv``: largest rho2 with truncated_converse_risk >= target
+      (below the returned rho2 the certified risk exceeds the target, so no
+      test can meet it).
+    * ``rec-ach``:  smallest rho2 with recovery_ach_perr <= target / 2 (the
+      alignment stage is granted half of the detection risk budget).
+    * ``rec-conv``: largest rho2 with recovery_conv_perr >= target.
 
     Every implemented bound decreases in rho2, which a coarse pre-scan
     asserts before bisecting to absolute width ``INVERT_TOL``.  The
@@ -520,44 +716,50 @@ def invert_for_rho2(
     achievability, its low end for converses.  Raises
     ``InversionUndefinedError`` when the target is never crossed on (0, 1)
     or monotonicity fails.
+
+    ``n`` and ``d`` may also be arrays, broadcast to a block of lanes.  The
+    block is inverted at once and a list comes back with, per lane, the
+    float or the ``InversionUndefinedError`` a scalar call would raise; the
+    floats are those of the scalar calls.  ``det-ach`` lanes run in
+    lockstep, one per distinct d (its bound ignores n), with the 42-point
+    pre-scan and each bisection step as one ``detection_ach_risk`` call; the
+    pre-scan holds 42 x 64 doubles per distinct d.  The other kinds are
+    scalar ``math`` code, called once per lane and rho2; ``rec-*`` lanes
+    still bisect in lockstep, and ``det-conv`` lanes run one at a time, as
+    each holds its own schedule arrays.
     """
     if not 0.0 < target_risk < 1.0:
         raise DomainError("target_risk must lie in (0, 1)")
-    f, target, mode = _bound_callable(
-        bound_kind, n, d, target_risk, k_star, margin, epsilon_d
-    )
-    vals = np.array([f(float(r2)) for r2 in _PRESCAN])
-    finite = vals[np.isfinite(vals)]
-    if finite.size >= 2:
-        increases = np.diff(finite) > 1e-9 * np.maximum(np.abs(finite[:-1]), 1.0)
-        if np.any(increases):
-            raise InversionUndefinedError(
-                f"{bound_kind} bound is not decreasing in rho2; inversion undefined"
-            )
+    if bound_kind not in BOUND_KINDS:
+        raise DomainError(f"unknown bound kind {bound_kind!r}; expected one of {BOUND_KINDS}")
+    target = 0.5 * target_risk if bound_kind == "rec-ach" else target_risk
+    mode = bound_kind.split("-")[1]
+    scalar = np.ndim(n) == 0 and np.ndim(d) == 0
+    n_lanes, d_lanes = (np.ravel(x) for x in np.broadcast_arrays(n, d))
+    if bound_kind == "det-ach":
+        ds, lane_of = np.unique(d_lanes.astype(np.float64), return_inverse=True)
+        found = _invert_lanes(
+            lambda sel, r2: detection_ach_risk(ds[sel], r2), ds.size, bound_kind, target, mode
+        )
+        results = [found[i] for i in lane_of]
+    else:
+        lanes = list(zip(n_lanes.tolist(), d_lanes.tolist()))
+        # A det-conv lane holds its schedule arrays, so those lanes run one at a time.
+        groups = [[lane] for lane in lanes] if bound_kind == "det-conv" else [lanes]
+        results = []
+        for group in groups:
+            fs = [_lane_risk(bound_kind, *lane, k_star, margin, epsilon_d) for lane in group]
 
-    high = operator.gt if mode == "ach" else operator.ge
-    high_side = high(vals, target)
-    if not high_side[0]:
-        if mode == "ach":
-            return float(_PRESCAN[0])
-        raise InversionUndefinedError(
-            f"{bound_kind} bound is below target {target} everywhere on (0, 1)"
-        )
-    if high_side[-1]:
-        if mode == "conv":
-            return float(_PRESCAN[-1])
-        raise InversionUndefinedError(
-            f"{bound_kind} bound never reaches target {target} on (0, 1)"
-        )
-    j = int(np.argmin(high_side))  # first pre-scan point past the crossing
-    lo, hi = float(_PRESCAN[j - 1]), float(_PRESCAN[j])
-    while hi - lo > INVERT_TOL:
-        mid = 0.5 * (lo + hi)
-        if high(f(mid), target):
-            lo = mid
-        else:
-            hi = mid
-    return hi if mode == "ach" else lo
+            def risk(sel, r2):
+                return np.array([fs[i](x) for i, x in zip(sel.tolist(), r2.tolist())])
+
+            results += _invert_lanes(risk, len(fs), bound_kind, target, mode)
+    if not scalar:
+        return results
+    (result,) = results
+    if isinstance(result, InversionUndefinedError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -588,27 +790,31 @@ class BoundCurvePoint:
         )
 
 
-def _curve_point(args) -> tuple[BoundCurvePoint, list[str]]:
-    axis_value, n, d, target_risk, k_star, margin, epsilon_d = args
-    values: list[float | None] = []
+def _curve_block(args) -> tuple[list[BoundCurvePoint], list[str]]:
+    axis_values, n, d, target_risk, k_star, margin, epsilon_d = args
+    columns = [
+        invert_for_rho2(
+            kind,
+            np.array(n),
+            np.array(d),
+            target_risk,
+            k_star=k_star,
+            margin=margin,
+            epsilon_d=epsilon_d,
+        )
+        for kind in BOUND_KINDS
+    ]
+    points: list[BoundCurvePoint] = []
     notes: list[str] = []
-    for kind in BOUND_KINDS:
-        try:
-            values.append(
-                invert_for_rho2(
-                    kind,
-                    n,
-                    d,
-                    target_risk,
-                    k_star=k_star,
-                    margin=margin,
-                    epsilon_d=epsilon_d,
-                )
-            )
-        except InversionUndefinedError as exc:
-            values.append(None)
-            notes.append(f"axis={axis_value!r} {kind}: {exc}")
-    return BoundCurvePoint(float(axis_value), *values), notes
+    for axis_value, row in zip(axis_values, zip(*columns)):
+        cells: list[float | None] = []
+        for kind, value in zip(BOUND_KINDS, row):
+            if isinstance(value, InversionUndefinedError):
+                notes.append(f"axis={axis_value!r} {kind}: {value}")
+                value = None
+            cells.append(value)
+        points.append(BoundCurvePoint(axis_value, *cells))
+    return points, notes
 
 
 def curve_points(
@@ -627,7 +833,10 @@ def curve_points(
 
     Returns the points in grid order along with diagnostic notes for grid
     points where an inversion was undefined (those fields are None).
-    Evaluation is pure, so the result is identical for any worker count.
+    The grid is cut into one block per worker, of at most ``LANE_CAP``
+    points, and each block is inverted by one ``invert_for_rho2`` call per
+    kind.  Evaluation is pure and lanes never mix, so the result is
+    identical for any worker count.
     """
     if axis not in ("d", "n"):
         raise DomainError("axis must be 'd' or 'n'")
@@ -635,14 +844,16 @@ def curve_points(
         raise DomainError("axis='d' sweeps require a fixed n")
     if axis == "n" and d is None:
         raise DomainError("axis='n' sweeps require a fixed d")
+    grid = [float(v) for v in values]
+    size = min(LANE_CAP, -(-len(grid) // max(workers, 1)))
     tasks = []
-    for v in values:
-        v = float(v)
-        nn = v if axis == "n" else float(n)
-        dd = v if axis == "d" else float(d)
-        tasks.append((v, nn, dd, target_risk, k_star, margin, epsilon_d))
-    results = parallel_map(_curve_point, tasks, workers)
-    points = [p for p, _ in results]
+    for start in range(0, len(grid), size):
+        block = grid[start : start + size]
+        nn = block if axis == "n" else [float(n)] * len(block)
+        dd = block if axis == "d" else [float(d)] * len(block)
+        tasks.append((block, nn, dd, target_risk, k_star, margin, epsilon_d))
+    results = parallel_map(_curve_block, tasks, workers)
+    points = [p for block_points, _ in results for p in block_points]
     notes = [msg for _, msgs in results for msg in msgs]
     notes += [
         f"axis={p.axis!r}: detection converse exceeds achievable"

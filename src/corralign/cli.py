@@ -206,6 +206,8 @@ def _build_config(command: str, values: dict) -> ExperimentConfig:
             fail("axis", "required by curve")
         if config.grid is None:
             fail("grid", "required by curve")
+        if min(config.grid[:2]) < 1.0:
+            fail("grid", f"endpoints must be >= 1 (a grid of {config.axis} values)")
         if config.axis == "d" and config.n is None:
             fail("n", "required when sweeping d")
         if config.axis == "n" and config.d is None:

@@ -652,8 +652,10 @@ def _chk_closed_min(spec: SeedSpec) -> CheckResult:
         vals = a * xs + 0.5 * d * np.log(1.0 / (1.0 - xs * xs))
         i = int(np.argmin(vals))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-        x_best, f_best = bounds._golden_min(f, float(lo), float(hi), rel_tol=1e-14)
-        worst = max(worst, abs(f_best - closed))
+        _, f_best = bounds._golden_min(
+            lambda xs: np.array([f(x) for x in xs.tolist()]), [lo], [hi], rel_tol=1e-14
+        )
+        worst = max(worst, abs(float(f_best[0]) - closed))
     return CheckResult("closed-min-quadratic", worst <= 1e-8, worst, 0.0,
                        "closed-form minimum vs 1e4-point grid plus refinement")
 

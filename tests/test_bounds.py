@@ -1,12 +1,20 @@
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corralign
+from corralign import bounds
 from corralign.bounds import (
     _PRESCAN,
+    BOUND_KINDS,
+    LANE_CAP,
+    SCHEDULE_CAP,
     BoundCurvePoint,
     chernoff_lambdas,
     curve_points,
@@ -233,6 +241,30 @@ class TestConverses:
         # Large rho^2: both bounds collapse to the trivial 0.
         assert truncated_converse_risk(1000, 1000, 0.5) == 0.0
 
+    def test_schedule_length_cap(self, monkeypatch):
+        monkeypatch.setattr(bounds, "SCHEDULE_CAP", 10)
+        assert truncation_schedule(100, 100, 1e-4, k_star=91).ks.size == 10
+        with pytest.raises(ConditionViolatedError, match="cap"):
+            truncation_schedule(100, 100, 1e-4, k_star=90)
+
+    def test_schedule_shares_read_only_arrays(self):
+        sch = truncation_schedule(1000, 500, 1e-5)
+        for arr in (sch.ks, sch.r, sch.w):
+            assert not arr.flags.writeable
+
+    def test_truncated_memory_does_not_grow_with_n(self):
+        # An uncapped schedule at n = 1e9 holds about 1e9 doubles per array.
+        n, d, rho2 = 1e9, 100.0, 1e-12
+        assert math.floor(n) - default_k_star(n) + 1 > SCHEDULE_CAP
+        tracemalloc.start()
+        try:
+            t = truncated_converse_risk(n, d, rho2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert t == unconditional_converse_risk(n, d, rho2)
+
 
 class TestRecoveryBounds:
     def test_ach_formula_small_case(self):
@@ -352,3 +384,111 @@ class TestCurvePoints:
             curve_points("x", [1.0], n=10)
         with pytest.raises(DomainError):
             curve_points("d", [100.0])  # missing fixed n
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+# Mixed (n, d) lanes: defined values, every undefined message, a repeated d
+# (det-ach deduplicates by d) and n far above the schedule cap.
+_MIXED_N = [10_000.0, 10_000.0, 10_000.0, 10_000.0, 1.0, 1e9, 1000.0, 1e6, 100.0]
+_MIXED_D = [18.420680743952367, 1.0, 500.0, 500.0, 100.0, 100.0, 50.0, 1e15, 3.5]
+
+
+class TestLockstep:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1.0, max_value=1e7),
+                st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_array_minimize_is_elementwise_scalar_calls(self, lanes):
+        d = np.array([x for x, _ in lanes])
+        rho2 = np.array([y for _, y in lanes])
+        with np.errstate(over="ignore"):
+            gamma, bound = minimize_two_exponent(d, rho2)
+            for i, (di, ri) in enumerate(lanes):
+                g, b = minimize_two_exponent(di, ri)
+                assert (_bits(gamma[i]), _bits(bound[i])) == (_bits(g), _bits(b))
+
+    def test_denormal_lane_leaves_its_neighbours_alone(self):
+        # Its scan step underflows to 0; np.linspace over both rows would
+        # switch the other row to its divide-first arithmetic too.
+        with np.errstate(over="ignore"):
+            gamma, bound = minimize_two_exponent([100.0, 100.0], [5e-324, 0.1])
+        g, b = minimize_two_exponent(100.0, 0.1)
+        assert (_bits(gamma[1]), _bits(bound[1])) == (_bits(g), _bits(b))
+
+    def test_scan_rows_are_numpy_linspace(self):
+        start = np.array([0.0, 5e-324, 4e-25, 0.3, 2.0])
+        stop = np.array([5e-324, 2e-323, 0.4, 0.30000000000000004, 1.0])
+        rows = bounds._linspace_lanes(start, stop, 64)
+        for row, a, b in zip(rows, start, stop):
+            assert row.tobytes() == np.linspace(a, b, 64).tobytes()
+
+    def test_lanes_beyond_one_pass(self):
+        rng = np.random.default_rng(3)
+        d = rng.uniform(1.0, 5000.0, LANE_CAP + 5)
+        rho2 = rng.uniform(1e-6, 0.9, LANE_CAP + 5)
+        gamma, bound = minimize_two_exponent(d, rho2)
+        for i in (0, LANE_CAP - 1, LANE_CAP, LANE_CAP + 4):
+            g, b = minimize_two_exponent(float(d[i]), float(rho2[i]))
+            assert (_bits(gamma[i]), _bits(bound[i])) == (_bits(g), _bits(b))
+
+    @pytest.mark.parametrize("target", [0.1, 0.999999])
+    @pytest.mark.parametrize("kind", BOUND_KINDS)
+    def test_block_inverts_as_single_points(self, kind, target):
+        with np.errstate(over="ignore"):
+            block = invert_for_rho2(kind, np.array(_MIXED_N), np.array(_MIXED_D), target)
+            assert len(block) == len(_MIXED_N)
+            for n, d, got in zip(_MIXED_N, _MIXED_D, block):
+                try:
+                    want = invert_for_rho2(kind, n, d, target)
+                except InversionUndefinedError as exc:
+                    assert isinstance(got, InversionUndefinedError)
+                    assert str(got) == str(exc)
+                else:
+                    assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "axis, fixed, values",
+        [
+            ("d", {"n": 10_000.0}, [18.420680743952367, 1.0, 3.5, 500.0, 500.0, 1e15]),
+            ("n", {"d": 100.0}, [1.0, 10.0, 30_000.0, 1e9]),
+            ("d", {"n": 1000.0, "target_risk": 0.999999}, [1.0, 50.0, 500.0]),
+        ],
+    )
+    def test_curve_blocks_match_single_points(self, workers, axis, fixed, values):
+        with np.errstate(over="ignore"):
+            points, notes = curve_points(axis, values, workers=workers, **fixed)
+            singles = [curve_points(axis, [v], **fixed) for v in values]
+        assert points == [p for ps, _ in singles for p in ps]
+        assert notes == [m for _, ms in singles for m in ms]
+
+    def test_curve_memory_is_bounded_by_the_lane_cap(self):
+        # Uncapped, the det-ach pre-scan of 200 points would hold 8,400
+        # lanes of 64 doubles (4.3 MB) per temporary array: a 34 MB peak
+        # against 1.5 MB.  n above the schedule cap keeps det-conv cheap.
+        tracemalloc.start()
+        try:
+            points, _ = curve_points("d", np.linspace(20.0, 10_000.0, 200), n=1e9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 200
+        assert peak < 3_000_000
+
+
+def test_one_golden_section_loop():
+    """The golden-section constant, and so the golden loop, lives in one place."""
+    golden = re.compile(r"sqrt\(5(\.0)?\)\s*-\s*1(\.0)?\)\s*/\s*2")
+    sources = {p.name: p.read_text() for p in Path(corralign.__file__).parent.glob("*.py")}
+    hits = {name: len(golden.findall(text)) for name, text in sources.items()}
+    assert {name: k for name, k in hits.items() if k} == {"bounds.py": 1}

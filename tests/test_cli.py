@@ -87,6 +87,34 @@ class TestConfigRoundTrip:
             parse_config(json.dumps({"command": "verify", "risk": 2.0}))
 
 
+class TestCurveGridFloor:
+    # Fewer than one user or one feature is no grid point; reject it before
+    # any bound is evaluated.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--axis", "n", "--grid", "0.5:10:3", "--d", "100"],
+            ["--axis", "d", "--grid", "0.5:10:3", "--n", "100"],
+            ["--axis", "d", "--grid", "10:0.9:3", "--n", "100"],
+        ],
+    )
+    def test_endpoint_below_one_is_usage_error(self, monkeypatch, capsys, args):
+        def spy(*a, **k):
+            raise AssertionError("curve_points called")
+
+        monkeypatch.setattr(bounds, "curve_points", spy)
+        assert main(["curve", *args]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: invalid field 'grid'" in captured.err
+        assert captured.out == ""
+
+    def test_endpoint_at_one_is_accepted(self):
+        cfg = parse_config(
+            json.dumps({"command": "curve", "axis": "n", "grid": "1:10:3", "d": 100})
+        )
+        assert cfg.grid == (1.0, 10.0, 3)
+
+
 class TestResolveConfig:
     def test_flags_win_over_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -386,6 +414,28 @@ class TestReportGolden:
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
         if args[0] == "curve":
             assert captured.err.count("warning: axis=18.420680743952367 det-ach:") == 1
+
+    # The benchmark's own curves: the reference d-grid at both thread counts
+    # (blocks fan out over the pool) and an n-sweep (one det-ach lane).
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["--axis", "d", "--grid", "18.420680743952367:10000:50", "--n", "10000",
+                 "--risk", "0.1"],
+                "d18095e9df64739822f9b3bca1f57e03db292e2d21dad5331083f5dc03da97e2",
+            ),
+            (
+                ["--axis", "n", "--grid", "10:100000:20", "--d", "1000"],
+                "0e11d9c7e02dced1919c626ccbe578044a1c5a7028840b062347214a32faec38",
+            ),
+        ],
+    )
+    def test_benchmark_curve_digest(self, args, digest, threads, capsys):
+        assert main(["curve", *args, "--format", "csv", "--threads", threads]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bound_columns_and_report_envelope_declared_once():
