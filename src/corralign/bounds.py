@@ -5,7 +5,8 @@ Four bound families are implemented:
 * detection achievability: the minimized two-exponential Chernoff bound on the
   risk of the sum-of-inner-products threshold test;
 * detection converse: an unconditional second-moment risk lower bound plus a
-  sharper truncated variant driven by a subset-truncation schedule;
+  sharper truncated variant driven by a subset-truncation schedule, whose
+  rho2-free arrays one grid holds and one evaluator reads per rho2;
 * recovery achievability: union bound on the exact-alignment error of the ML
   decoder;
 * recovery converse: lower bound on the error of any alignment decoder.
@@ -43,10 +44,6 @@ BOUND_KINDS = ("det-ach", "det-conv", "rec-ach", "rec-conv")
 # ---------------------------------------------------------------------------
 
 
-def _as_float_or_array(x, scalar: bool):
-    return float(x) if scalar else x
-
-
 def _g_fa(g):
     s = np.expm1(0.5 * np.log1p(g))  # sqrt(1+gamma) - 1
     return s - np.log1p(0.5 * s)
@@ -62,7 +59,8 @@ def g_fa(gamma):
     g = np.asarray(gamma, dtype=np.float64)
     if np.any(g < 0.0):
         raise DomainError("gamma must be nonnegative")
-    return _as_float_or_array(_g_fa(g), g.ndim == 0)
+    value = _g_fa(g)
+    return float(value) if g.ndim == 0 else value
 
 
 def _g_md(g, abs_rho, u, log_u):
@@ -90,7 +88,8 @@ def g_md(gamma, rho):
     if np.any(g < 0.0):
         raise DomainError("gamma must be nonnegative")
     u = 1.0 - rho * rho
-    return _as_float_or_array(_g_md(g, abs(rho), u, math.log(u)), g.ndim == 0)
+    value = _g_md(g, abs(rho), u, math.log(u))
+    return float(value) if g.ndim == 0 else value
 
 
 def _two_exp_bound(gamma, neg_half_d, abs_rho, u, log_u):
@@ -200,7 +199,9 @@ def _minimize_lanes(d, rho2):
     hi = 4.0 * rho2
     eps = 1e-12 * hi
     grid = _linspace_lanes(eps, hi - eps, 64)
-    vals = _two_exp_bound(grid, *(v[:, None] for v in lane_args))
+    # At huge d a scan point can overflow to inf; it is never the minimum.
+    with np.errstate(over="ignore"):
+        vals = _two_exp_bound(grid, *(v[:, None] for v in lane_args))
     lanes = np.arange(rho2.size)
     i = np.argmin(vals, axis=1)
     lo_b = grid[lanes, np.maximum(i - 1, 0)]
@@ -315,6 +316,9 @@ class TruncationSchedule:
     For each subset size k in ``ks`` (k_star .. floor(n)) the event requires
     the squared norms over any k matched rows of either database to exceed
     ``w[k]`` while their aligned inner-product sum stays below ``v[k]``.
+    ``valid`` says whether every k meets the conditions the truncated
+    converse needs: sqrt(ln(en/k)) < r_k < sqrt(d)/2, s_k above its floor
+    sqrt(ln(en/k)) max(2, sqrt((1-rho^2)/rho^2)), and w_k > 0.
     """
 
     k_star: int
@@ -323,19 +327,7 @@ class TruncationSchedule:
     s: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    r_below_half_sqrt_d: bool
-    r_above_floor: bool
-    s_above_floor: bool
-    w_positive: bool
-
-    @property
-    def valid(self) -> bool:
-        return (
-            self.r_below_half_sqrt_d
-            and self.r_above_floor
-            and self.s_above_floor
-            and self.w_positive
-        )
+    valid: bool
 
 
 @dataclass(frozen=True)
@@ -354,47 +346,34 @@ class TruncationExponents:
     second_moment: float
 
 
-@dataclass(frozen=True, eq=False)
 class _TruncationGrid:
-    """The rho2-free part of a truncation schedule and of its rates.
+    """The rho2-free part of a truncation schedule, and the converse on it.
 
-    Everything here depends on (n, d, k_star, margin) alone, so an inversion
-    over rho2 builds it once and evaluates ``schedule`` and ``rates`` per
-    rho2 with the arithmetic a fresh schedule would use.
+    Built from (n, d, k_star, ks, r, w), which depend on (n, d, k_star,
+    margin) alone, so an inversion over rho2 builds it once and evaluates
+    ``schedule``, ``rates`` and ``converse`` per rho2 with the arithmetic
+    a fresh schedule would use.
     """
 
-    d: float
-    k_star: int
-    ks: np.ndarray
-    ln_terms: np.ndarray  # ln(en/k)
-    floor_r: np.ndarray  # sqrt(ln(en/k)), the floor r_k must exceed
-    r: np.ndarray
-    w: np.ndarray
-    w_over_ks: np.ndarray
-    neg_dn_over_2ks: np.ndarray  # -d n / (2k)
-    log_ks: np.ndarray
-    deficit_norm: float  # min_k r_k^2 - ln(en/k)
-    r_below_half_sqrt_d: bool
-    r_above_floor: bool
-    w_positive: bool
+    def __init__(self, n: float, d: float, k_star: int, ks, r, w):
+        self.n, self.d, self.k_star, self.ks, self.r, self.w = n, d, int(k_star), ks, r, w
+        self.ln_terms = 1.0 + np.log(n / ks)  # ln(en/k)
+        self.floor_r = np.sqrt(self.ln_terms)  # the floor r_k must exceed
+        self.w_over_ks = w / ks
+        self.neg_dn_over_2ks = -(d * n / (2.0 * ks))
+        self.log_ks = np.log(ks)
+        self.deficit_norm = float(np.min(r**2 - self.ln_terms))
+        self.valid = bool(
+            np.all(r < 0.5 * math.sqrt(d)) and np.all(r > self.floor_r) and np.all(w > 0.0)
+        )
 
     def schedule(self, rho2: float) -> TruncationSchedule:
         mult = max(2.0, math.sqrt((1.0 - rho2) / rho2))
         s = self.r * mult
         rho = math.sqrt(rho2)
         v = rho * self.d * self.ks + 4.0 * rho * math.sqrt(self.d) * self.ks * s
-        return TruncationSchedule(
-            k_star=self.k_star,
-            ks=self.ks,
-            r=self.r,
-            s=s,
-            w=self.w,
-            v=v,
-            r_below_half_sqrt_d=self.r_below_half_sqrt_d,
-            r_above_floor=self.r_above_floor,
-            s_above_floor=bool(np.all(s > self.floor_r * mult)),
-            w_positive=self.w_positive,
-        )
+        valid = self.valid and bool(np.all(s > self.floor_r * mult))
+        return TruncationSchedule(self.k_star, self.ks, self.r, s, self.w, v, valid)
 
     def rates(self, schedule: TruncationSchedule, rho2: float) -> TruncationExponents:
         d = self.d
@@ -421,24 +400,33 @@ class _TruncationGrid:
             deficit_norm=self.deficit_norm, deficit_cross=psi2, second_moment=psi
         )
 
-
-def _grid_of(n, d, k_star, ks, ln_terms, floor_r, r, w) -> _TruncationGrid:
-    return _TruncationGrid(
-        d=d,
-        k_star=int(k_star),
-        ks=ks,
-        ln_terms=ln_terms,
-        floor_r=floor_r,
-        r=r,
-        w=w,
-        w_over_ks=w / ks,
-        neg_dn_over_2ks=-(d * n / (2.0 * ks)),
-        log_ks=np.log(ks),
-        deficit_norm=float(np.min(r**2 - ln_terms)),
-        r_below_half_sqrt_d=bool(np.all(r < 0.5 * math.sqrt(d))),
-        r_above_floor=bool(np.all(r > floor_r)),
-        w_positive=bool(np.all(w > 0.0)),
-    )
+    def converse(self, rho2: float) -> float:
+        """``truncated_converse_risk`` at 0 < rho2 < 1 on this grid."""
+        n, d, k_star = self.n, self.d, self.k_star
+        uncond = unconditional_converse_risk(n, d, rho2)
+        u = 1.0 - rho2
+        t1 = 0.5 * d * n * (rho2 / u) ** 2 + d * k_star * rho2 / u
+        if t1 > 700.0:
+            # B2 overflows whatever the schedule; checked first, as it needs no arrays.
+            return uncond
+        schedule = self.schedule(rho2)
+        if not schedule.valid:
+            return uncond
+        rates = self.rates(schedule, rho2)
+        m = min(rates.deficit_norm, rates.deficit_cross)
+        psi = rates.second_moment
+        if m <= 0.0 or psi <= 0.0:
+            return uncond
+        log_d1 = math.log(4.0) - k_star * m - math.log(-math.expm1(-m))
+        if log_d1 > 50.0:
+            return uncond
+        d1 = math.exp(log_d1)
+        log_tail = -k_star * psi - math.log(-math.expm1(-psi))
+        if log_tail > 700.0:
+            return uncond
+        b2 = math.exp(t1) + math.exp(log_tail)
+        value = 1.0 - (math.sqrt(b2 - 1.0 + 2.0 * d1) + d1)
+        return max(0.0, value, uncond)
 
 
 def _truncation_grid(n: float, d: float, k_star: int | None, margin: float) -> _TruncationGrid:
@@ -460,15 +448,25 @@ def _truncation_grid(n: float, d: float, k_star: int | None, margin: float) -> _
             f"d >= 4 ln(en/k_star) fails: d = {d}, 4 ln(en/k_star) = {4.0 * ln_star}"
         )
     ks = np.arange(k_star, n_top + 1, dtype=np.float64)
-    ln_terms = 1.0 + np.log(n / ks)
-    floor_r = np.sqrt(ln_terms)
-    r = (1.0 + margin) * floor_r
+    r = (1.0 + margin) * np.sqrt(1.0 + np.log(n / ks))
     w = d * ks - 2.0 * math.sqrt(d) * ks * r
-    grid = _grid_of(n, d, k_star, ks, ln_terms, floor_r, r, w)
+    grid = _TruncationGrid(n, d, k_star, ks, r, w)
     for value in vars(grid).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return grid
+
+
+def _det_conv_lane(n: float, d: float, k_star: int | None, margin: float):
+    """``truncated_converse_risk`` at (n, d, k_star, margin) as a function of 0 < rho2 < 1.
+
+    Backed by one truncation grid, or the unconditional bound when the
+    schedule preconditions fail.
+    """
+    try:
+        return _truncation_grid(n, d, k_star, margin).converse
+    except ConditionViolatedError:
+        return lambda r2: unconditional_converse_risk(n, d, r2)
 
 
 def truncation_schedule(
@@ -482,12 +480,12 @@ def truncation_schedule(
 
     ``r_k = (1+margin) sqrt(ln(en/k))`` and
     ``s_k = (1+margin) sqrt(ln(en/k)) max(2, sqrt((1-rho^2)/rho^2))``, which
-    satisfy the strict floor inequalities for any margin > 0; the remaining
-    flags (r_k < sqrt(d)/2, w_k > 0) depend on d and are recorded on the
-    result.  Raises ``ConditionViolatedError`` when d < 4 ln(en/k_star),
-    when k_star is out of range, when margin <= 0, or when the schedule
-    would have more than ``SCHEDULE_CAP`` subset sizes.  ``ks``, ``r`` and
-    ``w`` do not depend on rho2 and are read-only.
+    satisfy the strict floor inequalities for any margin > 0; the conditions
+    that depend on d (r_k < sqrt(d)/2, w_k > 0) go into ``valid``.  Raises
+    ``ConditionViolatedError`` when d < 4 ln(en/k_star), when k_star is out
+    of range, when margin <= 0, or when the schedule would have more than
+    ``SCHEDULE_CAP`` subset sizes.  ``ks``, ``r`` and ``w`` do not depend on
+    rho2 and are read-only.
     """
     if not 0.0 < rho2 < 1.0:
         raise ConditionViolatedError("truncation schedule requires 0 < rho2 < 1")
@@ -497,12 +495,12 @@ def truncation_schedule(
 def truncation_exponents(
     schedule: TruncationSchedule, n: float, d: float, rho2: float
 ) -> TruncationExponents:
-    """Minima over k of the three rate expressions for a given schedule."""
-    ks = schedule.ks
-    ln_terms = 1.0 + np.log(n / ks)
-    grid = _grid_of(
-        n, d, schedule.k_star, ks, ln_terms, np.sqrt(ln_terms), schedule.r, schedule.w
-    )
+    """Minima over k of the three rate expressions for a given schedule.
+
+    Reads ``k_star``, ``ks``, ``r``, ``w``, ``s`` and ``v`` of the schedule,
+    so a schedule with edited thresholds gets the rates of its own values.
+    """
+    grid = _TruncationGrid(n, d, schedule.k_star, schedule.ks, schedule.r, schedule.w)
     return grid.rates(schedule, rho2)
 
 
@@ -517,7 +515,7 @@ def truncated_converse_risk(
 
     Combines the truncation-deficit bound D1 with the truncated second-moment
     bound B2 into max(0, 1 - (sqrt(B2 - 1 + 2 D1) + D1)).  Whenever the
-    schedule preconditions or validity flags fail, or any rate is
+    schedule preconditions or validity conditions fail, or any rate is
     nonpositive, or an intermediate quantity overflows, the truncated part
     carries no information and the unconditional bound is returned instead.
     """
@@ -525,47 +523,7 @@ def truncated_converse_risk(
         raise DomainError("rho2 must lie in [0, 1)")
     if rho2 == 0.0:
         return unconditional_converse_risk(n, d, rho2)
-    return _truncated_converse(_truncation_grid_or_none(n, d, k_star, margin), n, d, rho2)
-
-
-def _truncated_converse(
-    grid: _TruncationGrid | None, n: float, d: float, rho2: float
-) -> float:
-    """``truncated_converse_risk`` for 0 < rho2 < 1 on a prebuilt grid (None: no schedule)."""
-    uncond = unconditional_converse_risk(n, d, rho2)
-    if grid is None:
-        return uncond
-    ks = grid.k_star
-    u = 1.0 - rho2
-    t1 = 0.5 * d * n * (rho2 / u) ** 2 + d * ks * rho2 / u
-    if t1 > 700.0:
-        # B2 overflows whatever the schedule; checked first, as it needs no arrays.
-        return uncond
-    schedule = grid.schedule(rho2)
-    if not schedule.valid:
-        return uncond
-    rates = grid.rates(schedule, rho2)
-    m = min(rates.deficit_norm, rates.deficit_cross)
-    psi = rates.second_moment
-    if m <= 0.0 or psi <= 0.0:
-        return uncond
-    log_d1 = math.log(4.0) - ks * m - math.log(-math.expm1(-m))
-    if log_d1 > 50.0:
-        return uncond
-    d1 = math.exp(log_d1)
-    log_tail = -ks * psi - math.log(-math.expm1(-psi))
-    if log_tail > 700.0:
-        return uncond
-    b2 = math.exp(t1) + math.exp(log_tail)
-    value = 1.0 - (math.sqrt(b2 - 1.0 + 2.0 * d1) + d1)
-    return max(0.0, value, uncond)
-
-
-def _truncation_grid_or_none(n, d, k_star, margin) -> _TruncationGrid | None:
-    try:
-        return _truncation_grid(n, d, k_star, margin)
-    except ConditionViolatedError:
-        return None
+    return _det_conv_lane(n, d, k_star, margin)(rho2)
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +594,7 @@ def _lane_risk(kind, n, d, k_star, margin, epsilon_d):
     by array calls of ``detection_ach_risk``.)
     """
     if kind == "det-conv":
-        grid = _truncation_grid_or_none(n, d, k_star, margin)
-        return lambda r2: _truncated_converse(grid, n, d, r2)
+        return _det_conv_lane(n, d, k_star, margin)
     if kind == "rec-ach":
         return lambda r2: recovery_ach_perr(n, d, r2)
     return lambda r2: recovery_conv_perr(n, d, r2, epsilon_d=epsilon_d)

@@ -212,6 +212,10 @@ def _build_config(command: str, values: dict) -> ExperimentConfig:
             fail("n", "required when sweeping d")
         if config.axis == "n" and config.d is None:
             fail("d", "required when sweeping n")
+        # A k_star above n has no schedule; reject it when no grid point could use it.
+        n_max = config.n if config.axis == "d" else max(config.grid[:2])
+        if config.kstar is not None and config.kstar > n_max:
+            fail("kstar", f"must not exceed the largest n on the grid ({n_max})")
     return config
 
 

@@ -717,15 +717,25 @@ def _chk_chernoff_identity(spec: SeedSpec) -> CheckResult:
                        "optimized exponential bounds equal the two closed exponents")
 
 
+def _column_sum_stats(rng, size: int, n: int, d: int, rho: float = 0.0) -> np.ndarray:
+    """The statistic <sum_i x_i, sum_i y_i> of ``size`` database pairs.
+
+    Draws the (size, n, d) blocks y, then z, and sets x = rho y +
+    sqrt(1-rho^2) z (x = z at rho = 0).
+    """
+    ys = rng.standard_normal((size, n, d))
+    zs = rng.standard_normal((size, n, d))
+    xs = zs if rho == 0.0 else rho * ys + math.sqrt(1.0 - rho * rho) * zs
+    return np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1))
+
+
 @_check("null-mgf-mc")
 def _chk_null_mgf(spec: SeedSpec) -> CheckResult:
     n, d, lam = 3, 4, 0.05
     closed = bounds.mgf_null(lam, n, d)
 
     def draw(rng, size):
-        xs = rng.standard_normal((size, n, d))
-        ys = rng.standard_normal((size, n, d))
-        return np.exp(lam * np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1)))
+        return np.exp(lam * _column_sum_stats(rng, size, n, d))
 
     mean, ci = _mc_mean(spec, 200_000, draw)
     return CheckResult("null-mgf-mc", abs(mean - closed) <= ci, mean, closed,
@@ -738,10 +748,7 @@ def _chk_alt_mgf(spec: SeedSpec) -> CheckResult:
     closed = bounds.mgf_alt(lam, n, d, rho)
 
     def draw(rng, size):
-        ys = rng.standard_normal((size, n, d))
-        zs = rng.standard_normal((size, n, d))
-        xs = rho * ys + math.sqrt(1.0 - rho * rho) * zs
-        return np.exp(lam * np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1)))
+        return np.exp(lam * _column_sum_stats(rng, size, n, d, rho))
 
     mean, ci = _mc_mean(spec, 200_000, draw)
     return CheckResult("alt-mgf-mc", abs(mean - closed) <= ci, mean, closed,
@@ -750,27 +757,18 @@ def _chk_alt_mgf(spec: SeedSpec) -> CheckResult:
 
 @_check("statistic-moments")
 def _chk_stat_moments(spec: SeedSpec) -> CheckResult:
-    params = ProblemParams(n=4, d=8, rho=0.5)
-    identity = Permutation.identity(4)
+    n, d, rho = 4, 8, 0.5
     trials = 100_000
     t_null = np.empty(trials)
     t_alt = np.empty(trials)
     done = 0
     for rng, size in _batches(spec, trials):
-        ys = rng.standard_normal((size, 4, 8))
-        xs = rng.standard_normal((size, 4, 8))
-        t_null[done:done + size] = np.einsum(
-            "tj,tj->t", xs.sum(axis=1), ys.sum(axis=1))
-        ys2 = rng.standard_normal((size, 4, 8))
-        zs = rng.standard_normal((size, 4, 8))
-        xs2 = 0.5 * ys2 + math.sqrt(0.75) * zs
-        t_alt[done:done + size] = np.einsum(
-            "tj,tj->t", xs2.sum(axis=1), ys2.sum(axis=1))
+        t_null[done:done + size] = _column_sum_stats(rng, size, n, d)
+        t_alt[done:done + size] = _column_sum_stats(rng, size, n, d, rho)
         done += size
-    n, d = 4, 8
     checks = [
         (abs(t_null.mean()), 3.0 * t_null.std() / math.sqrt(trials)),
-        (abs(t_alt.mean() - abs(params.rho) * n * d),
+        (abs(t_alt.mean() - rho * n * d),
          3.0 * t_alt.std() / math.sqrt(trials)),
         (abs(t_null.var() - n * n * d),
          3.0 * np.var((t_null - t_null.mean()) ** 2) ** 0.5 / math.sqrt(trials)),

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +267,25 @@ class TestConverses:
         assert peak < 1_000_000
         assert t == unconditional_converse_risk(n, d, rho2)
 
+    def test_converse_bits_are_pinned(self):
+        # Digest of the truncated converse over a fixed sweep: any change to
+        # the schedule arithmetic, its order of operations or its fallbacks
+        # moves a bit and fails here.
+        vals = [
+            truncated_converse_risk(n, d, r2)
+            for n in (100.0, 1000.0, 10_000.0)
+            for d in (20.0, 100.0, 1000.0, 10_000.0)
+            for r2 in _PRESCAN.tolist()
+        ]
+        vals += [truncated_converse_risk(1000.0, 500.0, r2, k_star=40, margin=0.2)
+                 for r2 in _PRESCAN.tolist()]
+        for r2 in (1e-8, 1e-6, 1e-5, 1e-3):
+            ex = truncation_exponents(truncation_schedule(10_000, 1000, r2), 10_000, 1000, r2)
+            vals += [ex.deficit_norm, ex.deficit_cross, ex.second_moment]
+        assert len(vals) == 545
+        digest = hashlib.sha256(",".join(float(v).hex() for v in vals).encode()).hexdigest()
+        assert digest == "dbaf988e4e92cc4d4ee20cf788c92cf8ac350ac267aed2f808262431437bbdb4"
+
 
 class TestRecoveryBounds:
     def test_ach_formula_small_case(self):
@@ -378,6 +399,15 @@ class TestCurvePoints:
         assert not point(0.1, 0.1).converse_exceeds_achievable
         assert not point(None, 0.2).converse_exceeds_achievable
         assert not point(0.1, None).converse_exceeds_achievable
+
+    def test_huge_d_scan_overflow_is_silent(self):
+        # At d >= 1e15 a det-ach scan point overflows exp to inf; it is never
+        # the minimum, and no raw numpy warning may escape.
+        values = [1e15, 1e16, 1e20, 1e100, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points, _ = curve_points("d", values, n=1e6)
+        assert [p.rho2_det_ach for p in points] == [float(_PRESCAN[0])] * len(values)
 
     def test_axis_validation(self):
         with pytest.raises(DomainError):

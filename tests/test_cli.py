@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,6 +116,39 @@ class TestCurveGridFloor:
             json.dumps({"command": "curve", "axis": "n", "grid": "1:10:3", "d": 100})
         )
         assert cfg.grid == (1.0, 10.0, 3)
+
+
+class TestCurveKstar:
+    # A k_star above every n on the grid would send every det-conv point to
+    # the unconditional fallback without a word; reject it up front.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--axis", "d", "--grid", "1000:5000:2", "--n", "10000", "--kstar", "20000"],
+            ["--axis", "n", "--grid", "10:100:3", "--d", "1000", "--kstar", "101"],
+            ["--axis", "n", "--grid", "100:10:3", "--d", "1000", "--kstar", "101"],
+        ],
+    )
+    def test_unusable_kstar_is_usage_error(self, monkeypatch, capsys, args):
+        def spy(*a, **k):
+            raise AssertionError("curve_points called")
+
+        monkeypatch.setattr(bounds, "curve_points", spy)
+        assert main(["curve", *args]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: invalid field 'kstar'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"axis": "d", "grid": "1000:5000:2", "n": 10000, "kstar": 10000},
+            {"axis": "n", "grid": "10:100:3", "d": 1000, "kstar": 100},
+            {"axis": "n", "grid": "100:10:3", "d": 1000, "kstar": 50},
+        ],
+    )
+    def test_kstar_usable_somewhere_is_accepted(self, fields):
+        assert parse_config(json.dumps({"command": "curve", **fields})).kstar == fields["kstar"]
 
 
 class TestResolveConfig:
@@ -325,6 +361,18 @@ class TestCurveOutput:
         assert main(args + ["--out", str(a), "--threads", "1"]) == 0
         assert main(args + ["--out", str(b), "--threads", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_huge_d_prints_no_numpy_warning(self):
+        src = str(Path(corralign.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "corralign.cli", "curve", "--axis", "d",
+             "--grid", "1e15:1e15:1", "--n", "1000000"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestSimulateDeterminism:
