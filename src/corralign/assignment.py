@@ -3,10 +3,11 @@
 Two paths, with one result.  When every row's maximum beats its runner-up
 by more than ``n * tol`` and the row argmaxes form a permutation, that
 permutation is returned, certified by ``row_duals = row max`` and
-``col_duals = 0``.  Otherwise a shortest-augmenting-path solver
-(Jonker–Volgenant style, O(n^3)) runs on the negated, shifted score matrix,
-and an alternating-cycle search (O(n^3) at worst) turns its matching into
-the lexicographically smallest one made of tight edges.  Either way the
+``col_duals = 0``.  Otherwise a LAPJV-style solver (Jonker & Volgenant
+1987, without augmenting row reduction; O(n^3)) runs on the negated,
+shifted score matrix, and an alternating-cycle search (O(n^3) at worst)
+turns its matching into the lexicographically smallest one made of tight
+edges, whichever optimal duals the solver found.  Either way the
 duals certify optimality: ``row_duals[i] + col_duals[j] >= score[i, j]``
 everywhere with equality on the matched edges.  An edge counts as tight
 when its dual residual is within ``tol = 1e-9 * max(1, max|score|)``.  So
@@ -49,49 +50,63 @@ class AssignmentSolution:
 
 
 def _jv_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimum-cost perfect assignment on a dense square matrix.
+    """Minimum-cost perfect assignment on a dense square matrix (LAPJV-style).
 
-    Classic augmenting-path scheme with potentials; arrays are 1-indexed with
-    column 0 as the virtual start of each alternating tree.  Returns
+    Column reduction: ``v`` is the column minima, and each column's argmin
+    row takes it if still free, columns scanned from last to first.
+    Reduction transfer lowers each held column's ``v`` by its row's gap to
+    the next-best reduced cost.  Each row left free then runs one Dijkstra
+    search for a shortest augmenting path, free columns first among ties
+    (all-tied input: one step per row); the duals move once per search, each
+    scanned column's ``v`` by its distance minus the path length.  Returns
     (cols_of_rows, u, v) with cost[i, j] - u[i] - v[j] >= 0 everywhere and
-    equality on matched edges.
+    equality on matched edges, up to float error.
     """
     n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)  # p[j]: 1-based row matched to column j
-    way = np.zeros(n + 1, dtype=np.int64)
-    cols = np.arange(1, n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+    v = cost.min(axis=0)
+    x = np.full(n, -1, dtype=np.int64)  # x[i]: column held by row i
+    # (cost == v).argmax(axis=0) is cost.argmin(axis=0) without a float copy.
+    np.maximum.at(x, (cost == v).argmax(axis=0), np.arange(n))
+    held = np.flatnonzero(x >= 0)
+    y = np.full(n, -1, dtype=np.int64)  # y[j]: row holding column j
+    y[x[held]] = held
+    if n > 1:  # reduction transfer, 64 held rows at a time: no n×n temporary
+        for rows in np.array_split(held, -(-held.size // 64)):
+            others = cost[rows]
+            others -= v
+            others[np.arange(rows.size), x[rows]] = np.inf
+            v[x[rows]] -= others.min(axis=1)
+    for i in np.flatnonzero(x < 0):
+        # Complex argmin orders by real part, then imaginary part: the least
+        # distance first and, among ties, a free column (0j) first.
+        key = (cost[i] - v) + 1j * (y >= 0)
+        d = key.real  # a view: distances from row i
+        pred = np.full(n, i)
+        todo = np.ones(n, dtype=bool)
+        scanned, dist = [], []
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = ~used[1:]
-            cur = cost[i0 - 1] - u[i0] - v[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[cols[better]] = j0
-            cand = np.where(free, minv[1:], np.inf)
-            jm = int(np.argmin(cand))
-            delta = cand[jm]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = jm + 1
-            if p[j0] == 0:
+            j = int(np.argmin(key))
+            mu = d[j]
+            if y[j] < 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    row_of_col = p[1:] - 1
-    cols_of_rows = np.empty(n, dtype=np.int64)
-    cols_of_rows[row_of_col] = np.arange(n)
-    return cols_of_rows, u[1:].copy(), v[1:].copy()
+            scanned.append(j)
+            dist.append(mu)
+            todo[j] = False
+            d[j] = np.inf
+            r = y[j]
+            via = cost[r] - v  # distances through r, whose edge j is at mu
+            via += mu - via[j]
+            better = (via < d) & todo
+            np.copyto(d, via, where=better)
+            np.copyto(pred, r, where=better)
+        v[scanned] += np.subtract(dist, mu)
+        while True:
+            r = pred[j]
+            y[j] = r
+            x[r], j = j, x[r]
+            if r == i:
+                break
+    return x, cost[np.arange(n), x] - v[x], v
 
 
 def _lex_min_tight(tight: np.ndarray, match: np.ndarray) -> np.ndarray:

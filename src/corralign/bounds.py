@@ -447,6 +447,8 @@ def _truncation_grid(n: float, d: float, k_star: int | None, margin: float) -> _
         raise ConditionViolatedError(
             f"d >= 4 ln(en/k_star) fails: d = {d}, 4 ln(en/k_star) = {4.0 * ln_star}"
         )
+    if not math.isfinite(d * n):
+        raise ConditionViolatedError(f"d * n overflows the float range: d = {d}, n = {n}")
     ks = np.arange(k_star, n_top + 1, dtype=np.float64)
     r = (1.0 + margin) * np.sqrt(1.0 + np.log(n / ks))
     w = d * ks - 2.0 * math.sqrt(d) * ks * r
@@ -482,10 +484,10 @@ def truncation_schedule(
     ``s_k = (1+margin) sqrt(ln(en/k)) max(2, sqrt((1-rho^2)/rho^2))``, which
     satisfy the strict floor inequalities for any margin > 0; the conditions
     that depend on d (r_k < sqrt(d)/2, w_k > 0) go into ``valid``.  Raises
-    ``ConditionViolatedError`` when d < 4 ln(en/k_star), when k_star is out
-    of range, when margin <= 0, or when the schedule would have more than
-    ``SCHEDULE_CAP`` subset sizes.  ``ks``, ``r`` and ``w`` do not depend on
-    rho2 and are read-only.
+    ``ConditionViolatedError`` when d < 4 ln(en/k_star), when d * n is not
+    finite, when k_star is out of range, when margin <= 0, or when the
+    schedule would have more than ``SCHEDULE_CAP`` subset sizes.  ``ks``,
+    ``r`` and ``w`` do not depend on rho2 and are read-only.
     """
     if not 0.0 < rho2 < 1.0:
         raise ConditionViolatedError("truncation schedule requires 0 < rho2 < 1")

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from corralign import assignment
@@ -36,8 +39,31 @@ def _small_int_scores(draw):
     return np.array(entries, dtype=np.float64).reshape(n, n)
 
 
+@st.composite
+def _tie_heavy_scores(draw):
+    n = draw(st.integers(8, 40))
+    return draw(arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 1.0, 2.0])))
+
+
 def _tol(score):
     return 1e-9 * max(1.0, float(np.abs(score).max()))
+
+
+def _jv_contract_inputs():
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(0.5, 2.0, 30), rng.uniform(-2.0, 2.0, 30)
+    k = np.arange(30)
+    twice = np.repeat(np.arange(15), 2)
+    return {
+        "n=1": np.array([[3.5]]),
+        "all-equal": np.full((30, 30), 2.0),
+        "rank-one": a[:, None] * b[None, :],
+        "integer-valued": ((k[:, None] * k[None, :]) % 7).astype(np.float64),
+        "duplicated": rng.standard_normal((15, 15))[np.ix_(twice, twice)],
+        "scaled-1e6": 1e6 * rng.standard_normal((40, 40)),
+        "normal-50": rng.standard_normal((50, 50)),
+        "normal-200": rng.standard_normal((200, 200)),
+    }
 
 
 @pytest.fixture
@@ -116,6 +142,42 @@ class TestMaxAssignment:
 
     def test_dense_tie_is_identity(self):
         assert max_assignment(np.zeros((200, 200))).cols_of_rows.tolist() == list(range(200))
+
+    def test_dense_tie_scales_to_n_1000(self):
+        # All-tied input: column reduction holds one column and each free row
+        # takes a free tied column in one search step, about n steps in all.
+        start = time.perf_counter()
+        sol = max_assignment(np.zeros((1000, 1000)))
+        assert time.perf_counter() - start < 10.0
+        assert sol.cols_of_rows.tolist() == list(range(1000))
+
+    @given(_tie_heavy_scores())
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_optimum_and_certificate(self, score):
+        # Beyond brute force: entries in {0, 1, 2} make totals exact, so the
+        # value must equal scipy's optimum and the certificate must hold.
+        sol = max_assignment(score)
+        rows, cols = linear_sum_assignment(score, maximize=True)
+        assert sorted(sol.cols_of_rows.tolist()) == list(range(score.shape[0]))
+        assert sol.value == score[rows, cols].sum()
+        assert sol.certificate_gap(score) <= _tol(score)
+
+    @pytest.mark.parametrize(
+        "cost", [pytest.param(cost, id=name) for name, cost in _jv_contract_inputs().items()]
+    )
+    def test_jv_min_contract(self, cost):
+        # The JV core alone: a perfect matching, duals feasible everywhere and
+        # tight on matched edges, and scipy's minimum total.
+        n = cost.shape[0]
+        tol = _tol(cost)
+        cols_of_rows, u, v = assignment._jv_min(cost)
+        assert sorted(cols_of_rows.tolist()) == list(range(n))
+        resid = cost - u[:, None] - v[None, :]
+        assert resid.min() >= -tol
+        assert np.abs(resid[np.arange(n), cols_of_rows]).max() <= tol
+        rows, cols = linear_sum_assignment(cost)
+        expected = cost[rows, cols].sum()
+        assert cost[np.arange(n), cols_of_rows].sum() == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("n", [50, 200, 500])
     def test_matches_scipy_on_both_paths(self, n, jv_calls):

@@ -212,6 +212,8 @@ class TestConverses:
             truncation_schedule(100, 100, 1e-4, k_star=101)
         with pytest.raises(ConditionViolatedError):
             truncation_schedule(10_000, 3, 1e-4)  # d < 4 ln(e n / k*)
+        with pytest.raises(ConditionViolatedError, match="overflows"):
+            truncation_schedule(10, 1.7e308, 1e-4)  # d * n is not finite
 
     def test_schedule_structure(self):
         sch = truncation_schedule(1000, 500, 1e-5, margin=0.1)
@@ -408,6 +410,16 @@ class TestCurvePoints:
             warnings.simplefilter("error")
             points, _ = curve_points("d", values, n=1e6)
         assert [p.rho2_det_ach for p in points] == [float(_PRESCAN[0])] * len(values)
+
+    def test_huge_d_times_n_takes_the_fallback_silently(self):
+        # d * n beyond the float range: the truncation grid is refused, so
+        # det-conv is the unconditional bound and no raw numpy warning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points, _ = curve_points("d", [1.7e308], n=10.0)
+            fallback = truncated_converse_risk(10.0, 1.7e308, 1e-20)
+            assert fallback == unconditional_converse_risk(10.0, 1.7e308, 1e-20)
+        assert points[0].rho2_det_conv is None
 
     def test_axis_validation(self):
         with pytest.raises(DomainError):
