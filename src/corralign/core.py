@@ -38,11 +38,12 @@ def parallel_map(fn, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, in task order, over ``workers`` processes.
 
     A process pool is used only when ``workers > 1`` and there is more than
-    one task; ``fn`` must be a module-level function.  A worker's exception
-    is re-raised in the caller.
+    one task, and it holds no more processes than there are tasks; ``fn``
+    must be a module-level function.  A worker's exception is re-raised in
+    the caller.
     """
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 

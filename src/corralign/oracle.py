@@ -8,6 +8,9 @@ named-check suite and returns a structured report; the CLI surfaces it.
 All Monte-Carlo checks accept at 3 sigma (with a rule-of-three floor for
 degenerate counts) and derive their generators from (master seed, check
 name, batch index) so reruns and worker counts cannot change results.
+Each job has one implementation: both tail bounds count exceedances in
+``_tail_check``, both statistic MGFs run through ``_mgf_mc_check``, and every
+worst-case fold is ``_worst``, which lets a NaN through so it fails its check.
 """
 
 from __future__ import annotations
@@ -49,22 +52,6 @@ CIRCULANT_CAP = 50
 ENUMERATE_CAP = 12
 
 _BATCH = 4096
-
-
-@dataclass(frozen=True)
-class LikelihoodSample:
-    """One realized likelihood ratio, kept in both linear and log scale."""
-
-    l_value: float
-    log_l: float
-
-    def __post_init__(self) -> None:
-        if not self.l_value >= 0.0:
-            raise DomainError("likelihood ratio must be nonnegative")
-
-    @classmethod
-    def from_log(cls, log_l: float) -> "LikelihoodSample":
-        return cls(l_value=math.exp(log_l), log_l=log_l)
 
 
 @dataclass(frozen=True)
@@ -146,11 +133,6 @@ def log_likelihood_ratio(pair: DatabasePair, rho: float) -> float:
     return float(_batched_log_l(pair.x[None], pair.y[None], rho)[0])
 
 
-def likelihood_sample(pair: DatabasePair, rho: float) -> LikelihoodSample:
-    """The realized likelihood ratio at one sampled pair."""
-    return LikelihoodSample.from_log(log_likelihood_ratio(pair, rho))
-
-
 # ---------------------------------------------------------------------------
 # Second moment via cycle types
 # ---------------------------------------------------------------------------
@@ -198,6 +180,15 @@ def exact_second_moment(n: int, d: float, rho2: float) -> float:
 def _mc_cap(n: int) -> None:
     if n > MC_CAP:
         raise SizeCapError(f"Monte-Carlo likelihood statistics are capped at n = {MC_CAP}")
+
+
+def _worst(values, floor: float = -math.inf) -> float:
+    """Largest of ``values`` and ``floor`` (a violation where positive).
+
+    NaN propagates: Python's ``max`` drops a NaN that is not its first
+    argument, which would let a broken closed form pass its check.
+    """
+    return float(np.max(values, initial=floor))
 
 
 def _batches(spec: SeedSpec, trials: int):
@@ -368,6 +359,30 @@ def circulant_det_check(cycle_len: int, rho: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _tail_check(name: str, spec: SeedSpec, trials: int, dim: int, t_grid,
+                statistic, bound) -> CheckResult:
+    """Largest excess of the empirical P(statistic >= t) over its bound.
+
+    ``statistic`` maps a (size, dim) block of N(0, I) rows, drawn in
+    ``_batches``, to one value per row; ``bound`` maps the t grid to its
+    per-t tail bounds.  The check passes iff no grid point's exceedance rate
+    tops its bound by more than ``binomial_ci``.
+    """
+    ts = np.asarray(t_grid, dtype=np.float64).reshape(-1)
+    if ts.size == 0:
+        raise DomainError("t grid must be nonempty")
+    if np.any(ts <= 0.0):
+        raise DomainError("t grid must be positive")
+    counts = np.zeros(ts.shape[0], dtype=np.int64)
+    for rng, size in _batches(spec, trials):
+        s = statistic(rng.standard_normal((size, dim)))
+        counts += (s[:, None] >= ts[None, :]).sum(axis=0)
+    worst = _worst([c / trials - (bnd + binomial_ci(int(c), trials))
+                    for c, bnd in zip(counts, bound(ts))])
+    return CheckResult(name, worst <= 0.0, worst, 0.0,
+                       f"max (empirical - bound - 3sigma) over {ts.shape[0]} grid points")
+
+
 def laurent_massart_check(d: int, alpha, t_grid, trials: int, seed) -> CheckResult:
     """Lower-tail bound for weighted chi-square sums, on a grid of t values.
 
@@ -379,27 +394,13 @@ def laurent_massart_check(d: int, alpha, t_grid, trials: int, seed) -> CheckResu
         raise DomainError("alpha must have d entries")
     if np.any(alpha < 0.0):
         raise DomainError("alpha entries must be nonnegative")
-    ts = np.asarray(t_grid, dtype=np.float64).reshape(-1)
-    if np.any(ts <= 0.0):
-        raise DomainError("t grid must be positive")
     norm_sq = float(alpha @ alpha)
-    spec = as_seedspec(seed, "oracle/laurent-massart")
-    counts = np.zeros(ts.shape[0], dtype=np.int64)
-    for rng, size in _batches(spec, trials):
-        x = rng.standard_normal((size, d))
-        s = (x * x - 1.0) @ alpha
-        counts += (s[:, None] <= -ts[None, :]).sum(axis=0)
-    bounds_grid = np.exp(-(ts**2) / (4.0 * norm_sq))
-    worst = -math.inf
-    for t, c, bnd in zip(ts, counts, bounds_grid):
-        excess = c / trials - (bnd + binomial_ci(int(c), trials))
-        worst = max(worst, float(excess))
-    return CheckResult(
-        name="tail-squares",
-        passed=worst <= 0.0,
-        statistic=worst,
-        reference=0.0,
-        detail=f"max (empirical - bound - 3sigma) over {ts.shape[0]} grid points",
+    if norm_sq == 0.0:
+        raise DomainError("alpha must have a positive entry")
+    return _tail_check(
+        "tail-squares", as_seedspec(seed, "oracle/laurent-massart"), trials, d, t_grid,
+        lambda x: -((x * x - 1.0) @ alpha),
+        lambda ts: np.exp(-(ts**2) / (4.0 * norm_sq)),
     )
 
 
@@ -428,10 +429,6 @@ def gaussian_chaos_check(A: np.ndarray, t_grid, trials: int, seed) -> CheckResul
     and lambda the eigenvalues of its off-diagonal part.
     """
     a = _require_symmetric(A)
-    dim = a.shape[0]
-    ts = np.asarray(t_grid, dtype=np.float64).reshape(-1)
-    if np.any(ts <= 0.0):
-        raise DomainError("t grid must be positive")
     alpha = np.diag(a).copy()
     off = a - np.diag(alpha)
     lam = np.linalg.eigvalsh(off)
@@ -446,25 +443,15 @@ def gaussian_chaos_check(A: np.ndarray, t_grid, trials: int, seed) -> CheckResul
             terms.append(1.0 / inf_norm)
         return min(terms) if terms else math.inf
 
+    def bound(t: float) -> float:
+        rate = min(half_rate(alpha, t), half_rate(lam, t))
+        return min(0.0 if math.isinf(rate) else 2.0 * math.exp(-(t / 16.0) * rate), 1.0)
+
     trace = float(np.trace(a))
-    spec = as_seedspec(seed, "oracle/gaussian-chaos")
-    counts = np.zeros(ts.shape[0], dtype=np.int64)
-    for rng, size in _batches(spec, trials):
-        x = rng.standard_normal((size, dim))
-        q = np.einsum("ti,ij,tj->t", x, a, x) - trace
-        counts += (q[:, None] >= ts[None, :]).sum(axis=0)
-    worst = -math.inf
-    for t, c in zip(ts, counts):
-        rate = min(half_rate(alpha, float(t)), half_rate(lam, float(t)))
-        bnd = 0.0 if math.isinf(rate) else 2.0 * math.exp(-(float(t) / 16.0) * rate)
-        excess = c / trials - (min(bnd, 1.0) + binomial_ci(int(c), trials))
-        worst = max(worst, float(excess))
-    return CheckResult(
-        name="tail-chaos",
-        passed=worst <= 0.0,
-        statistic=worst,
-        reference=0.0,
-        detail=f"max (empirical - bound - 3sigma) over {ts.shape[0]} grid points",
+    return _tail_check(
+        "tail-chaos", as_seedspec(seed, "oracle/gaussian-chaos"), trials, a.shape[0], t_grid,
+        lambda x: np.einsum("ti,ij,tj->t", x, a, x) - trace,
+        lambda ts: [bound(float(t)) for t in ts],
     )
 
 
@@ -479,8 +466,6 @@ def truncation_event_holds(
     schedule: "bounds.TruncationSchedule",
     rho_sign: float,
     method: str = "sorted",
-    rng: np.random.Generator | None = None,
-    sample_budget: int = 256,
 ) -> bool:
     """Whether the subset-truncation event holds at a realized pair.
 
@@ -488,15 +473,15 @@ def truncation_event_holds(
     permutation's fixed points: both row-norm sums must exceed w_k while the
     aligned inner-product sum stays below v_k.  For each k the methods find
     the extremal subset sums (the two smallest norm sums and the largest
-    cross sum), which are then tested once: ``sorted`` exactly, from sorted
-    prefix sums; ``enumerate`` exactly, over every subset (fixed-point sets
-    up to 12); ``sample`` over ``sample_budget`` random subsets per k drawn
-    with the supplied generator, so it can miss a violation but never
-    invents one.  ``sample`` draws its whole budget for every k, whatever
-    the outcome.
+    cross sum), which are then tested once.  Both methods are exact:
+    ``sorted`` takes them from sorted prefix sums at any size;
+    ``enumerate`` scans every subset (fixed-point sets up to 12) and is the
+    reference that ``sorted`` is tested against.
     """
     if rho_sign not in (1.0, -1.0, 1, -1):
         raise DomainError(f"rho_sign must be +1 or -1, got {rho_sign}")
+    if method not in ("sorted", "enumerate"):
+        raise DomainError(f"unknown method {method!r}")
     fixed = np.nonzero(perm.map == np.arange(perm.n))[0]
     n1 = fixed.shape[0]
     k_star = schedule.k_star
@@ -516,32 +501,11 @@ def truncation_event_holds(
     if method == "sorted":
         smallest = np.cumsum(np.sort(terms, axis=1), axis=1)[:, k_star - 1 :]
     else:
-        if method == "enumerate":
-            if n1 > ENUMERATE_CAP:
-                raise SizeCapError(
-                    f"subset enumeration is capped at {ENUMERATE_CAP} fixed points"
-                )
-
-            def subsets(k: int) -> np.ndarray:
-                return np.array(list(itertools.combinations(range(n1), k)))
-
-        elif method == "sample":
-            if rng is None:
-                raise DomainError("method='sample' requires a generator")
-
-            def subsets(k: int) -> np.ndarray:
-                draws = [rng.choice(n1, size=k, replace=False) for _ in range(sample_budget)]
-                return np.array(draws, dtype=np.intp).reshape(-1, k)
-
-        else:
-            raise DomainError(f"unknown method {method!r}")
+        if n1 > ENUMERATE_CAP:
+            raise SizeCapError(f"subset enumeration is capped at {ENUMERATE_CAP} fixed points")
+        subsets = (list(itertools.combinations(range(n1), k)) for k in range(k_star, n1 + 1))
         smallest = np.stack(
-            [
-                terms[:, subsets(k)].sum(axis=2).min(axis=1, initial=np.inf)
-                for k in range(k_star, n1 + 1)
-            ],
-            axis=1,
-        )
+            [terms[:, np.array(s)].sum(axis=2).min(axis=1) for s in subsets], axis=1)
     norm_x, norm_y, neg_cross = smallest
     w = schedule.w[: smallest.shape[1]]
     v = schedule.v[: smallest.shape[1]]
@@ -610,15 +574,10 @@ def _check(name: str):
     return wrap
 
 
-def _grid_excess(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Largest violation of lhs >= rhs (positive means a violation)."""
-    return float(np.max(rhs - lhs))
-
-
 @_check("exponent-floor-fa")
 def _chk_floor_fa(spec: SeedSpec) -> CheckResult:
     gam = np.linspace(1e-9, 1.0, 10_000)
-    excess = _grid_excess(bounds.g_fa(gam), (math.sqrt(2.0) - 1.0) / 2.0 * gam)
+    excess = _worst((math.sqrt(2.0) - 1.0) / 2.0 * gam - bounds.g_fa(gam))
     return CheckResult("exponent-floor-fa", excess <= 0.0, excess, 0.0,
                        "min over grid of g_fa(gamma) - (sqrt(2)-1)/2 * gamma")
 
@@ -627,7 +586,7 @@ def _chk_floor_fa(spec: SeedSpec) -> CheckResult:
 def _chk_floor_md(spec: SeedSpec) -> CheckResult:
     r2 = np.linspace(1e-9, 1.0 - 1e-9, 10_000)
     vals = np.array([bounds.g_md(x, math.sqrt(x)) for x in r2])
-    excess = _grid_excess(vals, r2 / 30.0)
+    excess = _worst(r2 / 30.0 - vals)
     return CheckResult("exponent-floor-md", excess <= 0.0, excess, 0.0,
                        "balanced-tuning missed-detection exponent vs rho^2/30")
 
@@ -635,7 +594,7 @@ def _chk_floor_md(spec: SeedSpec) -> CheckResult:
 @_check("closed-min-quadratic")
 def _chk_closed_min(spec: SeedSpec) -> CheckResult:
     rng = spec.rng(0)
-    worst = 0.0
+    errors = []
     for _ in range(100):
         d = float(rng.uniform(1.0, 200.0))
         a = float(rng.uniform(-300.0, 300.0))
@@ -655,7 +614,8 @@ def _chk_closed_min(spec: SeedSpec) -> CheckResult:
         _, f_best = bounds._golden_min(
             lambda xs: np.array([f(x) for x in xs.tolist()]), [lo], [hi], rel_tol=1e-14
         )
-        worst = max(worst, abs(float(f_best[0]) - closed))
+        errors.append(abs(float(f_best[0]) - closed))
+    worst = _worst(errors, 0.0)
     return CheckResult("closed-min-quadratic", worst <= 1e-8, worst, 0.0,
                        "closed-form minimum vs 1e4-point grid plus refinement")
 
@@ -666,7 +626,7 @@ def _chk_sqrt_cube(spec: SeedSpec) -> CheckResult:
     mid = np.sqrt(1.0 + x**3) - 1.0
     lo = x**2 * (np.sqrt(1.0 + x) - 1.0)
     hi = x * (np.sqrt(1.0 + x) - 1.0)
-    excess = max(_grid_excess(mid, lo), _grid_excess(hi, mid))
+    excess = _worst(np.concatenate([lo - mid, mid - hi]))
     return CheckResult("sqrt-cube-envelope", excess <= 1e-14, excess, 0.0,
                        "two-sided envelope of sqrt(1+x^3)-1 on [0, 1]")
 
@@ -678,7 +638,7 @@ def _chk_balanced_slack(spec: SeedSpec) -> CheckResult:
            + (x - np.sqrt(1.0 - x + x * x)) / (1.0 - x)
            + np.sqrt(1.0 + x))
     rhs = (math.sqrt(2.0) - 1.0) ** 2 * x
-    excess = _grid_excess(rhs, lhs)
+    excess = _worst(lhs - rhs)
     return CheckResult("balanced-tuning-slack", excess <= 1e-12, excess, 0.0,
                        "exponent-difference envelope at gamma = rho^2")
 
@@ -686,12 +646,13 @@ def _chk_balanced_slack(spec: SeedSpec) -> CheckResult:
 @_check("sqrt-floor-family")
 def _chk_sqrt_floor(spec: SeedSpec) -> CheckResult:
     rng = spec.rng(0)
-    worst = -math.inf
+    excesses = []
     for _ in range(100):
         x0 = float(rng.uniform(1.0, 5.0))
         c = float(rng.uniform(0.0, 1.0)) * math.sqrt((x0 - 1.0) / (x0 + 1.0))
         xs = np.linspace(x0 * x0 - 1.0, x0 * x0 - 1.0 + 50.0, 100)
-        worst = max(worst, _grid_excess(np.sqrt(1.0 + xs) - 1.0, c * np.sqrt(xs)))
+        excesses.append(_worst(c * np.sqrt(xs) - (np.sqrt(1.0 + xs) - 1.0)))
+    worst = _worst(excesses)
     return CheckResult("sqrt-floor-family", worst <= 1e-12, worst, 0.0,
                        "sqrt(1+x) - 1 >= c sqrt(x) under the admissible-c condition")
 
@@ -699,7 +660,7 @@ def _chk_sqrt_floor(spec: SeedSpec) -> CheckResult:
 @_check("chernoff-identity")
 def _chk_chernoff_identity(spec: SeedSpec) -> CheckResult:
     rng = spec.rng(0)
-    worst = 0.0
+    errors = []
     for _ in range(50):
         n = int(rng.integers(2, 200))
         d = int(rng.integers(2, 2000))
@@ -712,7 +673,8 @@ def _chk_chernoff_identity(spec: SeedSpec) -> CheckResult:
         lhs_md = lam_md * t + bounds.log_mgf_alt(-lam_md, n, d, rho)
         rhs_md = -0.5 * d * bounds.g_md(gamma, rho)
         scale = max(1.0, abs(rhs_fa), abs(rhs_md))
-        worst = max(worst, abs(lhs_fa - rhs_fa) / scale, abs(lhs_md - rhs_md) / scale)
+        errors += [abs(lhs_fa - rhs_fa) / scale, abs(lhs_md - rhs_md) / scale]
+    worst = _worst(errors, 0.0)
     return CheckResult("chernoff-identity", worst <= 1e-9, worst, 0.0,
                        "optimized exponential bounds equal the two closed exponents")
 
@@ -729,30 +691,23 @@ def _column_sum_stats(rng, size: int, n: int, d: int, rho: float = 0.0) -> np.nd
     return np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1))
 
 
+def _mgf_mc_check(spec: SeedSpec, name: str, closed: float, lam: float,
+                  n: int, d: int, rho: float = 0.0) -> CheckResult:
+    """MC mean of exp(lam T) over 200,000 column-sum statistics vs ``closed``."""
+    mean, ci = _mc_mean(
+        spec, 200_000, lambda rng, size: np.exp(lam * _column_sum_stats(rng, size, n, d, rho)))
+    at = f"lambda={lam}, n={n}, d={d}" + (f", rho={rho}" if rho else "")
+    return CheckResult(name, abs(mean - closed) <= ci, mean, closed, f"3-sigma {ci:.2e} at {at}")
+
+
 @_check("null-mgf-mc")
 def _chk_null_mgf(spec: SeedSpec) -> CheckResult:
-    n, d, lam = 3, 4, 0.05
-    closed = bounds.mgf_null(lam, n, d)
-
-    def draw(rng, size):
-        return np.exp(lam * _column_sum_stats(rng, size, n, d))
-
-    mean, ci = _mc_mean(spec, 200_000, draw)
-    return CheckResult("null-mgf-mc", abs(mean - closed) <= ci, mean, closed,
-                       f"3-sigma {ci:.2e} at lambda={lam}, n={n}, d={d}")
+    return _mgf_mc_check(spec, "null-mgf-mc", bounds.mgf_null(0.05, 3, 4), 0.05, 3, 4)
 
 
 @_check("alt-mgf-mc")
 def _chk_alt_mgf(spec: SeedSpec) -> CheckResult:
-    n, d, rho, lam = 2, 3, 0.5, 0.05
-    closed = bounds.mgf_alt(lam, n, d, rho)
-
-    def draw(rng, size):
-        return np.exp(lam * _column_sum_stats(rng, size, n, d, rho))
-
-    mean, ci = _mc_mean(spec, 200_000, draw)
-    return CheckResult("alt-mgf-mc", abs(mean - closed) <= ci, mean, closed,
-                       f"3-sigma {ci:.2e} at lambda={lam}, n={n}, d={d}, rho={rho}")
+    return _mgf_mc_check(spec, "alt-mgf-mc", bounds.mgf_alt(0.05, 2, 3, 0.5), 0.05, 2, 3, 0.5)
 
 
 @_check("statistic-moments")
@@ -773,7 +728,7 @@ def _chk_stat_moments(spec: SeedSpec) -> CheckResult:
         (abs(t_null.var() - n * n * d),
          3.0 * np.var((t_null - t_null.mean()) ** 2) ** 0.5 / math.sqrt(trials)),
     ]
-    worst = max(stat - tol for stat, tol in checks)
+    worst = _worst([stat - tol for stat, tol in checks])
     return CheckResult("statistic-moments", worst <= 0.0, worst, 0.0,
                        "null mean 0, correlated mean |rho|nd, null variance n^2 d")
 
@@ -788,7 +743,7 @@ def _chk_unit_mean(spec: SeedSpec) -> CheckResult:
 @_check("likelihood-single-row")
 def _chk_single_row(spec: SeedSpec) -> CheckResult:
     rng = spec.rng(0)
-    worst = 0.0
+    errors = []
     for _ in range(100):
         d = int(rng.integers(1, 6))
         rho = float(rng.uniform(-0.9, 0.9))
@@ -799,7 +754,8 @@ def _chk_single_row(spec: SeedSpec) -> CheckResult:
         u = 1.0 - rho * rho
         direct = (-0.5 * d * math.log(u)
                   - 0.5 * (float(np.sum((y - rho * x) ** 2)) / u - float(np.sum(y**2))))
-        worst = max(worst, abs(got - direct) / max(1.0, abs(direct)))
+        errors.append(abs(got - direct) / max(1.0, abs(direct)))
+    worst = _worst(errors, 0.0)
     return CheckResult("likelihood-single-row", worst <= 1e-10, worst, 0.0,
                        "n=1 log ratio vs direct density quotient")
 
@@ -807,7 +763,7 @@ def _chk_single_row(spec: SeedSpec) -> CheckResult:
 @_check("likelihood-logsumexp-naive")
 def _chk_lse_naive(spec: SeedSpec) -> CheckResult:
     rng = spec.rng(0)
-    worst = 0.0
+    errors = []
     for _ in range(50):
         n = int(rng.integers(2, 5))
         d = int(rng.integers(1, 4))
@@ -822,7 +778,8 @@ def _chk_lse_naive(spec: SeedSpec) -> CheckResult:
             math.prod(math.exp(m[i, p[i]]) for i in range(n)) for p in perms
         ])
         if naive > 0.0 and math.isfinite(naive):
-            worst = max(worst, abs(math.log(naive) - got) / max(1.0, abs(got)))
+            errors.append(abs(math.log(naive) - got) / max(1.0, abs(got)))
+    worst = _worst(errors, 0.0)
     return CheckResult("likelihood-logsumexp-naive", worst <= 1e-8, worst, 0.0,
                        "log-sum-exp vs naive product evaluation where it is stable")
 
@@ -854,13 +811,11 @@ def _chk_second_moment_mc(spec: SeedSpec) -> CheckResult:
 
 @_check("second-moment-dominance")
 def _chk_second_moment_dom(spec: SeedSpec) -> CheckResult:
-    worst = -math.inf
-    for n in range(1, 11):
-        for d in (1, 5, 20):
-            for rho2 in (0.01, 0.1, 0.3, 0.6):
-                val = exact_second_moment(n, d, rho2)
-                cap = math.exp(-d * n * math.log1p(-rho2))
-                worst = max(worst, (val - cap) / cap)
+    excesses = []
+    for n, d, rho2 in itertools.product(range(1, 11), (1, 5, 20), (0.01, 0.1, 0.3, 0.6)):
+        cap = math.exp(-d * n * math.log1p(-rho2))
+        excesses.append((exact_second_moment(n, d, rho2) - cap) / cap)
+    worst = _worst(excesses)
     return CheckResult("second-moment-dominance", worst <= 1e-12, worst, 0.0,
                        "E0 L^2 never exceeds (1-rho^2)^(-dn)")
 
@@ -925,7 +880,7 @@ def _chk_tail_chaos(spec: SeedSpec) -> CheckResult:
         np.diag(np.linspace(0.2, 1.0, 6)), [2.0, 6.0, 12.0], 200_000,
         spec.stream("diag"))
     passed = res.passed and diag.passed
-    return CheckResult("tail-chaos", passed, max(res.statistic, diag.statistic), 0.0,
+    return CheckResult("tail-chaos", passed, _worst([res.statistic, diag.statistic]), 0.0,
                        "cross-term block matrix and diagonal special case")
 
 
@@ -960,13 +915,9 @@ def _chk_trunc_first_moment(spec: SeedSpec) -> CheckResult:
 
 @_check("truncated-vs-unconditional")
 def _chk_trunc_vs_uncond(spec: SeedSpec) -> CheckResult:
-    worst = -math.inf
-    for n in (100, 1000, 10_000):
-        for d in (100, 1000):
-            for rho2 in (1e-8, 1e-6, 1e-4, 1e-2):
-                t = bounds.truncated_converse_risk(n, d, rho2)
-                u = bounds.unconditional_converse_risk(n, d, rho2)
-                worst = max(worst, u - t)
+    grid = itertools.product((100, 1000, 10_000), (100, 1000), (1e-8, 1e-6, 1e-4, 1e-2))
+    worst = _worst([bounds.unconditional_converse_risk(*p) - bounds.truncated_converse_risk(*p)
+                    for p in grid])
     return CheckResult("truncated-vs-unconditional", worst <= 0.0, worst, 0.0,
                        "truncated converse is never below the unconditional one")
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corralign
+from corralign import core
 from corralign.core import (
     FACTORIAL_CAP,
     CycleType,
@@ -211,6 +212,27 @@ class TestParallelMap:
     def test_worker_exception_reraised(self):
         with pytest.raises(ValueError, match="task three failed"):
             parallel_map(_fail_on_three, list(range(6)), workers=2)
+
+    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
+        # The pool forks every worker up front, so idle ones are wasted.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(core, "ProcessPoolExecutor", SerialPool)
+        assert parallel_map(_square, range(3), workers=64) == [0, 1, 4]
+        assert asked == [3]
 
 
 class TestBinomialCi:
