@@ -5,8 +5,8 @@ Four bound families are implemented:
 * detection achievability: the minimized two-exponential Chernoff bound on the
   risk of the sum-of-inner-products threshold test;
 * detection converse: an unconditional second-moment risk lower bound plus a
-  sharper truncated variant driven by a subset-truncation schedule, whose
-  rho2-free arrays one grid holds and one evaluator reads per rho2;
+  sharper truncated variant driven by a subset-truncation schedule, which
+  the converse evaluates at its two end subset sizes only;
 * recovery achievability: union bound on the exact-alignment error of the ML
   decoder;
 * recovery converse: lower bound on the error of any alignment decoder.
@@ -304,8 +304,9 @@ def default_k_star(n: float) -> int:
     return int(min(math.floor(n), math.ceil(13.0 * math.sqrt(n))))
 
 
-#: Most subset sizes (k_star .. floor(n)) a truncation schedule may have; a
-#: longer one raises ``ConditionViolatedError``.  Binds only above n ~ 10^6.
+#: Most subset sizes (k_star .. floor(n)) ``truncation_schedule`` builds; a
+#: longer schedule raises ``ConditionViolatedError``.  The converse reads only
+#: the two end sizes, so the cap does not bind there.
 SCHEDULE_CAP = 10**6
 
 
@@ -318,7 +319,8 @@ class TruncationSchedule:
     ``w[k]`` while their aligned inner-product sum stays below ``v[k]``.
     ``valid`` says whether every k meets the conditions the truncated
     converse needs: sqrt(ln(en/k)) < r_k < sqrt(d)/2, s_k above its floor
-    sqrt(ln(en/k)) max(2, sqrt((1-rho^2)/rho^2)), and w_k > 0.
+    sqrt(ln(en/k)) max(2, sqrt((1-rho^2)/rho^2)), and w_k > 0.  The arrays
+    are read-only.
     """
 
     k_star: int
@@ -346,91 +348,10 @@ class TruncationExponents:
     second_moment: float
 
 
-class _TruncationGrid:
-    """The rho2-free part of a truncation schedule, and the converse on it.
-
-    Built from (n, d, k_star, ks, r, w), which depend on (n, d, k_star,
-    margin) alone, so an inversion over rho2 builds it once and evaluates
-    ``schedule``, ``rates`` and ``converse`` per rho2 with the arithmetic
-    a fresh schedule would use.
-    """
-
-    def __init__(self, n: float, d: float, k_star: int, ks, r, w):
-        self.n, self.d, self.k_star, self.ks, self.r, self.w = n, d, int(k_star), ks, r, w
-        self.ln_terms = 1.0 + np.log(n / ks)  # ln(en/k)
-        self.floor_r = np.sqrt(self.ln_terms)  # the floor r_k must exceed
-        self.w_over_ks = w / ks
-        self.neg_dn_over_2ks = -(d * n / (2.0 * ks))
-        self.log_ks = np.log(ks)
-        self.deficit_norm = float(np.min(r**2 - self.ln_terms))
-        self.valid = bool(
-            np.all(r < 0.5 * math.sqrt(d)) and np.all(r > self.floor_r) and np.all(w > 0.0)
-        )
-
-    def schedule(self, rho2: float) -> TruncationSchedule:
-        mult = max(2.0, math.sqrt((1.0 - rho2) / rho2))
-        s = self.r * mult
-        rho = math.sqrt(rho2)
-        v = rho * self.d * self.ks + 4.0 * rho * math.sqrt(self.d) * self.ks * s
-        valid = self.valid and bool(np.all(s > self.floor_r * mult))
-        return TruncationSchedule(self.k_star, self.ks, self.r, s, self.w, v, valid)
-
-    def rates(self, schedule: TruncationSchedule, rho2: float) -> TruncationExponents:
-        d = self.d
-        rho = math.sqrt(rho2)
-        u = 1.0 - rho2
-        sqrt_d = math.sqrt(d)
-        s = schedule.s
-        # Minima are exact, so the order of the four-way minimum is free.
-        four_way = np.minimum(
-            np.minimum(s / (rho * sqrt_d), 4.0 * rho * s / (u * sqrt_d)),
-            min(1.0 / rho, 2.0 / math.sqrt(u)),
-        )
-        psi2 = float(np.min((rho * sqrt_d * s / 4.0) * four_way - self.ln_terms))
-        drift = self.w_over_ks - schedule.v / (self.ks * rho)
-        psi = float(
-            np.min(
-                self.neg_dn_over_2ks * (rho2**2 / (1.0 - rho2**2))
-                - d * rho2 / u
-                + (2.0 * rho2 / u) * drift
-                + self.log_ks - 1.0
-            )
-        )
-        return TruncationExponents(
-            deficit_norm=self.deficit_norm, deficit_cross=psi2, second_moment=psi
-        )
-
-    def converse(self, rho2: float) -> float:
-        """``truncated_converse_risk`` at 0 < rho2 < 1 on this grid."""
-        n, d, k_star = self.n, self.d, self.k_star
-        uncond = unconditional_converse_risk(n, d, rho2)
-        u = 1.0 - rho2
-        t1 = 0.5 * d * n * (rho2 / u) ** 2 + d * k_star * rho2 / u
-        if t1 > 700.0:
-            # B2 overflows whatever the schedule; checked first, as it needs no arrays.
-            return uncond
-        schedule = self.schedule(rho2)
-        if not schedule.valid:
-            return uncond
-        rates = self.rates(schedule, rho2)
-        m = min(rates.deficit_norm, rates.deficit_cross)
-        psi = rates.second_moment
-        if m <= 0.0 or psi <= 0.0:
-            return uncond
-        log_d1 = math.log(4.0) - k_star * m - math.log(-math.expm1(-m))
-        if log_d1 > 50.0:
-            return uncond
-        d1 = math.exp(log_d1)
-        log_tail = -k_star * psi - math.log(-math.expm1(-psi))
-        if log_tail > 700.0:
-            return uncond
-        b2 = math.exp(t1) + math.exp(log_tail)
-        value = 1.0 - (math.sqrt(b2 - 1.0 + 2.0 * d1) + d1)
-        return max(0.0, value, uncond)
-
-
-def _truncation_grid(n: float, d: float, k_star: int | None, margin: float) -> _TruncationGrid:
-    """The rho2-free schedule arrays, read-only; raises as ``truncation_schedule``."""
+def _schedule_k_star(n: float, d: float, k_star: int | None, margin: float) -> int:
+    """The schedule preconditions, but for the length cap; returns k_star or its default."""
+    if not math.isfinite(d * n):
+        raise ConditionViolatedError(f"d * n overflows the float range: d = {d}, n = {n}")
     if margin <= 0.0:
         raise ConditionViolatedError("margin must be > 0")
     n_top = int(math.floor(n))
@@ -438,37 +359,32 @@ def _truncation_grid(n: float, d: float, k_star: int | None, margin: float) -> _
         k_star = default_k_star(n)
     if not 1 <= k_star <= n_top:
         raise ConditionViolatedError(f"k_star must lie in [1, {n_top}], got {k_star}")
-    if n_top - k_star + 1 > SCHEDULE_CAP:
-        raise ConditionViolatedError(
-            f"schedule of {n_top - k_star + 1} subset sizes exceeds the cap {SCHEDULE_CAP}"
-        )
     ln_star = 1.0 + math.log(n / k_star)  # ln(en/k_star)
     if d < 4.0 * ln_star:
         raise ConditionViolatedError(
             f"d >= 4 ln(en/k_star) fails: d = {d}, 4 ln(en/k_star) = {4.0 * ln_star}"
         )
-    if not math.isfinite(d * n):
-        raise ConditionViolatedError(f"d * n overflows the float range: d = {d}, n = {n}")
-    ks = np.arange(k_star, n_top + 1, dtype=np.float64)
-    r = (1.0 + margin) * np.sqrt(1.0 + np.log(n / ks))
+    return k_star
+
+
+def _schedule(n, d, rho2, k_star, ks, margin) -> TruncationSchedule:
+    """The thresholds at the subset sizes ``ks``, with ``valid`` over those sizes."""
+    floor_r = np.sqrt(1.0 + np.log(n / ks))  # sqrt(ln(en/k)), the floor r_k must exceed
+    r = (1.0 + margin) * floor_r
     w = d * ks - 2.0 * math.sqrt(d) * ks * r
-    grid = _TruncationGrid(n, d, k_star, ks, r, w)
-    for value in vars(grid).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return grid
-
-
-def _det_conv_lane(n: float, d: float, k_star: int | None, margin: float):
-    """``truncated_converse_risk`` at (n, d, k_star, margin) as a function of 0 < rho2 < 1.
-
-    Backed by one truncation grid, or the unconditional bound when the
-    schedule preconditions fail.
-    """
-    try:
-        return _truncation_grid(n, d, k_star, margin).converse
-    except ConditionViolatedError:
-        return lambda r2: unconditional_converse_risk(n, d, r2)
+    mult = max(2.0, math.sqrt((1.0 - rho2) / rho2))
+    s = r * mult
+    rho = math.sqrt(rho2)
+    v = rho * d * ks + 4.0 * rho * math.sqrt(d) * ks * s
+    valid = bool(
+        np.all(r < 0.5 * math.sqrt(d))
+        and np.all(r > floor_r)
+        and np.all(w > 0.0)
+        and np.all(s > floor_r * mult)
+    )
+    for values in (ks, r, s, w, v):
+        values.setflags(write=False)
+    return TruncationSchedule(int(k_star), ks, r, s, w, v, valid)
 
 
 def truncation_schedule(
@@ -484,14 +400,21 @@ def truncation_schedule(
     ``s_k = (1+margin) sqrt(ln(en/k)) max(2, sqrt((1-rho^2)/rho^2))``, which
     satisfy the strict floor inequalities for any margin > 0; the conditions
     that depend on d (r_k < sqrt(d)/2, w_k > 0) go into ``valid``.  Raises
-    ``ConditionViolatedError`` when d < 4 ln(en/k_star), when d * n is not
-    finite, when k_star is out of range, when margin <= 0, or when the
-    schedule would have more than ``SCHEDULE_CAP`` subset sizes.  ``ks``,
-    ``r`` and ``w`` do not depend on rho2 and are read-only.
+    ``ConditionViolatedError`` when d * n is not finite, when margin <= 0,
+    when k_star is out of range, when d < 4 ln(en/k_star), or when the
+    schedule would have more than ``SCHEDULE_CAP`` subset sizes.  All arrays
+    are read-only.
     """
     if not 0.0 < rho2 < 1.0:
         raise ConditionViolatedError("truncation schedule requires 0 < rho2 < 1")
-    return _truncation_grid(n, d, k_star, margin).schedule(rho2)
+    k_star = _schedule_k_star(n, d, k_star, margin)
+    n_top = int(math.floor(n))
+    if n_top - k_star + 1 > SCHEDULE_CAP:
+        raise ConditionViolatedError(
+            f"schedule of {n_top - k_star + 1} subset sizes exceeds the cap {SCHEDULE_CAP}"
+        )
+    ks = np.arange(k_star, n_top + 1, dtype=np.float64)
+    return _schedule(n, d, rho2, k_star, ks, margin)
 
 
 def truncation_exponents(
@@ -499,11 +422,34 @@ def truncation_exponents(
 ) -> TruncationExponents:
     """Minima over k of the three rate expressions for a given schedule.
 
-    Reads ``k_star``, ``ks``, ``r``, ``w``, ``s`` and ``v`` of the schedule,
-    so a schedule with edited thresholds gets the rates of its own values.
+    Reads ``ks``, ``r``, ``s``, ``w`` and ``v`` of the schedule, so a
+    schedule with edited thresholds gets the rates of its own values.
     """
-    grid = _TruncationGrid(n, d, schedule.k_star, schedule.ks, schedule.r, schedule.w)
-    return grid.rates(schedule, rho2)
+    ks, s = schedule.ks, schedule.s
+    ln_terms = 1.0 + np.log(n / ks)  # ln(en/k)
+    rho = math.sqrt(rho2)
+    u = 1.0 - rho2
+    sqrt_d = math.sqrt(d)
+    # Minima are exact, so the order of the four-way minimum is free.
+    four_way = np.minimum(
+        np.minimum(s / (rho * sqrt_d), 4.0 * rho * s / (u * sqrt_d)),
+        min(1.0 / rho, 2.0 / math.sqrt(u)),
+    )
+    psi2 = float(np.min((rho * sqrt_d * s / 4.0) * four_way - ln_terms))
+    drift = schedule.w / ks - schedule.v / (ks * rho)
+    psi = float(
+        np.min(
+            -(d * n / (2.0 * ks)) * (rho2**2 / (1.0 - rho2**2))
+            - d * rho2 / u
+            + (2.0 * rho2 / u) * drift
+            + np.log(ks) - 1.0
+        )
+    )
+    return TruncationExponents(
+        deficit_norm=float(np.min(schedule.r**2 - ln_terms)),
+        deficit_cross=psi2,
+        second_moment=psi,
+    )
 
 
 def truncated_converse_risk(
@@ -520,12 +466,42 @@ def truncated_converse_risk(
     schedule preconditions or validity conditions fail, or any rate is
     nonpositive, or an intermediate quantity overflows, the truncated part
     carries no information and the unconditional bound is returned instead.
+    Every minimum over k sits at k_star or floor(n) (docs/math_notes.md,
+    section 3), so the schedule is built on those two sizes alone.
     """
     if not 0.0 <= rho2 < 1.0:
         raise DomainError("rho2 must lie in [0, 1)")
+    uncond = unconditional_converse_risk(n, d, rho2)
     if rho2 == 0.0:
-        return unconditional_converse_risk(n, d, rho2)
-    return _det_conv_lane(n, d, k_star, margin)(rho2)
+        return uncond
+    try:
+        k_star = _schedule_k_star(n, d, k_star, margin)
+    except ConditionViolatedError:
+        return uncond
+    u = 1.0 - rho2
+    t1 = 0.5 * d * n * (rho2 / u) ** 2 + d * k_star * rho2 / u
+    if t1 > 700.0:
+        # B2 overflows whatever the schedule, so it is checked first.
+        return uncond
+    ends = np.unique(np.array([k_star, math.floor(n)], dtype=np.float64))
+    schedule = _schedule(n, d, rho2, k_star, ends, margin)
+    if not schedule.valid:
+        return uncond
+    rates = truncation_exponents(schedule, n, d, rho2)
+    m = min(rates.deficit_norm, rates.deficit_cross)
+    psi = rates.second_moment
+    if m <= 0.0 or psi <= 0.0:
+        return uncond
+    log_d1 = math.log(4.0) - k_star * m - math.log(-math.expm1(-m))
+    if log_d1 > 50.0:
+        return uncond
+    d1 = math.exp(log_d1)
+    log_tail = -k_star * psi - math.log(-math.expm1(-psi))
+    if log_tail > 700.0:
+        return uncond
+    b2 = math.exp(t1) + math.exp(log_tail)
+    value = 1.0 - (math.sqrt(b2 - 1.0 + 2.0 * d1) + d1)
+    return max(0.0, value, uncond)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +567,11 @@ INVERT_TOL = 1e-10
 def _lane_risk(kind, n, d, k_star, margin, epsilon_d):
     """The bound of one (n, d) lane as a scalar function of rho2.
 
-    ``det-conv`` builds its rho2-free schedule arrays here, once for every
-    rho2 the inversion tries.  (``det-ach`` lanes are evaluated together,
-    by array calls of ``detection_ach_risk``.)
+    Not used for ``det-ach``, whose lanes are evaluated together by array
+    calls of ``detection_ach_risk``.
     """
     if kind == "det-conv":
-        return _det_conv_lane(n, d, k_star, margin)
+        return lambda r2: truncated_converse_risk(n, d, r2, k_star, margin)
     if kind == "rec-ach":
         return lambda r2: recovery_ach_perr(n, d, r2)
     return lambda r2: recovery_conv_perr(n, d, r2, epsilon_d=epsilon_d)
@@ -683,9 +658,8 @@ def invert_for_rho2(
     lockstep, one per distinct d (its bound ignores n), with the 42-point
     pre-scan and each bisection step as one ``detection_ach_risk`` call; the
     pre-scan holds 42 x 64 doubles per distinct d.  The other kinds are
-    scalar ``math`` code, called once per lane and rho2; ``rec-*`` lanes
-    still bisect in lockstep, and ``det-conv`` lanes run one at a time, as
-    each holds its own schedule arrays.
+    scalar code, called once per lane and rho2, with all lanes bisecting in
+    lockstep.
     """
     if not 0.0 < target_risk < 1.0:
         raise DomainError("target_risk must lie in (0, 1)")
@@ -702,17 +676,15 @@ def invert_for_rho2(
         )
         results = [found[i] for i in lane_of]
     else:
-        lanes = list(zip(n_lanes.tolist(), d_lanes.tolist()))
-        # A det-conv lane holds its schedule arrays, so those lanes run one at a time.
-        groups = [[lane] for lane in lanes] if bound_kind == "det-conv" else [lanes]
-        results = []
-        for group in groups:
-            fs = [_lane_risk(bound_kind, *lane, k_star, margin, epsilon_d) for lane in group]
+        fs = [
+            _lane_risk(bound_kind, nn, dd, k_star, margin, epsilon_d)
+            for nn, dd in zip(n_lanes.tolist(), d_lanes.tolist())
+        ]
 
-            def risk(sel, r2):
-                return np.array([fs[i](x) for i, x in zip(sel.tolist(), r2.tolist())])
+        def risk(sel, r2):
+            return np.array([fs[i](x) for i, x in zip(sel.tolist(), r2.tolist())])
 
-            results += _invert_lanes(risk, len(fs), bound_kind, target, mode)
+        results = _invert_lanes(risk, len(fs), bound_kind, target, mode)
     if not scalar:
         return results
     (result,) = results
@@ -804,7 +776,7 @@ def curve_points(
     if axis == "n" and d is None:
         raise DomainError("axis='n' sweeps require a fixed d")
     grid = [float(v) for v in values]
-    size = min(LANE_CAP, -(-len(grid) // max(workers, 1)))
+    size = max(1, min(LANE_CAP, -(-len(grid) // max(workers, 1))))
     tasks = []
     for start in range(0, len(grid), size):
         block = grid[start : start + size]

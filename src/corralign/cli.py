@@ -92,16 +92,19 @@ def _has_field_type(key: str, value, command: str) -> bool:
     """Whether a config value has its field's type; booleans are not numbers.
 
     ``d`` is a real only for ``curve``; the simulations need whole dimensions.
+    Numbers, whole or real, must be finite and fit a float.
     """
     if key in _INT_FIELDS or (key == "d" and command != "curve"):
-        return isinstance(value, int) and not isinstance(value, bool)
-    if key in _REAL_FIELDS:
-        return (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max  # finite, and fits a float
-        )
-    return isinstance(value, str)
+        kinds: type | tuple = int
+    elif key in _REAL_FIELDS:
+        kinds = (int, float)
+    else:
+        return isinstance(value, str)
+    return (
+        isinstance(value, kinds)
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max  # finite, and fits a float
+    )
 
 
 def _json_object(text: str, source: str) -> dict:

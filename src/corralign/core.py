@@ -15,7 +15,6 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -309,29 +308,6 @@ def enumerate_cycle_types(n: int) -> list[CycleType]:
 
     descend(n, n)
     return types
-
-
-def derangement_count(n: int) -> int:
-    """!n, the number of fixed-point-free permutations of [n], exactly."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    prev2, prev1 = 1, 0  # !0, !1
-    if n == 1:
-        return 0
-    for m in range(2, n + 1):
-        prev2, prev1 = prev1, (m - 1) * (prev1 + prev2)
-    return prev1
-
-
-def prob_fixed_points(n: int, k: int) -> Fraction:
-    """P[a uniform permutation of [n] has exactly k fixed points], exact."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-    return Fraction(math.comb(n, k) * derangement_count(n - k), math.factorial(n))
 
 
 @lru_cache(maxsize=None)

@@ -267,7 +267,56 @@ class TestConverses:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        assert t == unconditional_converse_risk(n, d, rho2)
+        assert t > unconditional_converse_risk(n, d, rho2)
+
+    def test_converse_builds_no_per_k_array(self):
+        # 987,001 subset sizes, inside the schedule cap: a per-k schedule would
+        # peak near 110 MB.  The value is that of the full schedule.
+        tracemalloc.start()
+        try:
+            t = truncated_converse_risk(1e6, 1000.0, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert t == 0.8856108926535324
+
+    @given(
+        st.floats(min_value=1.0, max_value=1e5),
+        st.floats(min_value=0.0, max_value=6.0),
+        st.floats(min_value=-12.0, max_value=math.log10(0.999)),
+        st.sampled_from(["default", "one", "random", "top"]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-15.0, max_value=math.log10(50.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_end_sizes_match_the_full_schedule(self, n, log_d, log_rho2, pick, u, log_margin):
+        # Every minimum over k sits at k_star or floor(n), so the two-size
+        # schedule the converse builds has the full schedule's rates and
+        # validity.  Below margin 1e-10 some rates are rounding noise near
+        # 1e-15 and may differ by a few ulps (validity still agrees).
+        d, rho2, margin = 10.0**log_d, 10.0**log_rho2, 10.0**log_margin
+        n_top = math.floor(n)
+        picks = {"default": None, "one": 1, "random": 1 + int(u * (n_top - 1)), "top": n_top}
+        k_star = picks[pick]
+        try:
+            full = truncation_schedule(n, d, rho2, k_star=k_star, margin=margin)
+        except ConditionViolatedError:
+            return
+        ends = np.unique(np.array([full.k_star, n_top], dtype=np.float64))
+        two = bounds._schedule(n, d, rho2, full.k_star, ends, margin)
+        assert two.valid == full.valid
+        if margin >= 1e-10:
+            assert truncation_exponents(two, n, d, rho2) == truncation_exponents(full, n, d, rho2)
+
+    def test_edge_n_takes_the_fallback(self):
+        for n in (math.inf, math.nan):
+            with pytest.raises(ConditionViolatedError, match="overflows"):
+                truncation_schedule(n, 100.0, 1e-6)
+            t = truncated_converse_risk(n, 100.0, 1e-6)
+            assert t == unconditional_converse_risk(n, 100.0, 1e-6)
+        with pytest.raises(InversionUndefinedError):
+            invert_for_rho2("det-conv", math.inf, 100.0, 0.1)
 
     def test_converse_bits_are_pinned(self):
         # Digest of the truncated converse over a fixed sweep: any change to
@@ -421,6 +470,16 @@ class TestCurvePoints:
             assert fallback == unconditional_converse_risk(10.0, 1.7e308, 1e-20)
         assert points[0].rho2_det_conv is None
 
+    def test_det_conv_is_defined_beyond_the_schedule_cap(self):
+        points, notes = curve_points("n", [1e7, 1e9, 1e10, 1e12], d=1000.0)
+        assert notes == []
+        for p in points:
+            assert p.rho2_det_conv is not None
+            assert p.rho2_det_conv <= p.rho2_det_ach
+
+    def test_empty_grid(self):
+        assert curve_points("d", [], n=100.0) == ([], [])
+
     def test_axis_validation(self):
         with pytest.raises(DomainError):
             curve_points("x", [1.0], n=10)
@@ -433,7 +492,7 @@ def _bits(x) -> str:
 
 
 # Mixed (n, d) lanes: defined values, every undefined message, a repeated d
-# (det-ach deduplicates by d) and n far above the schedule cap.
+# (det-ach deduplicates by d) and an n whose full schedule would exceed the cap.
 _MIXED_N = [10_000.0, 10_000.0, 10_000.0, 10_000.0, 1.0, 1e9, 1000.0, 1e6, 100.0]
 _MIXED_D = [18.420680743952367, 1.0, 500.0, 500.0, 100.0, 100.0, 50.0, 1e15, 3.5]
 
@@ -517,7 +576,7 @@ class TestLockstep:
     def test_curve_memory_is_bounded_by_the_lane_cap(self):
         # Uncapped, the det-ach pre-scan of 200 points would hold 8,400
         # lanes of 64 doubles (4.3 MB) per temporary array: a 34 MB peak
-        # against 1.5 MB.  n above the schedule cap keeps det-conv cheap.
+        # against 1.5 MB.  det-conv reads two subset sizes at any n.
         tracemalloc.start()
         try:
             points, _ = curve_points("d", np.linspace(20.0, 10_000.0, 200), n=1e9)

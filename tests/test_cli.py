@@ -291,6 +291,27 @@ class TestConfigTypes:
         assert f"usage error: invalid field '{field}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, field, args",
+        [
+            ("curve", "n", ["--axis", "d", "--grid", "100:200:2", "--n", "1" + "0" * 400]),
+            ("simulate-detection", "d", ["--n", "10", "--d", "1" + "0" * 400, "--rho", "0.5"]),
+        ],
+    )
+    def test_integer_beyond_float_range_is_usage_error(
+        self, monkeypatch, capsys, command, field, args
+    ):
+        def spy(*a, **k):
+            raise AssertionError("evaluation started")
+
+        for module, name in [(bounds, "curve_points"), (cli, "nominal_threshold"),
+                             (cli, "monte_carlo_risk")]:
+            monkeypatch.setattr(module, name, spy)
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: invalid field '{field}'" in err
+        assert "Traceback" not in err
+
     def test_curve_takes_real_d(self):
         cfg = parse_config(
             json.dumps({"command": "curve", "axis": "n", "grid": "10:90:5", "d": 10.9})

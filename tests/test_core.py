@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +19,9 @@ from corralign.core import (
     binomial_ci,
     cycle_decompose,
     cycle_type_count,
-    derangement_count,
     enumerate_cycle_types,
     enumerate_permutations,
     parallel_map,
-    prob_fixed_points,
     uniform_permutation,
 )
 from corralign.errors import InvalidAlternateError, SizeCapError
@@ -146,17 +143,6 @@ class TestCycleMachinery:
             census[t.counts] = census.get(t.counts, 0) + 1
         for t in enumerate_cycle_types(5):
             assert census[t.counts] == cycle_type_count(t)
-
-    def test_derangement_counts(self):
-        assert [derangement_count(n) for n in range(7)] == [1, 0, 1, 2, 9, 44, 265]
-
-    def test_prob_fixed_points_exact(self):
-        for n in range(1, 8):
-            total = sum(prob_fixed_points(n, k) for k in range(n + 1))
-            assert total == Fraction(1)
-            assert prob_fixed_points(n, 0) == Fraction(
-                derangement_count(n), math.factorial(n)
-            )
 
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=50, deadline=None)
