@@ -20,10 +20,8 @@ from .core import (
     ProblemParams,
     as_seedspec,
     binomial_ci,
-    chunks,
-    parallel_map,
+    count_failures,
 )
-from .detect import threshold_test
 from .errors import DomainError, InvalidAlternateError, SizeCapError
 from .gen import DatabasePair, sample_alt
 
@@ -82,17 +80,11 @@ def brute_force_decode(pair: DatabasePair, rho: float) -> AlignmentResult:
     return AlignmentResult(perm=Permutation(perms[best]), score=float(scores[best]))
 
 
-def _recovery_chunk(args) -> int:
-    """Count decoding failures over one batch of seeded planted trials."""
-    params, seed_spec, start, size = args
-    failures = 0
-    for index in range(start, start + size):
-        rng = seed_spec.rng(index)
-        planted = Permutation(rng.permutation(params.n))
-        pair = sample_alt(params, planted, rng)
-        if ml_decode(pair, params.rho).perm != planted:
-            failures += 1
-    return failures
+def _decode_fails(rng, params: ProblemParams) -> bool:
+    """Whether ML decoding misses the permutation planted in one seeded trial."""
+    planted = Permutation(rng.permutation(params.n))
+    pair = sample_alt(params, planted, rng)
+    return ml_decode(pair, params.rho).perm != planted
 
 
 def recovery_error_mc(
@@ -107,17 +99,8 @@ def recovery_error_mc(
     index), so the estimate is identical for any worker count.
     """
     params.require_alt()
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     spec = as_seedspec(seed, "align/recovery-error")
-    tasks = [(params, spec, start, size) for start, size in chunks(trials)]
-    failures = sum(parallel_map(_recovery_chunk, tasks, workers))
+    (failures,) = count_failures(_decode_fails, [((params,), spec)], trials, workers)
     return MCEstimate(
         value=failures / trials, ci_radius=binomial_ci(failures, trials), trials=trials
     )
-
-
-def recovery_to_detection(pair: DatabasePair, rho: float, threshold2: float) -> int:
-    """Align-then-test: decode first, then threshold the aligned-sum score."""
-    result = ml_decode(pair, rho)
-    return threshold_test(result.score, threshold2)

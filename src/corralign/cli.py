@@ -204,6 +204,8 @@ def _build_config(command: str, values: dict) -> ExperimentConfig:
                 fail(field, f"required by {command}")
         if config.rho == 0.0:
             fail("rho", f"must be nonzero for {command}")
+        if command == "simulate-detection" and config.rho * config.rho == 0.0:
+            fail("rho", "rho^2 underflows to 0; detection needs rho^2 > 0")
     if command == "curve":
         if config.axis is None:
             fail("axis", "required by curve")
@@ -456,13 +458,11 @@ def main(argv=None) -> int:
         config = resolve_config(argv)
         _emit_resolved(config)
         return _RUNNERS[config.command](config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CorralignError as exc:
+    except (UsageError, CorralignError, MemoryError) as exc:
+        # A MemoryError is an input too large to allocate; numpy names the size.
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,8 +4,9 @@ Everything downstream (samplers, decoders, bounds, oracles) builds on the types
 here.  The combinatorial helpers use exact integer arithmetic throughout; the
 seeding scheme derives every random stream as a pure function of
 ``(master_seed, stream_label, index)`` so that Monte-Carlo results never depend
-on scheduling or worker count.  ``parallel_map`` is the one process fan-out and
-``binomial_ci`` the one interval for Monte-Carlo error counts.
+on scheduling or worker count.  ``parallel_map`` is the one process fan-out,
+``count_failures`` the one seeded-trial loop, and ``binomial_ci`` the one
+interval for Monte-Carlo error counts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidAlternateError, SizeCapError
+from .errors import DomainError, InvalidAlternateError, SizeCapError
 
 #: Largest n for which integer partitions are enumerated; the oracle's exact
 #: second moment is the only user (the count grows super-polynomially beyond).
@@ -47,9 +48,31 @@ def parallel_map(fn, tasks: list, workers: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def chunks(trials: int) -> list[tuple[int, int]]:
-    """``(start, size)`` work units covering trial indices 0 .. trials - 1."""
-    return [(start, min(CHUNK, trials - start)) for start in range(0, trials, CHUNK)]
+def _count_chunk(args) -> int:
+    """Failures of one arm's trials start .. start + size - 1."""
+    trial, trial_args, spec, start, size = args
+    failures = 0
+    for index in range(start, start + size):
+        if trial(spec.rng(index), *trial_args):
+            failures += 1
+    return failures
+
+
+def count_failures(trial, arms, trials: int, workers: int = 1) -> list[int]:
+    """Per arm, how many of trials 0 .. trials - 1 make ``trial`` true.
+
+    Each arm is an ``(args, spec)`` pair, and its trial i is
+    ``trial(spec.rng(i), *args)``, so the counts do not depend on
+    ``workers``.  Trials run in ``CHUNK``-sized tasks, every arm's in one
+    ``parallel_map`` call; ``trial`` must be a module-level function.
+    """
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    per_arm = -(-trials // CHUNK)
+    tasks = [(trial, args, spec, start, min(CHUNK, trials - start))
+             for args, spec in arms for start in range(0, trials, CHUNK)]
+    counts = parallel_map(_count_chunk, tasks, workers)
+    return [sum(counts[i : i + per_arm]) for i in range(0, len(counts), per_arm)]
 
 
 def binomial_ci(count: int, trials: int) -> float:

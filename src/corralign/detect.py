@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bounds
-from .core import ProblemParams, as_seedspec, binomial_ci, chunks, parallel_map
+from .core import ProblemParams, as_seedspec, binomial_ci, count_failures
 from .errors import DomainError
 from .gen import DatabasePair
 
@@ -78,33 +76,19 @@ def optimal_gamma(params: ProblemParams) -> tuple[float, float]:
     return bounds.minimize_two_exponent(float(params.d), params.rho2)
 
 
-def _risk_chunk(args) -> int:
-    """Count threshold-test errors over one batch of seeded trials.
+def _test_errs(rng, d, scale, rho, noise, threshold, error_label) -> bool:
+    """Whether the threshold test errs on one seeded trial of one arm.
 
-    Each trial draws two standard-normal d-vectors g1, g2 from its own
-    generator and forms the column sums directly: y_sum = sqrt(n) g1 and
-    x_sum = sqrt(n) g2 (null) or x_sum = rho y_sum + sqrt(1-rho^2) sqrt(n) g2
-    (correlated).  That is the samplers' law of the sums, at O(d) per trial.
+    The trial draws two standard-normal d-vectors g1, g2 and forms the
+    column sums directly: y_sum = sqrt(n) g1 and x_sum = sqrt(n) g2 (rho = 0,
+    the null) or x_sum = rho y_sum + noise sqrt(n) g2, noise = sqrt(1-rho^2).
+    That is the samplers' law of the sums, at O(d) per trial.  ``scale`` is
+    sign(rho) n; the test errs when it decides ``error_label``.
     """
-    params, threshold, arm, seed_spec, start, size = args
-    sign = params.rho_sign
-    correlated = arm == "alt" and params.rho != 0.0
-    rho = params.rho
-    noise = math.sqrt(1.0 - params.rho2)
-    draws = np.empty((2, params.d))
-    g1, g2 = draws
-    errors = 0
-    for index in range(start, start + size):
-        seed_spec.rng(index).standard_normal(out=draws)
-        # <x_sum, y_sum> = n <x_sum / sqrt(n), g1>
-        x_unit = rho * g1 + noise * g2 if correlated else g2
-        t_stat = params.n * float(x_unit @ g1)
-        label = threshold_test(sign * t_stat, threshold)
-        if arm == "null":
-            errors += label  # false alarm
-        else:
-            errors += 1 - label  # missed detection
-    return errors
+    g1, g2 = rng.standard_normal((2, d))
+    # <x_sum, y_sum> = n <x_sum / sqrt(n), g1>
+    x_unit = rho * g1 + noise * g2 if rho else g2
+    return threshold_test(scale * float(x_unit @ g1), threshold) == error_label
 
 
 def monte_carlo_risk(
@@ -117,26 +101,23 @@ def monte_carlo_risk(
     """Estimate both error rates over `trials` draws per hypothesis.
 
     Each trial draws the two column sums, not the n x d databases, so it
-    costs O(d) time and memory (see ``_risk_chunk``); the statistic's law is
+    costs O(d) time and memory (see ``_test_errs``); the statistic's law is
     that of ``sip_statistic`` on ``gen.sample_null``/``sample_alt``, whatever
     the planted permutation.  With rho = 0 the missed-detection arm is a
     second independent null arm.  Each trial derives its generator from
     (seed, arm, trial index) alone, so results are identical for any worker
     count.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     if not math.isfinite(threshold):
         raise DomainError("threshold must be finite")
     base = as_seedspec(seed, "detect/monte-carlo-risk")
-    tasks = [
-        (params, threshold, arm, base.stream(arm), start, size)
-        for arm in ("null", "alt")
-        for start, size in chunks(trials)
+    scale = params.rho_sign * params.n
+    noise = math.sqrt(1.0 - params.rho2)
+    arms = [  # a null trial errs on deciding 1 (false alarm), an alt one on 0
+        ((params.d, scale, 0.0, noise, threshold, 1), base.stream("null")),
+        ((params.d, scale, params.rho, noise, threshold, 0), base.stream("alt")),
     ]
-    counts = parallel_map(_risk_chunk, tasks, workers)
-    fa = sum(c for t, c in zip(tasks, counts) if t[2] == "null")
-    md = sum(c for t, c in zip(tasks, counts) if t[2] == "alt")
+    fa, md = count_failures(_test_errs, arms, trials, workers)
     return RiskEstimate(
         fa_rate=fa / trials,
         md_rate=md / trials,

@@ -31,6 +31,7 @@ from .core import (
     SeedSpec,
     as_seedspec,
     binomial_ci,
+    count_failures,
     cycle_decompose,
     cycle_type_count,
     enumerate_cycle_types,
@@ -196,6 +197,8 @@ def _batches(spec: SeedSpec, trials: int):
 
     Batch b holds up to ``_BATCH`` draws from ``spec.rng(b)``.
     """
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     for batch, start in enumerate(range(0, trials, _BATCH)):
         yield spec.rng(batch), min(_BATCH, trials - start)
 
@@ -512,6 +515,12 @@ def truncation_event_holds(
     return not (np.any(norm_x <= w) or np.any(norm_y <= w) or np.any(-neg_cross >= v))
 
 
+def _event_fails(rng, params: ProblemParams, perm: Permutation, schedule) -> bool:
+    """Whether the truncation event fails on one pair drawn with ``perm`` planted."""
+    pair = sample_alt(params, perm, rng)
+    return not truncation_event_holds(pair, perm, schedule, params.rho_sign)
+
+
 def truncated_first_moment_check(
     n: int,
     d: int,
@@ -541,13 +550,9 @@ def truncated_first_moment_check(
             detail="schedule preconditions failed; no deficit bound available",
         )
     deficit = 4.0 * math.exp(-k_star * m) / -math.expm1(-m)
-    spec = as_seedspec(seed, "oracle/truncation-first-moment")
-    identity = Permutation.identity(n)
-    failures = 0
-    for index in range(trials):
-        pair = sample_alt(params, identity, spec.rng(index))
-        if not truncation_event_holds(pair, identity, schedule, params.rho_sign):
-            failures += 1
+    arm = ((params, Permutation.identity(n), schedule),
+           as_seedspec(seed, "oracle/truncation-first-moment"))
+    (failures,) = count_failures(_event_fails, [arm], trials)
     rate = failures / trials
     ci = binomial_ci(failures, trials)
     return CheckResult(

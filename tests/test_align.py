@@ -13,12 +13,10 @@ from corralign.align import (
     brute_force_decode,
     ml_decode,
     recovery_error_mc,
-    recovery_to_detection,
     score_matrix,
 )
 from corralign.assignment import max_assignment
 from corralign.core import (
-    Permutation,
     ProblemParams,
     SeedSpec,
     enumerate_permutations,
@@ -295,25 +293,3 @@ class TestRecovery:
         p = ProblemParams(n=4, d=4, rho=0.0)
         with pytest.raises(InvalidAlternateError):
             recovery_error_mc(p, 10, 0)
-
-
-class TestRecoveryToDetection:
-    def test_null_pair_large_threshold(self):
-        p = ProblemParams(n=6, d=40, rho=0.9)
-        pair = sample_null(p, SeedSpec(11, "null"))
-        # Aligned null score concentrates near O(n sqrt(d)); |rho| n d / 2 is
-        # far above it.
-        assert recovery_to_detection(pair, 0.9, 0.9 * 6 * 40 / 2) == 0
-
-    def test_correlated_pair_detected(self):
-        p = ProblemParams(n=6, d=200, rho=0.95)
-        planted = uniform_permutation(6, SeedSpec(12, "planted"))
-        pair = sample_alt(p, planted, SeedSpec(12, "data"))
-        assert recovery_to_detection(pair, 0.95, 0.95 * 6 * 200 / 2) == 1
-
-    def test_deterministic(self):
-        p = ProblemParams(n=5, d=30, rho=0.8)
-        pair = sample_alt(p, Permutation.identity(5), SeedSpec(13, "t"))
-        r1 = recovery_to_detection(pair, 0.8, 10.0)
-        r2 = recovery_to_detection(pair, 0.8, 10.0)
-        assert r1 == r2

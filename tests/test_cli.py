@@ -213,6 +213,23 @@ class TestMainExitCodes:
         assert code == 3
         assert "cannot write" in capsys.readouterr().err
 
+    # Each request exceeds the address space, so it fails without touching
+    # memory; at two threads the worker's error is re-raised in the parent.
+    @pytest.mark.parametrize(
+        "args, size",
+        [
+            (["simulate-recovery", "--n", str(10**18), "--d", "10", "--trials", "2"], "6.94 EiB"),
+            (["simulate-recovery", "--n", str(10**18), "--d", "10", "--trials", "128",
+              "--threads", "2"], "6.94 EiB"),
+            (["simulate-detection", "--n", "10", "--d", str(10**15), "--trials", "2"], "14.2 PiB"),
+        ],
+    )
+    def test_unallocatable_input_is_1(self, capsys, args, size):
+        assert main([*args, "--rho", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: Unable to allocate {size}" in err
+        assert "Traceback" not in err
+
     def test_simulate_detection_json(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main(
@@ -251,6 +268,9 @@ class TestZeroRho:
         [
             ("simulate-detection", "monte_carlo_risk", ["--threshold", "5"]),
             ("simulate-recovery", "recovery_error_mc", []),
+            # Detection also needs rho^2 > 0, which this rho underflows (the
+            # last --rho flag wins).
+            ("simulate-detection", "monte_carlo_risk", ["--rho", "1e-170"]),
         ],
     )
     def test_rejected_before_sampling(self, monkeypatch, capsys, command, sampler, extra):
@@ -443,6 +463,33 @@ class TestSimulateRecoveryGolden:
     )
     def test_csv_stdout_digest(self, args, digest, capsys):
         assert main(["simulate-recovery", *args, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSimulateDetectionGolden:
+    # Both arms' draws and a negative rho's statistic orientation, pinned at
+    # one and at several workers.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["--rho", "0.3", "--trials", "500", "--seed", "5", "--threads", "1"],
+                "f2f27b186015c2e1a97083ca0490ad63648e238aaf871fdc8d99c4b8039b27da",
+            ),
+            (
+                ["--rho", "0.3", "--trials", "500", "--seed", "5", "--threads", "3"],
+                "f2f27b186015c2e1a97083ca0490ad63648e238aaf871fdc8d99c4b8039b27da",
+            ),
+            (
+                ["--rho", "-0.3", "--trials", "300", "--seed", "9"],
+                "743c463c72d0c93afb7c7addf5c3c55b13899558f951d0751447f779fa532a3a",
+            ),
+        ],
+    )
+    def test_csv_stdout_digest(self, args, digest, capsys):
+        argv = ["simulate-detection", "--n", "20", "--d", "50", *args, "--format", "csv"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

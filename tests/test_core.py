@@ -17,6 +17,7 @@ from corralign.core import (
     SeedSpec,
     as_seedspec,
     binomial_ci,
+    count_failures,
     cycle_decompose,
     cycle_type_count,
     enumerate_cycle_types,
@@ -24,7 +25,7 @@ from corralign.core import (
     parallel_map,
     uniform_permutation,
 )
-from corralign.errors import InvalidAlternateError, SizeCapError
+from corralign.errors import DomainError, InvalidAlternateError, SizeCapError
 
 
 class TestProblemParams:
@@ -221,6 +222,29 @@ class TestParallelMap:
         assert asked == [3]
 
 
+def _below(rng, p):
+    return rng.random() < p
+
+
+class TestCountFailures:
+    # 130 trials are three CHUNK-sized tasks per arm, the last one short.
+    ARMS = [((0.3,), SeedSpec(4, "a")), ((0.0,), SeedSpec(4, "b")), ((1.0,), SeedSpec(4, "c"))]
+
+    def test_counts_do_not_depend_on_workers(self):
+        serial = count_failures(_below, self.ARMS, 130, workers=1)
+        assert count_failures(_below, self.ARMS, 130, workers=3) == serial
+
+    def test_arms_do_not_mix(self):
+        first, never, always = count_failures(_below, self.ARMS, 130)
+        assert (never, always) == (0, 130)
+        expected = sum(SeedSpec(4, "a").rng(i).random() < 0.3 for i in range(130))
+        assert first == expected
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(DomainError):
+            count_failures(_below, self.ARMS, 0)
+
+
 class TestBinomialCi:
     def test_rule_of_three_at_degenerate_counts(self):
         assert binomial_ci(0, 200) == 3.0 / 200
@@ -231,7 +255,7 @@ class TestBinomialCi:
 
 
 def test_pool_and_interval_live_only_in_core():
-    """A second process fan-out or binomial-interval copy must not creep back."""
+    """A second process fan-out, binomial-interval or trial-loop copy must not creep back."""
     sources = {p.name: p.read_text() for p in Path(corralign.__file__).parent.glob("*.py")}
-    for needle in ("ProcessPoolExecutor", "3.0 / trials"):
+    for needle in ("ProcessPoolExecutor", "3.0 / trials", "range(start, start + size)"):
         assert [name for name, text in sources.items() if needle in text] == ["core.py"]

@@ -229,6 +229,24 @@ class TestConcentration:
             laurent_massart_check(3, [0.0, 0.0, 0.0], [1.0], 1000, 0)
 
 
+@pytest.mark.parametrize(
+    "helper, args",
+    [
+        (truncated_first_moment_check, (12, 40, math.sqrt(0.2), 4, 1.0)),
+        (quadratic_mgf_check, (np.diag([0.3, -0.2]), [1.0, 0.0])),
+        (pair_mgf_check, (0.15, 0.25, 2)),
+        (mc_second_moment, (2, 2, 0.3)),
+        (tv_risk_lower_bound_mc, (2, 2, 0.3)),
+        (laurent_massart_check, (2, [1, 1], [1.0])),
+        (gaussian_chaos_check, (np.eye(2), [1.0])),
+    ],
+)
+def test_zero_trials_is_domain_error(helper, args):
+    # Every Monte-Carlo rate or mean divides by the trial count.
+    with pytest.raises(DomainError, match="trials"):
+        helper(*args, 0, 0)
+
+
 class TestTruncationEvent:
     def _setup(self, n=8, d=30, rho=0.4, k_star=3, margin=0.5):
         p = ProblemParams(n=n, d=d, rho=rho)
