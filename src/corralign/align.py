@@ -15,18 +15,20 @@ import numpy as np
 
 from .assignment import max_assignment
 from .core import (
+    FACTORIAL_CAP,
     MCEstimate,
     Permutation,
     ProblemParams,
     as_seedspec,
     binomial_ci,
     count_failures,
+    enumerate_permutations,
 )
-from .errors import DomainError, InvalidAlternateError, SizeCapError
+from .errors import DomainError, InvalidAlternateError
 from .gen import DatabasePair, sample_alt
 
-#: Largest n for which brute-force decoding (n! enumeration) is allowed.
-BRUTE_FORCE_CAP = 8
+#: Largest n for brute-force decoding: the n! enumeration cap.
+BRUTE_FORCE_CAP = FACTORIAL_CAP
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,8 @@ def ml_decode(pair: DatabasePair, rho: float) -> AlignmentResult:
 
 def brute_force_decode(pair: DatabasePair, rho: float) -> AlignmentResult:
     """Exhaustive argmax over all n! alignments (n <= 8); ties break lex-smallest."""
-    from .core import enumerate_permutations
-
     sign = _require_corr(rho)
     n = pair.n
-    if n > BRUTE_FORCE_CAP:
-        raise SizeCapError(f"brute force decoding is capped at n = {BRUTE_FORCE_CAP}")
     s = score_matrix(pair, sign)
     perms = enumerate_permutations(n)
     scores = s[np.arange(n), perms].sum(axis=1)

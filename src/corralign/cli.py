@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,6 @@ from .errors import CorralignError
 
 CURVE_HEADER = ",".join(f.name for f in dataclasses.fields(bounds.BoundCurvePoint))
 _VERIFY_COLUMNS = ("name", "passed", "statistic", "reference")
-
-COMMANDS = ("simulate-detection", "simulate-recovery", "curve", "verify")
 
 
 class UsageError(Exception):
@@ -47,7 +46,7 @@ class OutputError(Exception):
 class ExperimentConfig:
     """Fully resolved options for one CLI run.
 
-    ``parse(render(config))`` reproduces the config exactly; unknown fields
+    ``--config`` with the rendered JSON reproduces the config; unknown fields
     are rejected by name so config files cannot silently drift.
     """
 
@@ -82,145 +81,111 @@ class ExperimentConfig:
         return "csv" if self.command == "curve" else "json"
 
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+class _Rule(NamedTuple):
+    """A config field's type (``int``, ``float`` or ``str``, also its flag's
+    parser), its domain and the message for a value outside the domain."""
 
-_INT_FIELDS = ("n", "trials", "seed", "threads", "kstar")
-_REAL_FIELDS = ("d", "rho", "threshold", "risk", "margin", "epsilon_d")
+    kind: type
+    ok: Callable[[object], bool] = lambda value: True
+    why: str = ""
 
 
-def _has_field_type(key: str, value, command: str) -> bool:
-    """Whether a config value has its field's type; booleans are not numbers.
+#: One rule per field of ``ExperimentConfig`` but ``command`` and ``grid``.
+_FIELDS = {
+    "n": _Rule(int, lambda v: v >= 1, "must be >= 1"),
+    "d": _Rule(int, lambda v: v >= 1, "must be >= 1"),
+    "rho": _Rule(float, lambda v: -1.0 < v < 1.0, "must lie in (-1, 1)"),
+    "trials": _Rule(int, lambda v: v >= 1, "must be a positive integer"),
+    "seed": _Rule(int, lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer"),
+    "out": _Rule(str),
+    "format": _Rule(str, lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
+    "threads": _Rule(int, lambda v: v >= 1, "must be >= 1"),
+    "threshold": _Rule(float),
+    "axis": _Rule(str, lambda v: v in ("d", "n"), "must be 'd' or 'n'"),
+    "risk": _Rule(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "kstar": _Rule(int, lambda v: v >= 1, "must be >= 1"),
+    "margin": _Rule(float, lambda v: v > 0.0, "must be > 0"),
+    "epsilon_d": _Rule(float, lambda v: v >= 0.0, "must be >= 0"),
+}
 
-    ``d`` is a real only for ``curve``; the simulations need whole dimensions.
-    Numbers, whole or real, must be finite and fit a float.
+
+def _kind(key: str, command: str) -> type:
+    """Field ``key``'s type; ``d`` is a real only for ``curve``, the
+    simulations need whole dimensions."""
+    return float if key == "d" and command == "curve" else _FIELDS[key].kind
+
+
+def _invalid(key: str, why: str) -> UsageError:
+    return UsageError(f"invalid field {key!r}: {why}")
+
+
+def _check(key: str, value, command: str):
+    """``value`` if it has field ``key``'s type and lies in its domain.
+
+    Booleans are not numbers; numbers, whole or real, must be finite and fit
+    a float.
     """
-    if key in _INT_FIELDS or (key == "d" and command != "curve"):
-        kinds: type | tuple = int
-    elif key in _REAL_FIELDS:
-        kinds = (int, float)
-    else:
-        return isinstance(value, str)
-    return (
-        isinstance(value, kinds)
+    kind = _kind(key, command)
+    if not (
+        isinstance(value, (int, float) if kind is float else kind)
         and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max  # finite, and fits a float
-    )
-
-
-def _json_object(text: str, source: str) -> dict:
-    """Parse ``text`` as a JSON object; ``source`` names it in errors."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{source} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise UsageError(f"{source} must be a JSON object")
-    return data
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Inverse of ``ExperimentConfig.render``."""
-    data = _json_object(text, "config")
-    command = data.get("command")
-    if command is None:
-        raise UsageError("config missing required field 'command'")
-    rest = {k: v for k, v in data.items() if k != "command"}
-    return _build_config(str(command), rest)
+        and (kind is str or abs(value) <= sys.float_info.max)
+    ):
+        raise _invalid(key, f"wrong type {type(value).__name__} ({value!r})")
+    if not _FIELDS[key].ok(value):
+        raise _invalid(key, _FIELDS[key].why)
+    return value
 
 
 def _parse_grid(value) -> tuple[float, float, int]:
     if isinstance(value, str):
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise UsageError("field 'grid' must have the form start:stop:count")
-        value = parts
+        value = value.split(":")
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise UsageError("field 'grid' must have the form start:stop:count")
+        raise _invalid("grid", "must have the form start:stop:count")
     if any(isinstance(v, bool) for v in value) or isinstance(value[2], float):
-        raise UsageError("field 'grid' must contain two reals and a whole count")
+        raise _invalid("grid", "must contain two reals and a whole count")
     try:
         start, stop, count = float(value[0]), float(value[1]), int(value[2])
     except (TypeError, ValueError):
-        raise UsageError("field 'grid' must contain two reals and a count") from None
+        raise _invalid("grid", "must contain two reals and a count") from None
     if count < 1:
-        raise UsageError("field 'grid' needs a positive point count")
+        raise _invalid("grid", "needs a positive point count")
     if not (math.isfinite(start) and math.isfinite(stop)) or start <= 0 or stop <= 0:
-        raise UsageError("field 'grid' endpoints must be positive and finite")
+        raise _invalid("grid", "endpoints must be positive and finite")
     return (start, stop, count)
 
 
 def _build_config(command: str, values: dict) -> ExperimentConfig:
-    if command not in COMMANDS:
-        raise UsageError(
-            f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
-        )
-    for key in values:
-        if key not in _FIELD_NAMES or key == "command":
-            raise UsageError(f"unknown config field {key!r}")
-
-    def fail(field: str, why: str):
-        raise UsageError(f"invalid field {field!r}: {why}")
-
     kwargs: dict[str, object] = {"command": command}
     for key, value in values.items():
-        if value is None:
-            continue
-        if key == "grid":
-            kwargs[key] = _parse_grid(value)
-        elif _has_field_type(key, value, command):
-            kwargs[key] = value
-        else:
-            fail(key, f"wrong type {type(value).__name__} ({value!r})")
+        if key != "grid" and key not in _FIELDS:
+            raise UsageError(f"unknown config field {key!r}")
+        if value is not None:
+            kwargs[key] = _parse_grid(value) if key == "grid" else _check(key, value, command)
     config = ExperimentConfig(**kwargs)
-
-    if config.trials < 1:
-        fail("trials", "must be a positive integer")
-    if not 0 <= int(config.seed) < 2**64:
-        fail("seed", "must fit in an unsigned 64-bit integer")
-    if config.threads < 1:
-        fail("threads", "must be >= 1")
-    if config.format is not None and config.format not in ("csv", "json"):
-        fail("format", "must be 'csv' or 'json'")
-    if config.axis is not None and config.axis not in ("d", "n"):
-        fail("axis", "must be 'd' or 'n'")
-    if not 0.0 < config.risk < 1.0:
-        fail("risk", "must lie in (0, 1)")
-    if config.margin <= 0.0:
-        fail("margin", "must be > 0")
-    if config.epsilon_d < 0.0:
-        fail("epsilon_d", "must be >= 0")
-    if config.kstar is not None and config.kstar < 1:
-        fail("kstar", "must be >= 1")
-    if config.n is not None and config.n < 1:
-        fail("n", "must be >= 1")
-    if config.d is not None and config.d < 1:
-        fail("d", "must be >= 1")
-    if config.rho is not None and not -1.0 < config.rho < 1.0:
-        fail("rho", "must lie in (-1, 1)")
-
     if command in ("simulate-detection", "simulate-recovery"):
         for field in ("n", "d", "rho"):
             if getattr(config, field) is None:
-                fail(field, f"required by {command}")
+                raise _invalid(field, f"required by {command}")
         if config.rho == 0.0:
-            fail("rho", f"must be nonzero for {command}")
+            raise _invalid("rho", f"must be nonzero for {command}")
         if command == "simulate-detection" and config.rho * config.rho == 0.0:
-            fail("rho", "rho^2 underflows to 0; detection needs rho^2 > 0")
+            raise _invalid("rho", "rho^2 underflows to 0; detection needs rho^2 > 0")
     if command == "curve":
         if config.axis is None:
-            fail("axis", "required by curve")
+            raise _invalid("axis", "required by curve")
         if config.grid is None:
-            fail("grid", "required by curve")
+            raise _invalid("grid", "required by curve")
         if min(config.grid[:2]) < 1.0:
-            fail("grid", f"endpoints must be >= 1 (a grid of {config.axis} values)")
+            raise _invalid("grid", f"endpoints must be >= 1 (a grid of {config.axis} values)")
         if config.axis == "d" and config.n is None:
-            fail("n", "required when sweeping d")
+            raise _invalid("n", "required when sweeping d")
         if config.axis == "n" and config.d is None:
-            fail("d", "required when sweeping n")
+            raise _invalid("d", "required when sweeping n")
         # A k_star above n has no schedule; reject it when no grid point could use it.
         n_max = config.n if config.axis == "d" else max(config.grid[:2])
         if config.kstar is not None and config.kstar > n_max:
-            fail("kstar", f"must not exceed the largest n on the grid ({n_max})")
+            raise _invalid("kstar", f"must not exceed the largest n on the grid ({n_max})")
     return config
 
 
@@ -233,42 +198,32 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="corralign", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_common(p: _Parser) -> None:
+    def add_command(command: str, help: str, *flags: tuple[str, str]) -> _Parser:
+        """One subcommand with the common flags, then ``(field, help)`` flags."""
+        p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="master seed (u64)")
-        p.add_argument("--trials", type=int, help="Monte-Carlo trials per arm")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--threads", type=int, help="worker processes")
+        common = [("seed", "master seed (u64)"), ("trials", "Monte-Carlo trials per arm"),
+                  ("out", "output path (default: stdout)"),
+                  ("format", "output format: csv or json"), ("threads", "worker processes")]
+        for key, text in common + list(flags):
+            option = "--" + key.replace("_", "-")
+            p.add_argument(option, dest=key, type=_kind(key, command), help=text)
+        return p
 
-    def add_params(p: _Parser) -> None:
-        p.add_argument("--n", type=int, help="number of rows")
-        p.add_argument("--d", type=int, help="feature dimension")
-        p.add_argument("--rho", type=float, help="correlation coefficient")
-
-    p_det = sub.add_parser("simulate-detection", help="Monte-Carlo risk of the threshold test")
-    add_common(p_det)
-    add_params(p_det)
-    p_det.add_argument("--threshold", type=float, help="test threshold (default |rho|dn/2)")
-
-    p_rec = sub.add_parser("simulate-recovery", help="Monte-Carlo exact-alignment error")
-    add_common(p_rec)
-    add_params(p_rec)
-
-    p_curve = sub.add_parser("curve", help="invert all bounds along a grid of d or n")
-    add_common(p_curve)
-    p_curve.add_argument("--n", type=int, help="fixed n (axis=d sweeps)")
-    p_curve.add_argument("--d", type=float, help="fixed d (axis=n sweeps)")
-    p_curve.add_argument("--axis", choices=("d", "n"), help="sweep variable")
+    params = [("n", "number of rows"), ("d", "feature dimension"),
+              ("rho", "correlation coefficient")]
+    add_command("simulate-detection", "Monte-Carlo risk of the threshold test", *params,
+                ("threshold", "test threshold (default |rho|dn/2)"))
+    add_command("simulate-recovery", "Monte-Carlo exact-alignment error", *params)
+    p_curve = add_command(
+        "curve", "invert all bounds along a grid of d or n",
+        ("n", "fixed n (axis=d sweeps)"), ("d", "fixed d (axis=n sweeps)"),
+        ("axis", "sweep variable: d or n"), ("risk", "target risk level"),
+        ("kstar", "truncation depth override"), ("margin", "truncation schedule margin"),
+        ("epsilon_d", "recovery-converse exponent correction"),
+    )
     p_curve.add_argument("--grid", help="start:stop:count (linear spacing)")
-    p_curve.add_argument("--risk", type=float, help="target risk level")
-    p_curve.add_argument("--kstar", type=int, help="truncation depth override")
-    p_curve.add_argument("--margin", type=float, help="truncation schedule margin")
-    p_curve.add_argument("--epsilon-d", dest="epsilon_d", type=float,
-                         help="recovery-converse exponent correction")
-
-    p_verify = sub.add_parser("verify", help="run the oracle verification suite")
-    add_common(p_verify)
+    add_command("verify", "run the oracle verification suite")
     return parser
 
 
@@ -279,14 +234,19 @@ def resolve_config(argv) -> ExperimentConfig:
     if namespace.command is None:
         raise UsageError("a command is required (see --help)")
     values: dict[str, object] = {}
-    if getattr(namespace, "config", None):
+    if namespace.config:
         path = namespace.config
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise OutputError(f"cannot read config file '{path}': {exc}") from None
-        data = _json_object(text, f"config file '{path}'")
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file '{path}' is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise UsageError(f"config file '{path}' must be a JSON object")
         file_command = data.pop("command", None)
         if file_command is not None and file_command != namespace.command:
             raise UsageError(
@@ -321,10 +281,6 @@ def _write_output(out: str | None, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise OutputError(f"cannot write output file '{out}': {exc}") from None
-
-
-def _emit_resolved(config: ExperimentConfig) -> None:
-    print(f"config: {config.render()}", file=sys.stderr)
 
 
 def _write_report(
@@ -456,7 +412,7 @@ _RUNNERS = {
 def main(argv=None) -> int:
     try:
         config = resolve_config(argv)
-        _emit_resolved(config)
+        print(f"config: {config.render()}", file=sys.stderr)
         return _RUNNERS[config.command](config)
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import hashlib
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -140,32 +140,26 @@ class SeedSpec:
 
     master_seed: int
     stream_label: str = "main"
+    _label_words: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:
             raise ValueError(
                 f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}"
             )
+        digest = hashlib.sha256(self.stream_label.encode("utf-8")).digest()
+        words = (int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:16], "big"))
+        object.__setattr__(self, "_label_words", words)
 
     def stream(self, sub_label: str) -> "SeedSpec":
         """A child spec for a named sub-stream."""
         return replace(self, stream_label=f"{self.stream_label}/{sub_label}")
 
-    def _label_words(self) -> tuple[int, int]:
-        digest = hashlib.sha256(self.stream_label.encode("utf-8")).digest()
-        return (
-            int.from_bytes(digest[:8], "big"),
-            int.from_bytes(digest[8:16], "big"),
-        )
-
-    def seed_sequence(self, index: int = 0) -> np.random.SeedSequence:
+    def rng(self, index: int = 0) -> np.random.Generator:
         if index < 0:
             raise ValueError("index must be nonnegative")
-        w0, w1 = self._label_words()
-        return np.random.SeedSequence(entropy=(self.master_seed, w0, w1, index))
-
-    def rng(self, index: int = 0) -> np.random.Generator:
-        return np.random.default_rng(self.seed_sequence(index))
+        entropy = (self.master_seed, *self._label_words, index)
+        return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
 def as_seedspec(seed: "SeedSpec | int", label: str = "main") -> SeedSpec:

@@ -41,8 +41,6 @@ from .core import (
 from .errors import DomainError, SizeCapError
 from .gen import DatabasePair, sample_alt
 
-#: n! enumeration cap for likelihood-ratio evaluation.
-LIKELIHOOD_CAP = 8
 #: cycle-type cap for the exact second moment.
 SECOND_MOMENT_CAP = 10
 #: cap for Monte-Carlo likelihood statistics.
@@ -127,10 +125,6 @@ def log_likelihood_ratio(pair: DatabasePair, rho: float) -> float:
     rho = float(rho)
     if not -1.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (-1, 1), got {rho}")
-    if pair.n > LIKELIHOOD_CAP:
-        raise SizeCapError(
-            f"likelihood enumeration is capped at n = {LIKELIHOOD_CAP}, got {pair.n}"
-        )
     return float(_batched_log_l(pair.x[None], pair.y[None], rho)[0])
 
 

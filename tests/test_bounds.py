@@ -337,6 +337,18 @@ class TestConverses:
         digest = hashlib.sha256(",".join(float(v).hex() for v in vals).encode()).hexdigest()
         assert digest == "dbaf988e4e92cc4d4ee20cf788c92cf8ac350ac267aed2f808262431437bbdb4"
 
+    def test_zero_rho2_is_the_unconditional_bound(self):
+        assert truncated_converse_risk(100, 10, 0.0) == 1.0
+
+    def test_invalid_schedule_falls_back(self):
+        # The schedule's preconditions hold and B2 does not overflow, but the
+        # schedule built on the two end sizes is not valid.
+        args = (64.9, 36.7, 4.08e-5)
+        assert not truncation_schedule(*args, k_star=44, margin=8.19).valid
+        uncond = unconditional_converse_risk(*args)
+        assert uncond == 0.6805325700181591
+        assert truncated_converse_risk(*args, k_star=44, margin=8.19) == uncond
+
 
 class TestRecoveryBounds:
     def test_ach_formula_small_case(self):
@@ -366,6 +378,14 @@ class TestRecoveryBounds:
 
     def test_conv_clamped_at_zero(self):
         assert recovery_conv_perr(10, 100, 0.9) == 0.0
+
+    def test_ach_removable_singularity(self):
+        # n = 2, d = 2, rho2 = 3/4 gives b = 2 * (1/4)^(1/2) = 1 exactly; the
+        # geometric series b (1 - b^n) / (1 - b) has the limit n there.
+        assert math.log(2) + 0.5 * math.log1p(-0.75) == 0.0
+        assert recovery_ach_perr(2, 2, 0.75) == 2.0
+        for rho2 in (0.7499999, 0.7500001):
+            assert abs(recovery_ach_perr(2, 2, rho2) - 2.0) <= 1e-6
 
 
 class TestInversion:
@@ -593,3 +613,17 @@ def test_one_golden_section_loop():
     sources = {p.name: p.read_text() for p in Path(corralign.__file__).parent.glob("*.py")}
     hits = {name: len(golden.findall(text)) for name, text in sources.items()}
     assert {name: k for name, k in hits.items() if k} == {"bounds.py": 1}
+
+
+def test_golden_min_stops_at_max_iter():
+    """An objective that never converges (all NaN) ends after max_iter steps."""
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.full_like(x, np.nan)
+
+    x, fx = bounds._golden_min(f, np.array([0.0, 1.0]), np.array([1.0, 3.0]), max_iter=37)
+    assert len(calls) == 2 + 37  # the two start points, then one per step
+    assert np.isnan(fx).all()
+    assert ((x >= [0.0, 1.0]) & (x <= [1.0, 3.0])).all()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,20 +9,31 @@ from pathlib import Path
 import pytest
 
 import corralign
-from corralign import bounds, cli
+from corralign import bounds, cli, oracle
 from corralign.bounds import BoundCurvePoint
 from corralign.cli import (
     CURVE_HEADER,
     ExperimentConfig,
     UsageError,
     main,
-    parse_config,
     resolve_config,
 )
 
 
+@pytest.fixture
+def read_config(tmp_path):
+    """Resolve a JSON config text the way ``--config`` reads a file."""
+
+    def read(text: str) -> ExperimentConfig:
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        return resolve_config([json.loads(text)["command"], "--config", str(path)])
+
+    return read
+
+
 class TestConfigRoundTrip:
-    def test_simulate_round_trip(self):
+    def test_simulate_round_trip(self, read_config):
         cfg = ExperimentConfig(
             command="simulate-detection",
             n=50,
@@ -32,9 +44,9 @@ class TestConfigRoundTrip:
             threads=2,
             threshold=12.5,
         )
-        assert parse_config(cfg.render()) == cfg
+        assert read_config(cfg.render()) == cfg
 
-    def test_curve_round_trip(self):
+    def test_curve_round_trip(self, read_config):
         cfg = ExperimentConfig(
             command="curve",
             n=1000,
@@ -46,48 +58,48 @@ class TestConfigRoundTrip:
             epsilon_d=0.1,
             format="json",
         )
-        assert parse_config(cfg.render()) == cfg
+        assert read_config(cfg.render()) == cfg
 
-    def test_unknown_field_rejected(self):
+    def test_unknown_field_rejected(self, read_config):
         with pytest.raises(UsageError, match="bogus"):
-            parse_config(json.dumps({"command": "verify", "bogus": 1}))
+            read_config(json.dumps({"command": "verify", "bogus": 1}))
 
-    def test_unknown_command_rejected(self):
-        with pytest.raises(UsageError, match="unknown command"):
-            parse_config(json.dumps({"command": "flyswatter"}))
+    def test_unknown_command_rejected(self, read_config):
+        with pytest.raises(UsageError, match="invalid choice: 'flyswatter'"):
+            read_config(json.dumps({"command": "flyswatter"}))
 
-    def test_missing_required_named(self):
+    def test_missing_required_named(self, read_config):
         with pytest.raises(UsageError, match="'rho'"):
-            parse_config(
+            read_config(
                 json.dumps({"command": "simulate-detection", "n": 3, "d": 3})
             )
 
-    def test_grid_string_form(self):
-        cfg = parse_config(
+    def test_grid_string_form(self, read_config):
+        cfg = read_config(
             json.dumps({"command": "curve", "axis": "d", "grid": "10:90:5", "n": 100})
         )
         assert cfg.grid == (10.0, 90.0, 5)
 
-    def test_grid_malformed(self):
+    def test_grid_malformed(self, read_config):
         with pytest.raises(UsageError, match="grid"):
-            parse_config(
+            read_config(
                 json.dumps({"command": "curve", "axis": "d", "grid": "10:90", "n": 5})
             )
         for grid in ([10, 90, 2.5], [True, 90, 5]):
             with pytest.raises(UsageError, match="grid"):
-                parse_config(
+                read_config(
                     json.dumps({"command": "curve", "axis": "d", "grid": grid, "n": 5})
                 )
 
-    def test_validation_messages_name_field(self):
+    def test_validation_messages_name_field(self, read_config):
         with pytest.raises(UsageError, match="'trials'"):
-            parse_config(
+            read_config(
                 json.dumps(
                     {"command": "verify", "trials": 0}
                 )
             )
         with pytest.raises(UsageError, match="'risk'"):
-            parse_config(json.dumps({"command": "verify", "risk": 2.0}))
+            read_config(json.dumps({"command": "verify", "risk": 2.0}))
 
 
 class TestCurveGridFloor:
@@ -111,8 +123,8 @@ class TestCurveGridFloor:
         assert "usage error: invalid field 'grid'" in captured.err
         assert captured.out == ""
 
-    def test_endpoint_at_one_is_accepted(self):
-        cfg = parse_config(
+    def test_endpoint_at_one_is_accepted(self, read_config):
+        cfg = read_config(
             json.dumps({"command": "curve", "axis": "n", "grid": "1:10:3", "d": 100})
         )
         assert cfg.grid == (1.0, 10.0, 3)
@@ -147,8 +159,8 @@ class TestCurveKstar:
             {"axis": "n", "grid": "100:10:3", "d": 1000, "kstar": 50},
         ],
     )
-    def test_kstar_usable_somewhere_is_accepted(self, fields):
-        assert parse_config(json.dumps({"command": "curve", **fields})).kstar == fields["kstar"]
+    def test_kstar_usable_somewhere_is_accepted(self, fields, read_config):
+        assert read_config(json.dumps({"command": "curve", **fields})).kstar == fields["kstar"]
 
 
 class TestResolveConfig:
@@ -332,11 +344,72 @@ class TestConfigTypes:
         assert f"usage error: invalid field '{field}'" in err
         assert "Traceback" not in err
 
-    def test_curve_takes_real_d(self):
-        cfg = parse_config(
+    def test_curve_takes_real_d(self, read_config):
+        cfg = read_config(
             json.dumps({"command": "curve", "axis": "n", "grid": "10:90:5", "d": 10.9})
         )
         assert cfg.d == 10.9
+
+
+_VALID = {
+    "simulate-detection": {"n": 20, "d": 50, "rho": 0.3, "trials": 5},
+    "simulate-recovery": {"n": 20, "d": 50, "rho": 0.3, "trials": 5},
+    "curve": {"axis": "d", "grid": "100:200:2", "n": 100},
+    "verify": {},
+}
+
+# One value outside each field rule's domain (for ``out``, its type: every
+# flag value is a string, so ``out`` has no rejected flag value).
+_RULE_CASES = [
+    ("simulate-recovery", "n", 0),
+    ("simulate-detection", "d", 0),
+    ("curve", "d", 0.5),
+    ("simulate-detection", "rho", 1.0),
+    ("verify", "trials", 0),
+    ("verify", "seed", 2**64),
+    ("verify", "out", 5),
+    ("curve", "format", "xml"),
+    ("verify", "threads", 0),
+    ("simulate-detection", "threshold", float("nan")),
+    ("curve", "axis", "q"),
+    ("curve", "risk", 1.0),
+    ("curve", "kstar", 0),
+    ("curve", "margin", 0.0),
+    ("curve", "epsilon_d", -0.5),
+]
+
+
+class TestFieldRules:
+    def test_one_rule_per_config_field(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(cli._FIELDS) == names - {"command", "grid"}
+        assert {field for _, field, _ in _RULE_CASES} == set(cli._FIELDS)
+
+    @pytest.mark.parametrize(
+        "source, command, field, value",
+        [("config", *case) for case in _RULE_CASES]
+        + [("flag", *case) for case in _RULE_CASES if case[1] != "out"],
+    )
+    def test_rejected_value_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, source, command, field, value
+    ):
+        def spy(config):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setitem(cli._RUNNERS, command, spy)
+        config = {**_VALID[command], field: value}
+        if source == "flag":
+            argv = [command]
+            for key, item in config.items():
+                argv += ["--" + key.replace("_", "-"), str(item)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = [command, "--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: invalid field '{field}'" in err
+        assert "Traceback" not in err
 
 
 class TestCurveOutput:
@@ -552,6 +625,25 @@ class TestReportGolden:
         assert main(["curve", *args, "--format", "csv", "--threads", threads]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_failure_exits_2(monkeypatch, capsys):
+    checks = ("exponent-floor-fa", "sqrt-cube-envelope")
+    monkeypatch.setattr(oracle, "VERIFY_CHECKS", checks)
+    monkeypatch.setitem(
+        oracle._REGISTRY,
+        "sqrt-cube-envelope",
+        lambda spec: oracle.CheckResult("sqrt-cube-envelope", False, 1.0, 0.0),
+    )
+    assert main(["verify", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert "verification failed: sqrt-cube-envelope" in captured.err
+    header, *rows = captured.out.splitlines()
+    assert header == "name,passed,statistic,reference"
+    assert [row.split(",")[:2] for row in rows] == [
+        ["exponent-floor-fa", "1"],
+        ["sqrt-cube-envelope", "0"],
+    ]
 
 
 def test_bound_columns_and_report_envelope_declared_once():
