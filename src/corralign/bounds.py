@@ -166,7 +166,7 @@ def minimize_two_exponent(d, rho2):
     dd, r2 = d_in.ravel(), r2_in.ravel()
     if not np.all((0.0 < r2) & (r2 < 1.0)):
         raise DomainError("rho2 must lie in (0, 1)")
-    if np.any(dd < 1.0):
+    if not np.all(dd >= 1.0):  # NaN fails this too
         raise DomainError("d must be >= 1")
     passes = [_minimize_lanes(dd[i : i + LANE_CAP], r2[i : i + LANE_CAP])
               for i in range(0, max(r2.size, 1), LANE_CAP)]
@@ -592,7 +592,11 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
         finite = vals[np.isfinite(vals)]
         increases = np.diff(finite) > 1e-9 * np.maximum(np.abs(finite[:-1]), 1.0)
         high_side = high(vals, target)
-        if np.any(increases):
+        if np.any(np.isnan(vals)):
+            out.append(InversionUndefinedError(
+                f"{bound_kind} bound is NaN on the rho2 pre-scan; inversion undefined"
+            ))
+        elif np.any(increases):
             out.append(InversionUndefinedError(
                 f"{bound_kind} bound is not decreasing in rho2; inversion undefined"
             ))
@@ -648,8 +652,8 @@ def invert_for_rho2(
     still on the high side of the target (``> target`` for achievability,
     ``>= target`` for converses) and reports the bracket's high end for
     achievability, its low end for converses.  Raises
-    ``InversionUndefinedError`` when the target is never crossed on (0, 1)
-    or monotonicity fails.
+    ``InversionUndefinedError`` when the target is never crossed on (0, 1),
+    monotonicity fails or the pre-scan holds a NaN.
 
     ``n`` and ``d`` may also be arrays, broadcast to a block of lanes.  The
     block is inverted at once and a list comes back with, per lane, the
@@ -786,9 +790,4 @@ def curve_points(
     results = parallel_map(_curve_block, tasks, workers)
     points = [p for block_points, _ in results for p in block_points]
     notes = [msg for _, msgs in results for msg in msgs]
-    notes += [
-        f"axis={p.axis!r}: detection converse exceeds achievable"
-        for p in points
-        if p.converse_exceeds_achievable
-    ]
     return points, notes

@@ -69,11 +69,7 @@ class ExperimentConfig:
 
     def render(self) -> str:
         """Canonical JSON form (stable key order = field order)."""
-        out: dict[str, object] = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            out[field.name] = list(value) if isinstance(value, tuple) else value
-        return json.dumps(out)
+        return json.dumps(dataclasses.asdict(self))
 
     def resolved_format(self) -> str:
         if self.format is not None:
@@ -305,7 +301,7 @@ def _write_report(
 def _write_results(config: ExperimentConfig, results: dict) -> None:
     """Write one simulation's results: a JSON report or a one-row CSV."""
     fields = {
-        "config": json.loads(config.render()),
+        "config": dataclasses.asdict(config),
         "results": results,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -377,15 +373,12 @@ def run_curve(config: ExperimentConfig) -> int:
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
     rows = [dataclasses.asdict(p) for p in points]
-    _write_report(config, {"config": json.loads(config.render()), "rows": rows}, rows)
-    for p in points:
-        if p.converse_exceeds_achievable:
-            print(
-                f"error: detection converse exceeds achievable at axis={p.axis!r}",
-                file=sys.stderr,
-            )
-            return 2
-    return 0
+    _write_report(config, {"config": dataclasses.asdict(config), "rows": rows}, rows)
+    violations = [p for p in points if p.converse_exceeds_achievable]
+    for p in violations:
+        print(f"error: detection converse exceeds achievable at axis={p.axis!r}",
+              file=sys.stderr)
+    return 2 if violations else 0
 
 
 def run_verify(config: ExperimentConfig) -> int:

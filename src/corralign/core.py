@@ -5,8 +5,9 @@ here.  The combinatorial helpers use exact integer arithmetic throughout; the
 seeding scheme derives every random stream as a pure function of
 ``(master_seed, stream_label, index)`` so that Monte-Carlo results never depend
 on scheduling or worker count.  ``parallel_map`` is the one process fan-out,
-``count_failures`` the one seeded-trial loop, and ``binomial_ci`` the one
-interval for Monte-Carlo error counts.
+``count_failures`` the one seeded-trial loop (one share of each arm's trials
+per worker), and ``binomial_ci`` the one interval for Monte-Carlo error
+counts.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ PARTITION_CAP = 60
 #: Largest n for which all of S_n is materialised (8! = 40320 rows).
 FACTORIAL_CAP = 8
 
-#: Trials per parallel work unit.  Each trial is seeded independently from
-#: (master seed, stream, trial index), so this only affects task batching.
-CHUNK = 64
-
 
 def parallel_map(fn, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, in task order, over ``workers`` processes.
@@ -49,7 +46,7 @@ def parallel_map(fn, tasks: list, workers: int) -> list:
 
 
 def _count_chunk(args) -> int:
-    """Failures of one arm's trials start .. start + size - 1."""
+    """Failures of one arm's trials start .. start + size - 1 (one share)."""
     trial, trial_args, spec, start, size = args
     failures = 0
     for index in range(start, start + size):
@@ -63,16 +60,19 @@ def count_failures(trial, arms, trials: int, workers: int = 1) -> list[int]:
 
     Each arm is an ``(args, spec)`` pair, and its trial i is
     ``trial(spec.rng(i), *args)``, so the counts do not depend on
-    ``workers``.  Trials run in ``CHUNK``-sized tasks, every arm's in one
-    ``parallel_map`` call; ``trial`` must be a module-level function.
+    ``workers``.  Each arm's trials are cut into one contiguous share per
+    worker, so the one ``parallel_map`` call makes at most
+    ``len(arms) * workers`` tasks whatever ``trials`` is; ``trial`` must be
+    a module-level function.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    per_arm = -(-trials // CHUNK)
-    tasks = [(trial, args, spec, start, min(CHUNK, trials - start))
-             for args, spec in arms for start in range(0, trials, CHUNK)]
+    size = -(-trials // max(workers, 1))
+    starts = range(0, trials, size)
+    tasks = [(trial, args, spec, start, min(size, trials - start))
+             for args, spec in arms for start in starts]
     counts = parallel_map(_count_chunk, tasks, workers)
-    return [sum(counts[i : i + per_arm]) for i in range(0, len(counts), per_arm)]
+    return [sum(counts[i : i + len(starts)]) for i in range(0, len(counts), len(starts))]
 
 
 def binomial_ci(count: int, trials: int) -> float:

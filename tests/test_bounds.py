@@ -444,6 +444,18 @@ class TestInversion:
         with pytest.raises(InversionUndefinedError, match="below target .* everywhere"):
             invert_for_rho2("det-conv", 1000, 500, 0.999999)
 
+    # A NaN compares false against the target, which read as "met" and gave
+    # the first pre-scan point, 1e-13.
+    @pytest.mark.filterwarnings("error")
+    def test_nan_d_is_rejected_by_det_ach(self):
+        with pytest.raises(DomainError, match="d must be >= 1"):
+            invert_for_rho2("det-ach", 100, math.nan, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_prescan_is_undefined(self):
+        with pytest.raises(InversionUndefinedError, match="NaN"):
+            invert_for_rho2("rec-ach", math.nan, 100, 0.1)
+
 
 class TestCurvePoints:
     def test_worker_independence(self):

@@ -420,6 +420,21 @@ class TestCurveOutput:
         err = capsys.readouterr().err
         assert "error: detection converse exceeds achievable at axis=100.0" in err
 
+    def test_each_ordering_violation_is_reported_once(self, monkeypatch, capsys):
+        # The converse lies above the achievable rho^2 at d = 100 and 150 only.
+        def invert(kind, n, d, target_risk, **kwargs):
+            if kind == "det-ach":
+                return [0.1] * len(d)
+            return [0.2 if x <= 150.0 else 0.05 for x in d]
+
+        monkeypatch.setattr(bounds, "invert_for_rho2", invert)
+        assert main(["curve", "--axis", "d", "--grid", "100:200:3", "--n", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("exceeds achievable") == 2
+        assert err.count("error: detection converse exceeds achievable at axis=100.0\n") == 1
+        assert err.count("error: detection converse exceeds achievable at axis=150.0\n") == 1
+        assert "warning:" not in err
+
     def test_csv_golden_header(self, tmp_path):
         out = tmp_path / "curve.csv"
         code = main(

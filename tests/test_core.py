@@ -227,7 +227,7 @@ def _below(rng, p):
 
 
 class TestCountFailures:
-    # 130 trials are three CHUNK-sized tasks per arm, the last one short.
+    # At 3 workers, 130 trials are three shares per arm, the last one short.
     ARMS = [((0.3,), SeedSpec(4, "a")), ((0.0,), SeedSpec(4, "b")), ((1.0,), SeedSpec(4, "c"))]
 
     def test_counts_do_not_depend_on_workers(self):
@@ -243,6 +243,33 @@ class TestCountFailures:
     def test_zero_trials_rejected(self):
         with pytest.raises(DomainError):
             count_failures(_below, self.ARMS, 0)
+
+    @staticmethod
+    def _tasks(monkeypatch, trials, workers):
+        """The tasks ``count_failures`` hands to ``parallel_map``; none runs."""
+        seen = []
+
+        def spy(fn, tasks, n_workers):
+            seen.extend(tasks)
+            return [0] * len(tasks)
+
+        monkeypatch.setattr(core, "parallel_map", spy)
+        assert count_failures(_below, TestCountFailures.ARMS, trials, workers) == [0, 0, 0]
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_tasks_do_not_grow_with_trials(self, monkeypatch, workers):
+        trials = 10**12
+        tasks = self._tasks(monkeypatch, trials, workers)
+        assert len(tasks) <= len(self.ARMS) * workers
+        for _, spec in self.ARMS:
+            shares = [(start, size) for _, _, s, start, size in tasks if s is spec]
+            assert shares[0][0] == 0
+            assert all(a + m == b for (a, m), (b, _) in zip(shares, shares[1:]))
+            assert sum(size for _, size in shares) == trials
+
+    def test_zero_workers_is_one(self, monkeypatch):
+        assert self._tasks(monkeypatch, 130, 0) == self._tasks(monkeypatch, 130, 1)
 
 
 class TestBinomialCi:

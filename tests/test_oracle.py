@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -199,6 +200,16 @@ class TestCirculant:
         with pytest.raises(SizeCapError):
             circulant_det_check(CIRCULANT_CAP + 1, 0.3)
 
+    def test_verify_row_names_a_failing_length(self, monkeypatch):
+        def check(length, rho):
+            res = circulant_det_check(length, rho)
+            return dataclasses.replace(res, passed=res.passed and length != 7)
+
+        monkeypatch.setattr(oracle, "circulant_det_check", check)
+        res = oracle._REGISTRY["circulant-dets"](SeedSpec(0, "verify/circulant-dets"))
+        assert not res.passed
+        assert res.detail == "circulant-det-L7"
+
 
 class TestConcentration:
     def test_laurent_massart(self):
@@ -316,6 +327,11 @@ class TestTruncationEvent:
     def test_first_moment_check_helper(self):
         res = truncated_first_moment_check(12, 40, math.sqrt(0.2), 4, 1.0, 500, 15)
         assert res.passed, res.detail
+
+    def test_first_moment_check_fails_without_a_schedule(self):
+        res = truncated_first_moment_check(12, 40, math.sqrt(0.2), 4, 10.0, 10, 0)
+        assert not res.passed
+        assert "schedule preconditions failed" in res.detail
 
 
 class TestVerify:
