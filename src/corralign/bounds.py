@@ -289,10 +289,17 @@ def mgf_null(lam: float, n: float, d: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _require_sizes(n, d) -> None:
+    """Reject a NaN n or d, which ``max(0.0, nan)`` would turn into a risk of 0."""
+    if math.isnan(n) or math.isnan(d):
+        raise DomainError(f"n and d must not be NaN, got n = {n}, d = {d}")
+
+
 def unconditional_converse_risk(n: float, d: float, rho2: float) -> float:
     """Second-moment risk lower bound: max(0, 1 - sqrt((1-rho^2)^(-dn) - 1))."""
     if not 0.0 <= rho2 < 1.0:
         raise DomainError("rho2 must lie in [0, 1)")
+    _require_sizes(n, d)
     e = -float(d) * float(n) * math.log1p(-rho2)  # dn ln(1/(1-rho^2)) >= 0
     if e > 700.0:
         return 0.0
@@ -538,6 +545,7 @@ def recovery_conv_perr(n: float, d: float, rho2: float, epsilon_d: float = 0.0) 
         raise DomainError("rho2 must lie in [0, 1)")
     if epsilon_d < 0.0:
         raise DomainError("epsilon_d must be nonnegative")
+    _require_sizes(n, d)
     log_a = math.log(n) + 0.25 * d * (1.0 + epsilon_d) * math.log1p(-rho2)
     if log_a <= 0.0:
         # a <= 1 drives the expression to 1 - 1 - 4 or below.

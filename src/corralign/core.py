@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -40,6 +39,8 @@ def parallel_map(fn, tasks: list, workers: int) -> list:
     the caller.
     """
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~2 MB; serial runs skip it
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -3,8 +3,10 @@
 The statistic ``T = sign(rho) * <sum of X rows, sum of Y rows>`` costs O(nd)
 and is a function of the column sums only.  Under either hypothesis each
 coordinate pair of the two sums is N(0, n [[1, r], [r, 1]]) with r = 0 or
-rho, whatever the hidden permutation, so Monte-Carlo risk estimation draws
-the two length-d sums directly: O(d) per trial instead of O(nd).
+rho, whatever the hidden permutation, so T / n = c1 A - c2 B with A, B
+independent chi-square_d, c1 = (1 + |r|) / 2 and c2 = (1 - |r|) / 2
+(``docs/math_notes.md`` section 5).  Monte-Carlo risk estimation draws A and
+B: O(1) per trial instead of O(nd).
 """
 
 from __future__ import annotations
@@ -76,19 +78,17 @@ def optimal_gamma(params: ProblemParams) -> tuple[float, float]:
     return bounds.minimize_two_exponent(float(params.d), params.rho2)
 
 
-def _test_errs(rng, d, scale, rho, noise, threshold, error_label) -> bool:
+def _test_errs(rng, d, n, c1, c2, threshold, error_label) -> bool:
     """Whether the threshold test errs on one seeded trial of one arm.
 
-    The trial draws two standard-normal d-vectors g1, g2 and forms the
-    column sums directly: y_sum = sqrt(n) g1 and x_sum = sqrt(n) g2 (rho = 0,
-    the null) or x_sum = rho y_sum + noise sqrt(n) g2, noise = sqrt(1-rho^2).
-    That is the samplers' law of the sums, at O(d) per trial.  ``scale`` is
-    sign(rho) n; the test errs when it decides ``error_label``.
+    The trial draws A, B independent chi-square_d and takes
+    T = n (c1 A - c2 B): the law of ``sip_statistic`` on the samplers' draws,
+    sign(rho) included, at O(1) per trial.  The arm's correlation r enters
+    only through c1 = (1 + |r|) / 2 and c2 = (1 - |r|) / 2; the test errs
+    when it decides ``error_label``.
     """
-    g1, g2 = rng.standard_normal((2, d))
-    # <x_sum, y_sum> = n <x_sum / sqrt(n), g1>
-    x_unit = rho * g1 + noise * g2 if rho else g2
-    return threshold_test(scale * float(x_unit @ g1), threshold) == error_label
+    a, b = rng.chisquare(d, 2).tolist()  # Python floats: faster arithmetic
+    return threshold_test(n * (c1 * a - c2 * b), threshold) == error_label
 
 
 def monte_carlo_risk(
@@ -100,22 +100,22 @@ def monte_carlo_risk(
 ) -> RiskEstimate:
     """Estimate both error rates over `trials` draws per hypothesis.
 
-    Each trial draws the two column sums, not the n x d databases, so it
-    costs O(d) time and memory (see ``_test_errs``); the statistic's law is
-    that of ``sip_statistic`` on ``gen.sample_null``/``sample_alt``, whatever
-    the planted permutation.  With rho = 0 the missed-detection arm is a
-    second independent null arm.  Each trial derives its generator from
-    (seed, arm, trial index) alone, so results are identical for any worker
-    count.
+    Each trial draws the statistic from its exact two-chi-square law, not
+    the n x d databases, so it costs O(1) time and memory (see
+    ``_test_errs``); that law is the one of ``sip_statistic`` on
+    ``gen.sample_null``/``sample_alt``, whatever the planted permutation.
+    With rho = 0 the missed-detection arm is a second independent null arm.
+    Each trial derives its generator from (seed, arm, trial index) alone, so
+    results are identical for any worker count.
     """
     if not math.isfinite(threshold):
         raise DomainError("threshold must be finite")
     base = as_seedspec(seed, "detect/monte-carlo-risk")
-    scale = params.rho_sign * params.n
-    noise = math.sqrt(1.0 - params.rho2)
+    r = abs(params.rho)
     arms = [  # a null trial errs on deciding 1 (false alarm), an alt one on 0
-        ((params.d, scale, 0.0, noise, threshold, 1), base.stream("null")),
-        ((params.d, scale, params.rho, noise, threshold, 0), base.stream("alt")),
+        ((params.d, params.n, 0.5, 0.5, threshold, 1), base.stream("null")),
+        ((params.d, params.n, (1.0 + r) / 2.0, (1.0 - r) / 2.0, threshold, 0),
+         base.stream("alt")),
     ]
     fa, md = count_failures(_test_errs, arms, trials, workers)
     return RiskEstimate(

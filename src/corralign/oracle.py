@@ -134,14 +134,17 @@ def log_likelihood_ratio(pair: DatabasePair, rho: float) -> float:
 
 
 def cycle_type_weight(t: CycleType, d: float, rho2: float) -> float:
-    """Product over cycle lengths k of (1 - rho^(2k))^(-d N_k)."""
+    """Product over cycle lengths k of (1 - rho^(2k))^(-d N_k); inf past the float range."""
     if not 0.0 <= rho2 < 1.0:
         raise DomainError("rho2 must lie in [0, 1)")
     acc = 0.0
     for k, count in enumerate(t.counts, start=1):
         if count:
             acc += count * math.log1p(-(rho2**k))
-    return math.exp(-d * acc)
+    try:
+        return math.exp(-d * acc)
+    except OverflowError:
+        return math.inf
 
 
 def second_moment_reduction(

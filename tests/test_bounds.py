@@ -313,8 +313,8 @@ class TestConverses:
         for n in (math.inf, math.nan):
             with pytest.raises(ConditionViolatedError, match="overflows"):
                 truncation_schedule(n, 100.0, 1e-6)
-            t = truncated_converse_risk(n, 100.0, 1e-6)
-            assert t == unconditional_converse_risk(n, 100.0, 1e-6)
+        t = truncated_converse_risk(math.inf, 100.0, 1e-6)
+        assert t == unconditional_converse_risk(math.inf, 100.0, 1e-6)
         with pytest.raises(InversionUndefinedError):
             invert_for_rho2("det-conv", math.inf, 100.0, 0.1)
 
@@ -450,6 +450,16 @@ class TestInversion:
     def test_nan_d_is_rejected_by_det_ach(self):
         with pytest.raises(DomainError, match="d must be >= 1"):
             invert_for_rho2("det-ach", 100, math.nan, 0.1)
+
+    # max(0.0, nan) keeps 0.0, so a NaN size read as "no risk certified".
+    @pytest.mark.parametrize("n,d", [(math.nan, 100.0), (100.0, math.nan)], ids=["n", "d"])
+    def test_nan_size_is_rejected_by_the_converses(self, n, d):
+        for bound in (unconditional_converse_risk, truncated_converse_risk, recovery_conv_perr):
+            with pytest.raises(DomainError, match="NaN"):
+                bound(n, d, 0.01)
+        for kind in ("det-conv", "rec-conv"):
+            with pytest.raises(DomainError, match="NaN"):
+                invert_for_rho2(kind, n, d, 0.1)
 
     @pytest.mark.filterwarnings("error")
     def test_nan_prescan_is_undefined(self):

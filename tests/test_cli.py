@@ -233,7 +233,6 @@ class TestMainExitCodes:
             (["simulate-recovery", "--n", str(10**18), "--d", "10", "--trials", "2"], "6.94 EiB"),
             (["simulate-recovery", "--n", str(10**18), "--d", "10", "--trials", "128",
               "--threads", "2"], "6.94 EiB"),
-            (["simulate-detection", "--n", "10", "--d", str(10**15), "--trials", "2"], "14.2 PiB"),
         ],
     )
     def test_unallocatable_input_is_1(self, capsys, args, size):
@@ -241,6 +240,17 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert f"usage error: Unable to allocate {size}" in err
         assert "Traceback" not in err
+
+    def test_simulate_detection_allocates_nothing_per_feature(self, capsys):
+        # A detection trial draws two chi-square_d values, so d = 10^15
+        # (14.2 PiB as two d-vectors) runs like any other d.
+        argv = ["simulate-detection", "--n", "10", "--d", str(10**15), "--rho", "0.5",
+                "--trials", "2", "--format", "csv"]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()[-2:]
+        results = dict(zip(header.split(","), row.split(",")))
+        for key in ("fa_rate", "md_rate"):
+            assert 0.0 <= float(results[key]) <= 1.0
 
     def test_simulate_detection_json(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -563,15 +573,15 @@ class TestSimulateDetectionGolden:
         [
             (
                 ["--rho", "0.3", "--trials", "500", "--seed", "5", "--threads", "1"],
-                "f2f27b186015c2e1a97083ca0490ad63648e238aaf871fdc8d99c4b8039b27da",
+                "ab54644df6f325b69d0b419cbd7648626d4e1f07a524121eef39f8e621ceb475",
             ),
             (
                 ["--rho", "0.3", "--trials", "500", "--seed", "5", "--threads", "3"],
-                "f2f27b186015c2e1a97083ca0490ad63648e238aaf871fdc8d99c4b8039b27da",
+                "ab54644df6f325b69d0b419cbd7648626d4e1f07a524121eef39f8e621ceb475",
             ),
             (
                 ["--rho", "-0.3", "--trials", "300", "--seed", "9"],
-                "743c463c72d0c93afb7c7addf5c3c55b13899558f951d0751447f779fa532a3a",
+                "95b457c2de4c02875ed4cf14ea030197e0c2d4d5a43908a86d9fa932dc001dd3",
             ),
         ],
     )

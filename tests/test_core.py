@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from pathlib import Path
 
@@ -217,7 +218,7 @@ class TestParallelMap:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(core, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         assert parallel_map(_square, range(3), workers=64) == [0, 1, 4]
         assert asked == [3]
 

@@ -205,6 +205,14 @@ LAW_CASES = [
 ]
 LAW_IDS = ["rho+", "rho-", "rho+-high-threshold"]
 
+#: Cases only the O(1) draw can afford at LAW_TRIALS: the ``detect``
+#: benchmark's size, and a negative rho at a larger d.
+DRAW_CASES = [
+    (ProblemParams(n=100, d=2000, rho=math.sqrt(0.005)), 1.0),
+    (ProblemParams(n=30, d=600, rho=-math.sqrt(0.02)), 1.2),
+]
+DRAW_IDS = ["bench-size", "rho--d600"]
+
 
 def _assert_law(fa, md, params, threshold):
     p_fa, p_md = _exact_rates(params, threshold)
@@ -215,11 +223,12 @@ def _assert_law(fa, md, params, threshold):
 class TestRiskLaw:
     """Both draw paths against the exact law of T.
 
-    ``monte_carlo_risk`` draws the column sums directly; the samplers draw
-    whole databases.  Tying each to the exact law ties them to each other.
+    ``monte_carlo_risk`` draws T from its two-chi-square law; the samplers
+    draw whole databases.  Tying each to the exact law (computed here by
+    quadrature, not by the same draw) ties them to each other.
     """
 
-    @pytest.mark.parametrize("params,scale", LAW_CASES, ids=LAW_IDS)
+    @pytest.mark.parametrize("params,scale", LAW_CASES + DRAW_CASES, ids=LAW_IDS + DRAW_IDS)
     def test_column_sum_path(self, params, scale):
         threshold = scale * nominal_threshold(params)
         est = monte_carlo_risk(params, threshold, LAW_TRIALS, 31)
@@ -242,12 +251,15 @@ class TestRiskLaw:
 
 
 def test_monte_carlo_risk_memory_does_not_grow_with_n():
-    # An n x d draw at this size would take 40 MB per buffer.
-    p = ProblemParams(n=100_000, d=50, rho=0.3)
-    tracemalloc.start()
-    try:
-        monte_carlo_risk(p, nominal_threshold(p), 64, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    # An n x d draw at the first size would take 40 MB per buffer, and two
+    # d-vectors at the second (the d axis) 160 MB; a trial draws two
+    # chi-square values.
+    for n, d in [(100_000, 50), (10, 10**7)]:
+        p = ProblemParams(n=n, d=d, rho=0.3)
+        tracemalloc.start()
+        try:
+            monte_carlo_risk(p, nominal_threshold(p), 64, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (n, d, peak)

@@ -150,6 +150,11 @@ class TestSecondMoment:
         with pytest.raises(SizeCapError):
             exact_second_moment(SECOND_MOMENT_CAP + 1, 2, 0.3)
 
+    def test_overflow_is_inf(self):
+        # The identity's weight (1 - 0.6)^(-1000) is about 1e398.
+        assert exact_second_moment(10, 100, 0.6) == math.inf
+        assert exact_second_moment(2, 3, 0.2) < math.inf
+
 
 class TestTvLowerBound:
     def test_against_unconditional_converse(self):
