@@ -15,10 +15,14 @@ All bound functions accept real-valued n and d (curves sample non-integer
 grid points) and evaluate large powers in log space.  ``invert_for_rho2``
 turns any of them into the squared correlation needed to meet a target risk.
 
-``invert_for_rho2``, ``minimize_two_exponent`` and ``detection_ach_risk``
-also take arrays, one lane per point: ``curve_points`` inverts a block of
-grid points at once.  Lanes step together but never mix, so each gets the
-floats of its own scalar call (see docs/math_notes.md, section 3).
+``invert_for_rho2``, ``minimize_two_exponent`` and the bound of every kind
+(``detection_ach_risk``, ``truncated_converse_risk``,
+``unconditional_converse_risk``, ``recovery_ach_perr`` and
+``recovery_conv_perr``) also take arrays, one lane per point:
+``curve_points`` inverts a block of grid points at once, with one bound call
+per kind for the pre-scan and one per bisection step.  Lanes step together
+but never mix, so each gets the floats of its own scalar call (see
+docs/math_notes.md, section 3).
 """
 
 from __future__ import annotations
@@ -285,25 +289,92 @@ def mgf_null(lam: float, n: float, d: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Lanes: the converse and recovery bounds on arrays, with scalar-call bits
+# ---------------------------------------------------------------------------
+
+
+def _lanes(*values):
+    """Broadcast the values to one float64 lane each; returns (shape, 1-D lanes)."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    if any(a.shape != arrays[0].shape for a in arrays):
+        arrays = np.broadcast_arrays(*arrays)
+    return arrays[0].shape, [a.ravel() for a in arrays]
+
+
+def _shaped(values, shape):
+    """The lane values in the caller's shape: a float for scalar inputs."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _math_lanes(f, x, where=None):
+    """``f``, a scalar Python function, applied lane by lane where ``where``; NaN elsewhere.
+
+    numpy's ufuncs may differ from ``math`` in the last bit (``expm1`` on
+    about 10% of inputs), so the bounds' ``math`` steps stay ``math`` calls
+    per lane, and so does ``x ** 2``, which Python takes from libm's ``pow``.
+    """
+    if where is None:
+        return np.array([f(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
+    out = np.empty(x.shape)
+    out.fill(math.nan)
+    out[where] = [f(v) for v in x[where].tolist()]
+    return out
+
+
+def _float_errstate():
+    """numpy's error state for Python float arithmetic, which overflows to inf
+    and makes NaN (inf - inf, inf * 0) without a warning."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _require_rho2(rho2) -> None:
+    if not ((0.0 <= rho2) & (rho2 < 1.0)).all():
+        raise DomainError("rho2 must lie in [0, 1)")
+
+
+def _require_sizes(n, d, *, reject_nan: bool = True) -> None:
+    """Reject n <= 0 or d < 0, and a NaN n or d unless ``reject_nan`` is False.
+
+    ``max(0.0, nan)`` would turn a NaN size into a converse risk of 0, so the
+    converses reject it; ``recovery_ach_perr`` returns NaN, which the
+    inversion's pre-scan reports as undefined.
+    """
+    if ((n > 0.0) & (d >= 0.0)).all():
+        return
+    nan = np.isnan(n) | np.isnan(d)
+    if reject_nan and nan.any():
+        i = int(np.argmax(nan))
+        raise DomainError(f"n and d must not be NaN, got n = {n[i]}, d = {d[i]}")
+    if np.any(n <= 0.0):
+        raise DomainError(f"n must be > 0, got n = {n[np.argmax(n <= 0.0)]}")
+    if np.any(d < 0.0):
+        raise DomainError(f"d must be >= 0, got d = {d[np.argmax(d < 0.0)]}")
+
+
+# ---------------------------------------------------------------------------
 # Detection converse bounds
 # ---------------------------------------------------------------------------
 
 
-def _require_sizes(n, d) -> None:
-    """Reject a NaN n or d, which ``max(0.0, nan)`` would turn into a risk of 0."""
-    if math.isnan(n) or math.isnan(d):
-        raise DomainError(f"n and d must not be NaN, got n = {n}, d = {d}")
+def unconditional_converse_risk(n, d, rho2):
+    """Second-moment risk lower bound: max(0, 1 - sqrt((1-rho^2)^(-dn) - 1)).
 
-
-def unconditional_converse_risk(n: float, d: float, rho2: float) -> float:
-    """Second-moment risk lower bound: max(0, 1 - sqrt((1-rho^2)^(-dn) - 1))."""
-    if not 0.0 <= rho2 < 1.0:
-        raise DomainError("rho2 must lie in [0, 1)")
+    Array inputs broadcast to one risk per lane, each with the bits of its
+    scalar call; a scalar call returns a float.
+    """
+    shape, (n, d, rho2) = _lanes(n, d, rho2)
+    _require_rho2(rho2)
     _require_sizes(n, d)
-    e = -float(d) * float(n) * math.log1p(-rho2)  # dn ln(1/(1-rho^2)) >= 0
-    if e > 700.0:
-        return 0.0
-    return max(0.0, 1.0 - math.sqrt(math.expm1(e)))
+    return _shaped(_unconditional_lanes(n, d, rho2), shape)
+
+
+def _unconditional_lanes(n, d, rho2):
+    """``unconditional_converse_risk`` on checked 1-D lanes."""
+    with _float_errstate():
+        e = -d * n * _math_lanes(math.log1p, -rho2)  # dn ln(1/(1-rho^2)) >= 0
+    # Where e > 700 the root is NaN, and max(0, NaN) is 0, as is the bound there.
+    value = 1.0 - np.sqrt(_math_lanes(math.expm1, e, ~(e > 700.0)))
+    return np.where(value > 0.0, value, 0.0)
 
 
 def default_k_star(n: float) -> int:
@@ -327,7 +398,9 @@ class TruncationSchedule:
     ``valid`` says whether every k meets the conditions the truncated
     converse needs: sqrt(ln(en/k)) < r_k < sqrt(d)/2, s_k above its floor
     sqrt(ln(en/k)) max(2, sqrt((1-rho^2)/rho^2)), and w_k > 0.  The arrays
-    are read-only.
+    are read-only.  The converse builds one schedule for many lanes: the
+    arrays then have one row per lane, and ``k_star`` and ``valid`` are
+    arrays of one value per lane.
     """
 
     k_star: int
@@ -375,23 +448,23 @@ def _schedule_k_star(n: float, d: float, k_star: int | None, margin: float) -> i
 
 
 def _schedule(n, d, rho2, k_star, ks, margin) -> TruncationSchedule:
-    """The thresholds at the subset sizes ``ks``, with ``valid`` over those sizes."""
+    """The thresholds at the subset sizes ``ks``, with ``valid`` over those sizes.
+
+    ``ks`` may carry a leading lane axis, with ``n``, ``d`` and ``rho2`` as
+    columns of one value per lane; ``valid`` then holds one flag per lane.
+    """
     floor_r = np.sqrt(1.0 + np.log(n / ks))  # sqrt(ln(en/k)), the floor r_k must exceed
     r = (1.0 + margin) * floor_r
-    w = d * ks - 2.0 * math.sqrt(d) * ks * r
-    mult = max(2.0, math.sqrt((1.0 - rho2) / rho2))
+    sqrt_d = np.sqrt(d)
+    w = d * ks - 2.0 * sqrt_d * ks * r
+    mult = np.maximum(2.0, np.sqrt((1.0 - rho2) / rho2))
     s = r * mult
-    rho = math.sqrt(rho2)
-    v = rho * d * ks + 4.0 * rho * math.sqrt(d) * ks * s
-    valid = bool(
-        np.all(r < 0.5 * math.sqrt(d))
-        and np.all(r > floor_r)
-        and np.all(w > 0.0)
-        and np.all(s > floor_r * mult)
-    )
+    rho = np.sqrt(rho2)
+    v = rho * d * ks + 4.0 * rho * sqrt_d * ks * s
+    valid = np.all((r < 0.5 * sqrt_d) & (r > floor_r) & (w > 0.0) & (s > floor_r * mult), axis=-1)
     for values in (ks, r, s, w, v):
         values.setflags(write=False)
-    return TruncationSchedule(int(k_star), ks, r, s, w, v, valid)
+    return TruncationSchedule(k_star, ks, r, s, w, v, bool(valid) if valid.ndim == 0 else valid)
 
 
 def truncation_schedule(
@@ -425,47 +498,47 @@ def truncation_schedule(
 
 
 def truncation_exponents(
-    schedule: TruncationSchedule, n: float, d: float, rho2: float
+    schedule: TruncationSchedule, n, d, rho2
 ) -> TruncationExponents:
     """Minima over k of the three rate expressions for a given schedule.
 
     Reads ``ks``, ``r``, ``s``, ``w`` and ``v`` of the schedule, so a
-    schedule with edited thresholds gets the rates of its own values.
+    schedule with edited thresholds gets the rates of its own values.  A
+    schedule with a leading lane axis, and ``n``, ``d``, ``rho2`` as columns
+    of one value per lane, gives arrays of one rate per lane.
     """
     ks, s = schedule.ks, schedule.s
     ln_terms = 1.0 + np.log(n / ks)  # ln(en/k)
-    rho = math.sqrt(rho2)
+    rho = np.sqrt(rho2)
     u = 1.0 - rho2
-    sqrt_d = math.sqrt(d)
+    sqrt_d = np.sqrt(d)
+    rho2_sq = _math_lanes(lambda x: x**2, np.asarray(rho2, dtype=np.float64))
     # Minima are exact, so the order of the four-way minimum is free.
     four_way = np.minimum(
         np.minimum(s / (rho * sqrt_d), 4.0 * rho * s / (u * sqrt_d)),
-        min(1.0 / rho, 2.0 / math.sqrt(u)),
+        np.minimum(1.0 / rho, 2.0 / np.sqrt(u)),
     )
-    psi2 = float(np.min((rho * sqrt_d * s / 4.0) * four_way - ln_terms))
+    psi2 = np.min((rho * sqrt_d * s / 4.0) * four_way - ln_terms, axis=-1)
     drift = schedule.w / ks - schedule.v / (ks * rho)
-    psi = float(
-        np.min(
-            -(d * n / (2.0 * ks)) * (rho2**2 / (1.0 - rho2**2))
-            - d * rho2 / u
-            + (2.0 * rho2 / u) * drift
-            + np.log(ks) - 1.0
-        )
+    psi = np.min(
+        -(d * n / (2.0 * ks)) * (rho2_sq / (1.0 - rho2_sq))
+        - d * rho2 / u
+        + (2.0 * rho2 / u) * drift
+        + np.log(ks) - 1.0,
+        axis=-1,
     )
-    return TruncationExponents(
-        deficit_norm=float(np.min(schedule.r**2 - ln_terms)),
-        deficit_cross=psi2,
-        second_moment=psi,
-    )
+    rates = (np.min(schedule.r**2 - ln_terms, axis=-1), psi2, psi)
+    if ks.ndim == 1:
+        rates = tuple(float(x) for x in rates)
+    return TruncationExponents(*rates)
 
 
-def truncated_converse_risk(
-    n: float,
-    d: float,
-    rho2: float,
-    k_star: int | None = None,
-    margin: float = 0.1,
-) -> float:
+#: Most lanes one pass of ``truncated_converse_risk``'s schedule arithmetic
+#: holds; at about 45 live doubles per lane, a pass peaks near 1.5 MB.
+CONVERSE_LANE_CAP = 16 * LANE_CAP
+
+
+def truncated_converse_risk(n, d, rho2, k_star: int | None = None, margin: float = 0.1):
     """Truncated second-moment risk lower bound, never below the unconditional one.
 
     Combines the truncation-deficit bound D1 with the truncated second-moment
@@ -474,41 +547,62 @@ def truncated_converse_risk(
     nonpositive, or an intermediate quantity overflows, the truncated part
     carries no information and the unconditional bound is returned instead.
     Every minimum over k sits at k_star or floor(n) (docs/math_notes.md,
-    section 3), so the schedule is built on those two sizes alone.
+    section 3), so the schedule is built on those two sizes alone.  Array
+    inputs broadcast to one risk per lane, each with the bits of its scalar
+    call; a scalar call returns a float.
     """
-    if not 0.0 <= rho2 < 1.0:
-        raise DomainError("rho2 must lie in [0, 1)")
-    uncond = unconditional_converse_risk(n, d, rho2)
-    if rho2 == 0.0:
-        return uncond
-    try:
-        k_star = _schedule_k_star(n, d, k_star, margin)
-    except ConditionViolatedError:
-        return uncond
-    u = 1.0 - rho2
-    t1 = 0.5 * d * n * (rho2 / u) ** 2 + d * k_star * rho2 / u
-    if t1 > 700.0:
-        # B2 overflows whatever the schedule, so it is checked first.
-        return uncond
-    ends = np.unique(np.array([k_star, math.floor(n)], dtype=np.float64))
-    schedule = _schedule(n, d, rho2, k_star, ends, margin)
-    if not schedule.valid:
-        return uncond
-    rates = truncation_exponents(schedule, n, d, rho2)
-    m = min(rates.deficit_norm, rates.deficit_cross)
-    psi = rates.second_moment
-    if m <= 0.0 or psi <= 0.0:
-        return uncond
-    log_d1 = math.log(4.0) - k_star * m - math.log(-math.expm1(-m))
-    if log_d1 > 50.0:
-        return uncond
-    d1 = math.exp(log_d1)
-    log_tail = -k_star * psi - math.log(-math.expm1(-psi))
-    if log_tail > 700.0:
-        return uncond
-    b2 = math.exp(t1) + math.exp(log_tail)
-    value = 1.0 - (math.sqrt(b2 - 1.0 + 2.0 * d1) + d1)
-    return max(0.0, value, uncond)
+    shape, (n, d, rho2) = _lanes(n, d, rho2)
+    _require_rho2(rho2)
+    _require_sizes(n, d)
+    out = _unconditional_lanes(n, d, rho2)
+    # The schedule preconditions do not involve rho2, so they are checked once
+    # per distinct (n, d); k_star = 0 marks a failure.  A lane failing them,
+    # or at rho2 = 0, keeps the unconditional bound.
+    pairs = np.empty(n.size, dtype=np.complex128)
+    pairs.real, pairs.imag = n, d
+    pairs, pair_of = np.unique(pairs, return_inverse=True)
+    k_stars = []
+    for nn, dd in zip(pairs.real.tolist(), pairs.imag.tolist()):
+        try:
+            k_stars.append(_schedule_k_star(nn, dd, k_star, margin))
+        except ConditionViolatedError:
+            k_stars.append(0)
+    ks = np.array(k_stars, dtype=np.float64)[pair_of]
+    live = np.flatnonzero((ks > 0.0) & (rho2 != 0.0))
+    for i in range(0, live.size, CONVERSE_LANE_CAP):
+        at = live[i : i + CONVERSE_LANE_CAP]
+        out[at] = _truncated_lanes(n[at], d[at], rho2[at], ks[at], out[at], margin)
+    return _shaped(out, shape)
+
+
+def _truncated_lanes(n, d, rho2, ks, uncond, margin):
+    """``truncated_converse_risk`` on 1-D lanes that meet the schedule
+    preconditions, with k_star ``ks`` and unconditional bound ``uncond``."""
+    cols = (n[:, None], d[:, None], rho2[:, None])
+    with _float_errstate():
+        u = 1.0 - rho2
+        t1 = 0.5 * d * n * _math_lanes(lambda x: x**2, rho2 / u) + d * ks * rho2 / u
+        # {k_star, floor(n)}: the size may repeat, which min and all ignore.
+        schedule = _schedule(*cols, ks, np.stack([ks, np.floor(n)], axis=1), margin)
+        rates = truncation_exponents(schedule, *cols)
+        norm, cross, psi = rates.deficit_norm, rates.deficit_cross, rates.second_moment
+        m = np.where(cross < norm, cross, norm)  # min(norm, cross)
+        # B2 overflows where t1 > 700, whatever the schedule.
+        ok = ~(t1 > 700.0) & schedule.valid & ~(m <= 0.0) & ~(psi <= 0.0)
+        log_d1 = math.log(4.0) - ks * m - _math_lanes(_log_one_minus_exp_neg, m, ok)
+        ok &= ~(log_d1 > 50.0)
+        log_tail = -ks * psi - _math_lanes(_log_one_minus_exp_neg, psi, ok)
+        ok &= ~(log_tail > 700.0)
+        d1 = _math_lanes(math.exp, log_d1, ok)
+        b2 = _math_lanes(math.exp, t1, ok) + _math_lanes(math.exp, log_tail, ok)
+        value = 1.0 - (np.sqrt(b2 - 1.0 + 2.0 * d1) + d1)
+    best = np.where(value > 0.0, value, 0.0)  # max(0.0, value, uncond)
+    return np.where(ok & ~(uncond > best), best, uncond)
+
+
+def _log_one_minus_exp_neg(x: float) -> float:
+    """ln(1 - e^-x) for x > 0."""
+    return math.log(-math.expm1(-x))
 
 
 # ---------------------------------------------------------------------------
@@ -516,41 +610,52 @@ def truncated_converse_risk(
 # ---------------------------------------------------------------------------
 
 
-def recovery_ach_perr(n: float, d: float, rho2: float) -> float:
+def recovery_ach_perr(n, d, rho2):
     """Union bound on the ML alignment error: b (1 - b^n) / (1 - b).
 
     Here b = n (1-rho^2)^(d/4), handled in log space; the removable
-    singularity at b = 1 takes its geometric-series limit value n.
+    singularity at b = 1 takes its geometric-series limit value n.  Array
+    inputs broadcast to one bound per lane, each with the bits of its scalar
+    call; a scalar call returns a float.  A NaN n or d gives NaN.
     """
-    if not 0.0 <= rho2 < 1.0:
-        raise DomainError("rho2 must lie in [0, 1)")
-    log_b = math.log(n) + 0.25 * d * math.log1p(-rho2)
-    if log_b == 0.0:
-        return float(n)
-    a = n * log_b
-    if a > 690.0:
-        return math.inf
-    ratio = math.expm1(a) / math.expm1(log_b)  # (1 - b^n) / (1 - b), sign-safe
-    return math.exp(log_b) * ratio
+    shape, (n, d, rho2) = _lanes(n, d, rho2)
+    _require_rho2(rho2)
+    _require_sizes(n, d, reject_nan=False)
+    with _float_errstate():
+        log_b = _math_lanes(math.log, n) + 0.25 * d * _math_lanes(math.log1p, -rho2)
+        a = n * log_b
+        live = (log_b != 0.0) & ~(a > 690.0)
+        # (1 - b^n) / (1 - b), sign-safe
+        ratio = _math_lanes(math.expm1, a, live) / _math_lanes(math.expm1, log_b, live)
+        value = _math_lanes(math.exp, log_b, live) * ratio
+    value = np.where(a > 690.0, math.inf, value)
+    return _shaped(np.where(log_b == 0.0, n, value), shape)
 
 
-def recovery_conv_perr(n: float, d: float, rho2: float, epsilon_d: float = 0.0) -> float:
+def recovery_conv_perr(n, d, rho2, epsilon_d: float = 0.0):
     """Error lower bound for any alignment decoder: max(0, 1 - a^-2 - 4/a).
 
     Here a = n (1-rho^2)^((d/4)(1+epsilon_d)); the exponent correction
     epsilon_d must be supplied by the caller (it defaults to zero, the
-    asymptotically exact choice).
+    asymptotically exact choice).  Array inputs broadcast to one bound per
+    lane, each with the bits of its scalar call; a scalar call returns a
+    float.
     """
-    if not 0.0 <= rho2 < 1.0:
-        raise DomainError("rho2 must lie in [0, 1)")
+    shape, (n, d, rho2) = _lanes(n, d, rho2)
+    _require_rho2(rho2)
     if epsilon_d < 0.0:
         raise DomainError("epsilon_d must be nonnegative")
     _require_sizes(n, d)
-    log_a = math.log(n) + 0.25 * d * (1.0 + epsilon_d) * math.log1p(-rho2)
-    if log_a <= 0.0:
-        # a <= 1 drives the expression to 1 - 1 - 4 or below.
-        return 0.0
-    return max(0.0, 1.0 - math.exp(-2.0 * log_a) - 4.0 * math.exp(-log_a))
+    with _float_errstate():
+        log_a = _math_lanes(math.log, n) + 0.25 * d * (1.0 + epsilon_d) * _math_lanes(
+            math.log1p, -rho2
+        )
+        # a <= 1 drives the expression to 1 - 1 - 4 or below: NaN there, then 0.
+        live = log_a > 0.0
+        value = 1.0 - _math_lanes(math.exp, -2.0 * log_a, live) - 4.0 * _math_lanes(
+            math.exp, -log_a, live
+        )
+    return _shaped(np.where(value > 0.0, value, 0.0), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -572,19 +677,6 @@ _PRESCAN = np.unique(
 INVERT_TOL = 1e-10
 
 
-def _lane_risk(kind, n, d, k_star, margin, epsilon_d):
-    """The bound of one (n, d) lane as a scalar function of rho2.
-
-    Not used for ``det-ach``, whose lanes are evaluated together by array
-    calls of ``detection_ach_risk``.
-    """
-    if kind == "det-conv":
-        return lambda r2: truncated_converse_risk(n, d, r2, k_star, margin)
-    if kind == "rec-ach":
-        return lambda r2: recovery_ach_perr(n, d, r2)
-    return lambda r2: recovery_conv_perr(n, d, r2, epsilon_d=epsilon_d)
-
-
 def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -> list:
     """The bracket-and-bisect search, run for ``lanes`` lanes in lockstep.
 
@@ -594,33 +686,42 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
     sel = np.repeat(np.arange(lanes), _PRESCAN.size)
     table = risk(sel, np.tile(_PRESCAN, lanes)).reshape(lanes, _PRESCAN.size)
     high = operator.gt if mode == "ach" else operator.ge
+    # Each finite value against the finite value before it in its row,
+    # skipping the infinite ones.
+    finite = np.isfinite(table)
+    last = np.maximum.accumulate(np.where(finite, np.arange(_PRESCAN.size), -1), axis=1)[:, :-1]
+    prev = np.take_along_axis(table, np.maximum(last, 0), axis=1)
+    with np.errstate(invalid="ignore"):
+        rise = table[:, 1:] - prev > 1e-9 * np.maximum(np.abs(prev), 1.0)
+    increases = (finite[:, 1:] & (last >= 0) & rise).any(axis=1).tolist()
+    nan = np.isnan(table).any(axis=1).tolist()
+    high_side = high(table, target)
+    first_high, last_high = high_side[:, 0].tolist(), high_side[:, -1].tolist()
+    cross = np.argmin(high_side, axis=1)  # first pre-scan point past the crossing
     out: list = []
-    lo, hi = np.zeros(lanes), np.zeros(lanes)
-    for lane, vals in enumerate(table):
-        finite = vals[np.isfinite(vals)]
-        increases = np.diff(finite) > 1e-9 * np.maximum(np.abs(finite[:-1]), 1.0)
-        high_side = high(vals, target)
-        if np.any(np.isnan(vals)):
+    for lane in range(lanes):
+        if nan[lane]:
             out.append(InversionUndefinedError(
                 f"{bound_kind} bound is NaN on the rho2 pre-scan; inversion undefined"
             ))
-        elif np.any(increases):
+        elif increases[lane]:
             out.append(InversionUndefinedError(
                 f"{bound_kind} bound is not decreasing in rho2; inversion undefined"
             ))
-        elif not high_side[0]:
+        elif not first_high[lane]:
             out.append(float(_PRESCAN[0]) if mode == "ach" else InversionUndefinedError(
                 f"{bound_kind} bound is below target {target} everywhere on (0, 1)"
             ))
-        elif high_side[-1]:
+        elif last_high[lane]:
             out.append(float(_PRESCAN[-1]) if mode == "conv" else InversionUndefinedError(
                 f"{bound_kind} bound never reaches target {target} on (0, 1)"
             ))
         else:
-            j = int(np.argmin(high_side))  # first pre-scan point past the crossing
-            lo[lane], hi[lane] = _PRESCAN[j - 1], _PRESCAN[j]
             out.append(None)
     bracketed = np.array([lane for lane, v in enumerate(out) if v is None], dtype=np.intp)
+    lo, hi = np.zeros(lanes), np.zeros(lanes)
+    lo[bracketed] = _PRESCAN[cross[bracketed] - 1]
+    hi[bracketed] = _PRESCAN[cross[bracketed]]
     active = bracketed
     while (active := active[hi[active] - lo[active] > INVERT_TOL]).size:
         mid = 0.5 * (lo[active] + hi[active])
@@ -666,12 +767,10 @@ def invert_for_rho2(
     ``n`` and ``d`` may also be arrays, broadcast to a block of lanes.  The
     block is inverted at once and a list comes back with, per lane, the
     float or the ``InversionUndefinedError`` a scalar call would raise; the
-    floats are those of the scalar calls.  ``det-ach`` lanes run in
-    lockstep, one per distinct d (its bound ignores n), with the 42-point
-    pre-scan and each bisection step as one ``detection_ach_risk`` call; the
-    pre-scan holds 42 x 64 doubles per distinct d.  The other kinds are
-    scalar code, called once per lane and rho2, with all lanes bisecting in
-    lockstep.
+    floats are those of the scalar calls.  The lanes bisect in lockstep,
+    and the 41-point pre-scan and each bisection step are one array call of
+    the kind's bound.  ``det-ach`` runs one lane per distinct d (its bound
+    ignores n), and its pre-scan holds 41 x 64 doubles per distinct d.
     """
     if not 0.0 < target_risk < 1.0:
         raise DomainError("target_risk must lie in (0, 1)")
@@ -680,23 +779,27 @@ def invert_for_rho2(
     target = 0.5 * target_risk if bound_kind == "rec-ach" else target_risk
     mode = bound_kind.split("-")[1]
     scalar = np.ndim(n) == 0 and np.ndim(d) == 0
-    n_lanes, d_lanes = (np.ravel(x) for x in np.broadcast_arrays(n, d))
+    _, (n_lanes, d_lanes) = _lanes(n, d)
     if bound_kind == "det-ach":
-        ds, lane_of = np.unique(d_lanes.astype(np.float64), return_inverse=True)
+        ds, lane_of = np.unique(d_lanes, return_inverse=True)
         found = _invert_lanes(
             lambda sel, r2: detection_ach_risk(ds[sel], r2), ds.size, bound_kind, target, mode
         )
         results = [found[i] for i in lane_of]
     else:
-        fs = [
-            _lane_risk(bound_kind, nn, dd, k_star, margin, epsilon_d)
-            for nn, dd in zip(n_lanes.tolist(), d_lanes.tolist())
-        ]
-
-        def risk(sel, r2):
-            return np.array([fs[i](x) for i, x in zip(sel.tolist(), r2.tolist())])
-
-        results = _invert_lanes(risk, len(fs), bound_kind, target, mode)
+        # Built per call, so the bounds are looked up by module name then.
+        bound = {
+            "det-conv": lambda nn, dd, r2: truncated_converse_risk(nn, dd, r2, k_star, margin),
+            "rec-ach": recovery_ach_perr,
+            "rec-conv": lambda nn, dd, r2: recovery_conv_perr(nn, dd, r2, epsilon_d),
+        }[bound_kind]
+        results = _invert_lanes(
+            lambda sel, r2: bound(n_lanes[sel], d_lanes[sel], r2),
+            n_lanes.size,
+            bound_kind,
+            target,
+            mode,
+        )
     if not scalar:
         return results
     (result,) = results

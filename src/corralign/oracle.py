@@ -917,9 +917,10 @@ def _chk_trunc_first_moment(spec: SeedSpec) -> CheckResult:
 
 @_check("truncated-vs-unconditional")
 def _chk_trunc_vs_uncond(spec: SeedSpec) -> CheckResult:
-    grid = itertools.product((100, 1000, 10_000), (100, 1000), (1e-8, 1e-6, 1e-4, 1e-2))
-    worst = _worst([bounds.unconditional_converse_risk(*p) - bounds.truncated_converse_risk(*p)
-                    for p in grid])
+    grid = np.array(list(itertools.product((100.0, 1000.0, 10_000.0), (100.0, 1000.0),
+                                           (1e-8, 1e-6, 1e-4, 1e-2)))).T
+    worst = _worst(bounds.unconditional_converse_risk(*grid)
+                   - bounds.truncated_converse_risk(*grid))
     return CheckResult("truncated-vs-unconditional", worst <= 0.0, worst, 0.0,
                        "truncated converse is never below the unconditional one")
 

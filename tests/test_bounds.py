@@ -649,3 +649,139 @@ def test_golden_min_stops_at_max_iter():
     assert len(calls) == 2 + 37  # the two start points, then one per step
     assert np.isnan(fx).all()
     assert ((x >= [0.0, 1.0]) & (x <= [1.0, 3.0])).all()
+
+
+# One lane per path through the truncated converse at k_star = 44,
+# margin = 8.19: rho2 = 0, floor(n) < k_star, d n not finite, t1 > 700, an
+# invalid two-size schedule, psi <= 0, then three lanes that reach the value.
+_PATH_LANES = [
+    (100.0, 100.0, 0.0),
+    (30.0, 100.0, 1e-3),
+    (math.inf, 100.0, 1e-6),
+    (1365.6, 8121.8, 0.0458),
+    (64.9, 36.7, 4.08e-5),
+    (1042.6, 5991.7, 1.68e-6),
+    (394.3, 3791.2, 6.83e-13),
+    (8735.7, 3510.0, 8.97e-11),
+    (56.0, 5838.3, 1.3e-12),
+]
+
+_sizes = st.one_of(st.floats(min_value=0.5, max_value=1e12), st.just(math.inf))
+_rho2s = st.one_of(st.just(0.0), st.floats(min_value=1e-13, max_value=0.98))
+
+
+def _bound_calls(k_star=None, margin=0.1, epsilon_d=0.0):
+    return [
+        (unconditional_converse_risk, {}),
+        (truncated_converse_risk, {"k_star": k_star, "margin": margin}),
+        (recovery_ach_perr, {}),
+        (recovery_conv_perr, {"epsilon_d": epsilon_d}),
+    ]
+
+
+class TestArrayBounds:
+    @given(
+        st.lists(st.tuples(_sizes, st.floats(min_value=0.0, max_value=1e5), _rho2s),
+                 min_size=1, max_size=12),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=200)),
+        st.floats(min_value=1e-3, max_value=10.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_block_gives_each_lane_its_scalar_bits(self, lanes, k_star, margin, epsilon_d):
+        n, d, rho2 = (np.array(column) for column in zip(*lanes))
+        for bound, kwargs in _bound_calls(k_star, margin, epsilon_d) + _bound_calls():
+            block = bound(n, d, rho2, **kwargs)
+            singles = [bound(*lane, **kwargs) for lane in lanes]
+            assert all(type(x) is float for x in singles)
+            assert block.shape == n.shape
+            assert [_bits(x) for x in block] == [_bits(x) for x in singles]
+
+    def test_pinned_sweep_as_one_block(self):
+        # The sweep of test_converse_bits_are_pinned: one block call gives the
+        # pinned scalar bits, for every bound.
+        n, d, rho2 = (
+            x.ravel()
+            for x in np.meshgrid([100.0, 1000.0, 10_000.0], [20.0, 100.0, 1000.0, 10_000.0],
+                                 _PRESCAN, indexing="ij")
+        )
+        for bound, kwargs in _bound_calls() + _bound_calls(k_star=40, margin=0.2):
+            block = bound(n, d, rho2, **kwargs)
+            lanes = zip(n.tolist(), d.tolist(), rho2.tolist())
+            singles = [bound(*lane, **kwargs) for lane in lanes]
+            assert [_bits(x) for x in block] == [_bits(x) for x in singles]
+
+    def test_block_keeps_its_shape(self):
+        rho2 = np.array([[1e-6, 1e-3], [0.0, 0.5]])
+        for bound, kwargs in _bound_calls():
+            block = bound(1000.0, np.array([[100.0], [500.0]]), rho2, **kwargs)
+            assert block.shape == (2, 2)
+            assert _bits(block[1, 0]) == _bits(bound(1000.0, 500.0, 0.0, **kwargs))
+
+    def test_every_converse_path_matches_its_scalar_call(self, monkeypatch):
+        # A positive rate is at least 2^-52 (docs/math_notes.md, section 3),
+        # so log_d1 > 50 and log_tail > 700 need the rates shrunk: the
+        # next-to-last lane gets m = 1e-30, the last psi = 1e-310.
+        real = bounds.truncation_exponents
+
+        def shrunk(schedule, n, d, rho2):
+            rates = real(schedule, n, d, rho2)
+            r2 = np.ravel(rho2)
+            return bounds.TruncationExponents(
+                np.where(r2 == 8.97e-11, 1e-30, rates.deficit_norm),
+                rates.deficit_cross,
+                np.where(r2 == 1.3e-12, 1e-310, rates.second_moment),
+            )
+
+        n, d, rho2 = (np.array(column) for column in zip(*_PATH_LANES))
+        uncond = unconditional_converse_risk(n, d, rho2)
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(bounds, "truncation_exponents", shrunk)
+            block = truncated_converse_risk(n, d, rho2, k_star=44, margin=8.19)
+            singles = [truncated_converse_risk(*lane, k_star=44, margin=8.19)
+                       for lane in _PATH_LANES]
+            assert [_bits(x) for x in block] == [_bits(x) for x in singles]
+            assert (block[:6] == uncond[:6]).all()
+            assert block[6] > uncond[6]
+            assert ((block[7:] == uncond[7:]) == patch).all()
+
+    @pytest.mark.parametrize(
+        "bound",
+        [unconditional_converse_risk, truncated_converse_risk, recovery_ach_perr,
+         recovery_conv_perr],
+    )
+    @pytest.mark.parametrize("n, d, name", [(-5.0, 10.0, "n"), (0.0, 10.0, "n"),
+                                            (10.0, -1.0, "d")])
+    def test_nonpositive_n_or_negative_d_is_a_domain_error(self, bound, n, d, name):
+        with pytest.raises(DomainError, match=f"{name} must be"):
+            bound(n, d, 0.1)
+        with pytest.raises(DomainError, match=f"{name} must be"):
+            bound(np.array([100.0, n]), np.array([100.0, d]), 0.1)
+
+    def test_nonpositive_n_is_a_domain_error_in_inversion(self):
+        with pytest.raises(DomainError, match="n must be > 0"):
+            invert_for_rho2("det-conv", -1.0, 10.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("det-ach", "detection_ach_risk"), ("det-conv", "truncated_converse_risk"),
+     ("rec-ach", "recovery_ach_perr"), ("rec-conv", "recovery_conv_perr")],
+)
+def test_inversion_calls_the_bound_once_per_step(monkeypatch, kind, name):
+    # The pre-scan is one call and so is each bisection step: about 32 steps
+    # take the widest pre-scan bracket (about 0.38) to INVERT_TOL.  Called
+    # once per lane and rho2, det-conv made 2,619 calls on this grid.
+    real = getattr(bounds, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, name, counted)
+    d = np.linspace(18.420680743952367, 10_000.0, 50)
+    invert_for_rho2(kind, np.full(d.size, 10_000.0), d, 0.1)
+    assert 2 <= len(calls) <= 45
+    assert calls[0] == d.size * _PRESCAN.size
