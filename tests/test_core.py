@@ -1,5 +1,10 @@
 import concurrent.futures
 import math
+import os
+import pickle
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +83,95 @@ class TestSeedSpec:
     def test_as_seedspec_passthrough(self):
         s = SeedSpec(9, "keep-me")
         assert as_seedspec(s, "ignored") is s
+
+    def test_bad_index_rejected(self):
+        with pytest.raises(ValueError):
+            SeedSpec(7, "x").rng(-1)
+        with pytest.raises(TypeError):
+            SeedSpec(7, "x").rng(1.5)
+
+
+def _reference_rng(spec: SeedSpec, index: int) -> np.random.Generator:
+    """The generator ``rng(index)`` stands for: default_rng on a SeedSequence."""
+    entropy = (spec.master_seed, *spec._label_words, index)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestSeedSpecParity:
+    """``SeedSpec.rng`` keeps numpy's SeedSequence -> PCG64 streams bit for bit."""
+
+    @pytest.mark.parametrize("master", _EDGES)
+    @pytest.mark.parametrize("label", ["main", "detect/monte-carlo-risk/alt"])
+    def test_state_matches_seed_sequence(self, master, label):
+        spec = SeedSpec(master, label)
+        rnd = random.Random(master)
+        indices = _EDGES + [rnd.getrandbits(bits) for bits in (8, 16, 31, 33, 63, 64, 96)]
+        for index in indices:
+            got = spec.rng(index).bit_generator.state
+            assert got == _reference_rng(spec, index).bit_generator.state, index
+
+    @pytest.mark.parametrize("label_words", [(1, 2), (0, 2**32 - 1), (2**32, 0)])
+    def test_short_prefix_takes_full_hash(self, label_words):
+        # Fewer than four uint32 words before the index: it lands in the pool.
+        spec = SeedSpec(5, "short")
+        object.__setattr__(spec, "_label_words", label_words)
+        for index in _EDGES:
+            got = spec.rng(index).bit_generator.state
+            assert got == _reference_rng(spec, index).bit_generator.state, index
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_seed_words_match_generate_state(self, size):
+        rnd = random.Random(size)
+        cases = [(0,) * size, (2**32 - 1,) * size]
+        cases += [tuple(rnd.getrandbits(32) for _ in range(size)) for _ in range(20)]
+        for entropy in cases:
+            expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            assert core._seed_words(entropy) == expected.tolist(), entropy
+
+    def test_spawn_matches_seed_sequence(self):
+        spec = SeedSpec(3, "spawn")
+        got, ref = spec.rng(11), _reference_rng(spec, 11)
+        for _ in range(2):  # a second spawn gives the next children, as numpy's does
+            assert ([c.random(3).tolist() for c in got.spawn(2)]
+                    == [c.random(3).tolist() for c in ref.spawn(2)])
+        assert got.random(3).tolist() == ref.random(3).tolist()
+
+    def test_other_state_requests_match_seed_sequence(self):
+        spec = SeedSpec(3, "state")
+        seq = spec.rng(4).bit_generator.seed_seq
+        ref = _reference_rng(spec, 4).bit_generator.seed_seq
+        assert seq.entropy == ref.entropy
+        for n_words, dtype in [(4, np.uint64), (4, np.uint32), (9, np.uint64)]:
+            assert np.array_equal(seq.generate_state(n_words, dtype),
+                                  ref.generate_state(n_words, dtype))
+
+    def test_generator_pickles_with_its_stream(self):
+        spec = SeedSpec(3, "pickle")
+        copy = pickle.loads(pickle.dumps(spec.rng(9)))
+        ref = _reference_rng(spec, 9)
+        assert copy.random(3).tolist() == ref.random(3).tolist()
+        assert copy.spawn(1)[0].random() == ref.spawn(1)[0].random()
+
+    def test_cache_is_not_part_of_identity(self):
+        used, fresh = SeedSpec(3, "a"), SeedSpec(3, "a")
+        used.rng(0)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "SeedSpec(master_seed=3, stream_label='a')"
+        assert pickle.loads(pickle.dumps(used)).rng(5).random() == fresh.rng(5).random()
+        assert used.stream("b").rng(1).random() == fresh.stream("b").rng(1).random()
+
+    def test_import_loads_neither_numpy_random_nor_ma(self):
+        # Import time and memory are part of every run's set-up: numpy.random
+        # loads on the first rng call, and numpy.ma (np.unique) not at all.
+        src = str(Path(corralign.__file__).resolve().parents[1])
+        code = "import sys, corralign; print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
         fresh = as_seedspec(11, "lbl")
         assert fresh == SeedSpec(11, "lbl")
 

@@ -385,3 +385,13 @@ def test_refactored_rows_are_pinned():
                         f"{r.reference.hex()}|{r.detail}")
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == "8ee039f355e9888dca7dab99f6a7a95aaf156f7b93bd5d5b2d6213edbf1cf3ad"
+
+
+def test_floor_md_matches_scalar_g_md_loop():
+    # The check evaluates g_md(x, sqrt(x)) as one array call; the scalar
+    # loop it replaced is the reference, bit for bit.
+    r2 = np.linspace(1e-9, 1.0 - 1e-9, 10_000)
+    loop = np.array([bounds.g_md(x, math.sqrt(x)) for x in r2])
+    assert np.array_equal(bounds._g_md(r2, *bounds._md_lane_args(r2)), loop)
+    result = oracle._REGISTRY["exponent-floor-md"](SeedSpec(0, "verify/exponent-floor-md"))
+    assert result.statistic == float(np.max(r2 / 30.0 - loop))
