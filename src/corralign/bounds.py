@@ -15,14 +15,17 @@ All bound functions accept real-valued n and d (curves sample non-integer
 grid points) and evaluate large powers in log space.  ``invert_for_rho2``
 turns any of them into the squared correlation needed to meet a target risk.
 
-``invert_for_rho2``, ``minimize_two_exponent`` and the bound of every kind
-(``detection_ach_risk``, ``truncated_converse_risk``,
+``invert_for_rho2``, ``g_fa``, ``g_md``, ``minimize_two_exponent`` and the
+bound of every kind (``detection_ach_risk``, ``truncated_converse_risk``,
 ``unconditional_converse_risk``, ``recovery_ach_perr`` and
 ``recovery_conv_perr``) also take arrays, one lane per point:
 ``curve_points`` inverts a block of grid points at once, with one bound call
 per kind for the pre-scan and one per bisection step.  Lanes step together
 but never mix, so each gets the floats of its own scalar call (see
-docs/math_notes.md, section 3).
+docs/math_notes.md, section 3).  A scalar call runs the same lane path and
+pays its fixed numpy cost (``recovery_ach_perr`` takes about 30 us where
+plain float code took 0.3 us), so a caller looping over points should pass
+them as arrays instead.
 """
 
 from __future__ import annotations
@@ -44,6 +47,77 @@ BOUND_KINDS = ("det-ach", "det-conv", "rec-ach", "rec-conv")
 
 
 # ---------------------------------------------------------------------------
+# Lanes: every bound on arrays, with scalar-call bits
+# ---------------------------------------------------------------------------
+
+
+def _lanes(*values):
+    """Broadcast the values to one float64 lane each; returns (shape, 1-D lanes)."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    if any(a.shape != arrays[0].shape for a in arrays):
+        arrays = np.broadcast_arrays(*arrays)
+    return arrays[0].shape, [a.ravel() for a in arrays]
+
+
+def _shaped(values, shape):
+    """The lane values in the caller's shape: a float for scalar inputs."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _first_lanes(*columns):
+    """(lane_of, first): each lane's first lane with its values in ``columns``,
+    and a dict from each distinct row of values to its first lane."""
+    first: dict = {}
+    rows = zip(*(column.tolist() for column in columns))
+    return [first.setdefault(row, lane) for lane, row in enumerate(rows)], first
+
+
+def _math_lanes(f, x, where=None):
+    """``f``, a scalar Python function, applied lane by lane where ``where``; NaN elsewhere.
+
+    numpy's ufuncs may differ from ``math`` in the last bit (``expm1`` on
+    about 10% of inputs), so the bounds' ``math`` steps stay ``math`` calls
+    per lane, and so does ``x ** 2``, which Python takes from libm's ``pow``.
+    """
+    if where is None:
+        return np.array([f(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
+    out = np.empty(x.shape)
+    out.fill(math.nan)
+    out[where] = [f(v) for v in x[where].tolist()]
+    return out
+
+
+def _float_errstate():
+    """numpy's error state for Python float arithmetic, which overflows to inf
+    and makes NaN (inf - inf, inf * 0) without a warning."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _require_rho2(rho2) -> None:
+    if not ((0.0 <= rho2) & (rho2 < 1.0)).all():
+        raise DomainError("rho2 must lie in [0, 1)")
+
+
+def _require_sizes(n, d, *, reject_nan: bool = True) -> None:
+    """Reject n <= 0 or d < 0, and a NaN n or d unless ``reject_nan`` is False.
+
+    ``max(0.0, nan)`` would turn a NaN size into a converse risk of 0, so the
+    converses reject it; ``recovery_ach_perr`` returns NaN, which the
+    inversion's pre-scan reports as undefined.
+    """
+    if ((n > 0.0) & (d >= 0.0)).all():
+        return
+    nan = np.isnan(n) | np.isnan(d)
+    if reject_nan and nan.any():
+        i = int(np.argmax(nan))
+        raise DomainError(f"n and d must not be NaN, got n = {n[i]}, d = {d[i]}")
+    if np.any(n <= 0.0):
+        raise DomainError(f"n must be > 0, got n = {n[np.argmax(n <= 0.0)]}")
+    if np.any(d < 0.0):
+        raise DomainError(f"d must be >= 0, got d = {d[np.argmax(d < 0.0)]}")
+
+
+# ---------------------------------------------------------------------------
 # Chernoff exponents for the threshold test
 # ---------------------------------------------------------------------------
 
@@ -60,11 +134,10 @@ def g_fa(gamma):
     evaluated in a cancellation-free form (accurate down to gamma ~ 1e-300).
     Accepts scalars or arrays; nonnegative and increasing.
     """
-    g = np.asarray(gamma, dtype=np.float64)
+    shape, (g,) = _lanes(gamma)
     if np.any(g < 0.0):
         raise DomainError("gamma must be nonnegative")
-    value = _g_fa(g)
-    return float(value) if g.ndim == 0 else value
+    return _shaped(_g_fa(g), shape)
 
 
 def _g_md(g, abs_rho, u, log_u):
@@ -82,18 +155,16 @@ def g_md(gamma, rho):
     / (1-rho^2) - 1 - ln((1-rho^2 + sqrt((1-rho^2)^2 + gamma)) / 2).
 
     Collapses to ``g_fa`` at rho = 0 and tends to -ln(1-rho^2) as gamma -> 0.
+    Array inputs broadcast to one exponent per (gamma, rho) lane.
     """
-    rho = float(rho)
-    if abs(rho) >= 1.0:
+    shape, (g, rho) = _lanes(gamma, rho)
+    if np.any(np.abs(rho) >= 1.0):
         raise DomainError("|rho| must be < 1")
-    if rho == 0.0:
-        return g_fa(gamma)
-    g = np.asarray(gamma, dtype=np.float64)
     if np.any(g < 0.0):
         raise DomainError("gamma must be nonnegative")
     u = 1.0 - rho * rho
-    value = _g_md(g, abs(rho), u, math.log(u))
-    return float(value) if g.ndim == 0 else value
+    value = _g_md(g, np.abs(rho), u, _math_lanes(math.log, u))
+    return _shaped(np.where(rho == 0.0, _g_fa(g), value), shape)
 
 
 def _two_exp_bound(gamma, neg_half_d, abs_rho, u, log_u):
@@ -164,19 +235,14 @@ def minimize_two_exponent(d, rho2):
     gets the floats its scalar call would.  The lanes run in lockstep, at
     most ``LANE_CAP`` at a time.
     """
-    d_in, r2_in = np.broadcast_arrays(
-        np.asarray(d, dtype=np.float64), np.asarray(rho2, dtype=np.float64)
-    )
-    dd, r2 = d_in.ravel(), r2_in.ravel()
+    shape, (dd, r2) = _lanes(d, rho2)
     if not np.all((0.0 < r2) & (r2 < 1.0)):
         raise DomainError("rho2 must lie in (0, 1)")
     if not np.all(dd >= 1.0):  # NaN fails this too
         raise DomainError("d must be >= 1")
     passes = [_minimize_lanes(dd[i : i + LANE_CAP], r2[i : i + LANE_CAP])
               for i in range(0, max(r2.size, 1), LANE_CAP)]
-    if not d_in.shape:
-        return float(passes[0][0][0]), float(passes[0][1][0])
-    gamma, bound = (np.concatenate(parts).reshape(d_in.shape) for parts in zip(*passes))
+    gamma, bound = (_shaped(np.concatenate(parts), shape) for parts in zip(*passes))
     return gamma, bound
 
 
@@ -198,8 +264,7 @@ def _md_lane_args(rho2):
     """(|rho|, u, ln u) per lane of ``rho2``, the trailing arguments of ``_g_md``."""
     rho = np.sqrt(rho2)
     u = 1.0 - rho * rho
-    # math.log, as the scalar g_md takes it; numpy's log may differ in the last bit.
-    return rho, u, np.array([math.log(x) for x in u.tolist()])
+    return rho, u, _math_lanes(math.log, u)
 
 
 def _minimize_lanes(d, rho2):
@@ -291,69 +356,6 @@ def mgf_null(lam: float, n: float, d: float) -> float:
     if not abs(lam) < 1.0 / n:
         raise DomainError(f"lambda must satisfy |lambda| < 1/n = {1.0 / n}")
     return math.exp(-0.5 * d * math.log1p(-(n * lam) ** 2))
-
-
-# ---------------------------------------------------------------------------
-# Lanes: the converse and recovery bounds on arrays, with scalar-call bits
-# ---------------------------------------------------------------------------
-
-
-def _lanes(*values):
-    """Broadcast the values to one float64 lane each; returns (shape, 1-D lanes)."""
-    arrays = [np.asarray(v, dtype=np.float64) for v in values]
-    if any(a.shape != arrays[0].shape for a in arrays):
-        arrays = np.broadcast_arrays(*arrays)
-    return arrays[0].shape, [a.ravel() for a in arrays]
-
-
-def _shaped(values, shape):
-    """The lane values in the caller's shape: a float for scalar inputs."""
-    return float(values[0]) if shape == () else values.reshape(shape)
-
-
-def _math_lanes(f, x, where=None):
-    """``f``, a scalar Python function, applied lane by lane where ``where``; NaN elsewhere.
-
-    numpy's ufuncs may differ from ``math`` in the last bit (``expm1`` on
-    about 10% of inputs), so the bounds' ``math`` steps stay ``math`` calls
-    per lane, and so does ``x ** 2``, which Python takes from libm's ``pow``.
-    """
-    if where is None:
-        return np.array([f(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
-    out = np.empty(x.shape)
-    out.fill(math.nan)
-    out[where] = [f(v) for v in x[where].tolist()]
-    return out
-
-
-def _float_errstate():
-    """numpy's error state for Python float arithmetic, which overflows to inf
-    and makes NaN (inf - inf, inf * 0) without a warning."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-def _require_rho2(rho2) -> None:
-    if not ((0.0 <= rho2) & (rho2 < 1.0)).all():
-        raise DomainError("rho2 must lie in [0, 1)")
-
-
-def _require_sizes(n, d, *, reject_nan: bool = True) -> None:
-    """Reject n <= 0 or d < 0, and a NaN n or d unless ``reject_nan`` is False.
-
-    ``max(0.0, nan)`` would turn a NaN size into a converse risk of 0, so the
-    converses reject it; ``recovery_ach_perr`` returns NaN, which the
-    inversion's pre-scan reports as undefined.
-    """
-    if ((n > 0.0) & (d >= 0.0)).all():
-        return
-    nan = np.isnan(n) | np.isnan(d)
-    if reject_nan and nan.any():
-        i = int(np.argmax(nan))
-        raise DomainError(f"n and d must not be NaN, got n = {n[i]}, d = {d[i]}")
-    if np.any(n <= 0.0):
-        raise DomainError(f"n must be > 0, got n = {n[np.argmax(n <= 0.0)]}")
-    if np.any(d < 0.0):
-        raise DomainError(f"d must be >= 0, got d = {d[np.argmax(d < 0.0)]}")
 
 
 # ---------------------------------------------------------------------------
@@ -563,16 +565,14 @@ def truncated_converse_risk(n, d, rho2, k_star: int | None = None, margin: float
     # The schedule preconditions do not involve rho2, so they are checked once
     # per distinct (n, d); k_star = 0 marks a failure.  A lane failing them,
     # or at rho2 = 0, keeps the unconditional bound.
-    pairs = np.empty(n.size, dtype=np.complex128)
-    pairs.real, pairs.imag = n, d
-    pairs, pair_of = np.unique(pairs, return_inverse=True)
-    k_stars = []
-    for nn, dd in zip(pairs.real.tolist(), pairs.imag.tolist()):
+    lane_of, first = _first_lanes(n, d)
+    k_at = {}
+    for (nn, dd), lane in first.items():
         try:
-            k_stars.append(_schedule_k_star(nn, dd, k_star, margin))
+            k_at[lane] = _schedule_k_star(nn, dd, k_star, margin)
         except ConditionViolatedError:
-            k_stars.append(0)
-    ks = np.array(k_stars, dtype=np.float64)[pair_of]
+            k_at[lane] = 0
+    ks = np.array([k_at[lane] for lane in lane_of], dtype=np.float64)
     live = np.flatnonzero((ks > 0.0) & (rho2 != 0.0))
     for i in range(0, live.size, CONVERSE_LANE_CAP):
         at = live[i : i + CONVERSE_LANE_CAP]
@@ -594,10 +594,10 @@ def _truncated_lanes(n, d, rho2, ks, uncond, margin):
         m = np.where(cross < norm, cross, norm)  # min(norm, cross)
         # B2 overflows where t1 > 700, whatever the schedule.
         ok = ~(t1 > 700.0) & schedule.valid & ~(m <= 0.0) & ~(psi <= 0.0)
+        # A positive rate is at least 2^-52, so log_d1 < 38 and log_tail < 37
+        # (docs/math_notes.md, section 3): neither exp below can overflow.
         log_d1 = math.log(4.0) - ks * m - _math_lanes(_log_one_minus_exp_neg, m, ok)
-        ok &= ~(log_d1 > 50.0)
         log_tail = -ks * psi - _math_lanes(_log_one_minus_exp_neg, psi, ok)
-        ok &= ~(log_tail > 700.0)
         d1 = _math_lanes(math.exp, log_d1, ok)
         b2 = _math_lanes(math.exp, t1, ok) + _math_lanes(math.exp, log_tail, ok)
         value = 1.0 - (np.sqrt(b2 - 1.0 + 2.0 * d1) + d1)
@@ -669,7 +669,7 @@ def recovery_conv_perr(n, d, rho2, epsilon_d: float = 0.0):
 
 
 # Both geomspaces end at 0.5 exactly; the second's copy is dropped.  (Sorting
-# rather than np.unique keeps numpy.ma, about 1.4 MB and 12 ms, out of import.)
+# rather than a numpy dedup keeps numpy.ma, about 1.4 MB and 12 ms, out of import.)
 _PRESCAN = np.sort(
     np.concatenate(
         [
@@ -774,10 +774,10 @@ def invert_for_rho2(
     ``n`` and ``d`` may also be arrays, broadcast to a block of lanes.  The
     block is inverted at once and a list comes back with, per lane, the
     float or the ``InversionUndefinedError`` a scalar call would raise; the
-    floats are those of the scalar calls.  The lanes bisect in lockstep,
-    and the 41-point pre-scan and each bisection step are one array call of
-    the kind's bound.  ``det-ach`` runs one lane per distinct d (its bound
-    ignores n), and its pre-scan holds 41 x 64 doubles per distinct d.
+    floats are those of the scalar calls.  One lane runs per distinct input
+    of the kind's bound: d for ``det-ach`` (its bound ignores n), (n, d) for
+    the others.  The lanes bisect in lockstep, and the 41-point pre-scan and
+    each bisection step are one array call of the kind's bound.
     """
     if not 0.0 < target_risk < 1.0:
         raise DomainError("target_risk must lie in (0, 1)")
@@ -785,29 +785,24 @@ def invert_for_rho2(
         raise DomainError(f"unknown bound kind {bound_kind!r}; expected one of {BOUND_KINDS}")
     target = 0.5 * target_risk if bound_kind == "rec-ach" else target_risk
     mode = bound_kind.split("-")[1]
-    scalar = np.ndim(n) == 0 and np.ndim(d) == 0
-    _, (n_lanes, d_lanes) = _lanes(n, d)
-    if bound_kind == "det-ach":
-        ds, lane_of = np.unique(d_lanes, return_inverse=True)
-        found = _invert_lanes(
-            lambda sel, r2: detection_ach_risk(ds[sel], r2), ds.size, bound_kind, target, mode
-        )
-        results = [found[i] for i in lane_of]
-    else:
-        # Built per call, so the bounds are looked up by module name then.
-        bound = {
-            "det-conv": lambda nn, dd, r2: truncated_converse_risk(nn, dd, r2, k_star, margin),
-            "rec-ach": recovery_ach_perr,
-            "rec-conv": lambda nn, dd, r2: recovery_conv_perr(nn, dd, r2, epsilon_d),
-        }[bound_kind]
-        results = _invert_lanes(
-            lambda sel, r2: bound(n_lanes[sel], d_lanes[sel], r2),
-            n_lanes.size,
-            bound_kind,
-            target,
-            mode,
-        )
-    if not scalar:
+    shape, (n_lanes, d_lanes) = _lanes(n, d)
+    # Built per call, so the bounds are looked up by module name then.  Each
+    # kind's (n, d, rho2) bound comes with the inputs it reads, and one lane
+    # runs per distinct value of those.
+    nd = (n_lanes, d_lanes)
+    bound, reads = {
+        "det-ach": (lambda nn, dd, r2: detection_ach_risk(dd, r2), (d_lanes,)),
+        "det-conv": (lambda nn, dd, r2: truncated_converse_risk(nn, dd, r2, k_star, margin), nd),
+        "rec-ach": (recovery_ach_perr, nd),
+        "rec-conv": (lambda nn, dd, r2: recovery_conv_perr(nn, dd, r2, epsilon_d), nd),
+    }[bound_kind]
+    lane_of, first = _first_lanes(*reads)
+    at = np.array(list(first.values()), dtype=np.intp)
+    nn, dd = n_lanes[at], d_lanes[at]
+    found = dict(zip(first.values(), _invert_lanes(
+        lambda sel, r2: bound(nn[sel], dd[sel], r2), at.size, bound_kind, target, mode)))
+    results = [found[lane] for lane in lane_of]
+    if shape != ():
         return results
     (result,) = results
     if isinstance(result, InversionUndefinedError):

@@ -587,7 +587,7 @@ def _chk_floor_fa(spec: SeedSpec) -> CheckResult:
 @_check("exponent-floor-md")
 def _chk_floor_md(spec: SeedSpec) -> CheckResult:
     r2 = np.linspace(1e-9, 1.0 - 1e-9, 10_000)
-    vals = bounds._g_md(r2, *bounds._md_lane_args(r2))  # g_md(x, sqrt(x)) per x
+    vals = bounds.g_md(r2, np.sqrt(r2))
     excess = _worst(r2 / 30.0 - vals)
     return CheckResult("exponent-floor-md", excess <= 0.0, excess, 0.0,
                        "balanced-tuning missed-detection exponent vs rho^2/30")

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +246,7 @@ def test_criterion_9_converse_machinery():
 @pytest.mark.criterion(10)
 def test_criterion_10_byte_identical_reports(tmp_path):
     t0 = time.monotonic()
+    src = str(Path(bounds.__file__).resolve().parents[1])
 
     def run(args):
         proc = subprocess.run(
@@ -252,6 +254,7 @@ def test_criterion_10_byte_identical_reports(tmp_path):
             capture_output=True,
             text=True,
             timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
         return proc

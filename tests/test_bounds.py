@@ -82,6 +82,18 @@ class TestExponents:
         for i, g in enumerate(gamma):
             assert vec[i] == g_fa(float(g))
 
+    def test_g_md_lanes_over_gamma_and_rho(self):
+        gamma = np.array([[0.01], [0.3], [1.7]])
+        rho = np.array([0.0, -0.4, 0.9])
+        vec = g_md(gamma, rho)
+        assert vec.shape == (3, 3)
+        for i, g in enumerate(gamma[:, 0]):
+            assert vec[i, 0] == g_fa(float(g))
+            for j, r in enumerate(rho):
+                assert _bits(vec[i, j]) == _bits(g_md(float(g), float(r)))
+        with pytest.raises(DomainError):
+            g_md(0.1, np.array([0.5, -1.0]))
+
     @given(st.floats(min_value=1e-6, max_value=3.0), st.floats(min_value=1e-6, max_value=3.0))
     @settings(max_examples=60, deadline=None)
     def test_g_fa_increasing(self, a, b):
@@ -615,6 +627,36 @@ class TestLockstep:
         assert points == [p for ps, _ in singles for p in ps]
         assert notes == [m for _, ms in singles for m in ms]
 
+    @pytest.mark.parametrize("kind", BOUND_KINDS)
+    def test_empty_block_inverts_to_an_empty_list(self, kind):
+        assert invert_for_rho2(kind, np.array([]), np.array([]), 0.1) == []
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("det-ach", "detection_ach_risk"), ("det-conv", "truncated_converse_risk"),
+         ("rec-ach", "recovery_ach_perr"), ("rec-conv", "recovery_conv_perr")],
+    )
+    def test_prescan_runs_one_lane_set_per_distinct_input(self, monkeypatch, kind, name):
+        real = getattr(bounds, name)
+        sizes = []
+
+        def counted(*args, **kwargs):
+            sizes.append(np.size(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, counted)
+        # det-ach reads d alone: a fixed-d n-sweep is one lane set.
+        invert_for_rho2(kind, np.array([10.0, 100.0, 1000.0, 1e4]), np.full(4, 500.0), 0.1)
+        distinct = 1 if kind == "det-ach" else 4
+        assert sizes[0] == distinct * _PRESCAN.size
+        # A repeated (n, d) pair is one lane set for every kind.
+        sizes.clear()
+        block = invert_for_rho2(kind, np.array([1000.0, 1e4, 1000.0]),
+                                np.array([500.0, 500.0, 500.0]), 0.1)
+        distinct = 1 if kind == "det-ach" else 2
+        assert sizes[0] == distinct * _PRESCAN.size
+        assert _bits(block[0]) == _bits(block[2])
+
     def test_curve_memory_is_bounded_by_the_lane_cap(self):
         # Uncapped, the det-ach pre-scan of 200 points would hold 8,400
         # lanes of 64 doubles (4.3 MB) per temporary array: a 34 MB peak
@@ -718,33 +760,57 @@ class TestArrayBounds:
             assert block.shape == (2, 2)
             assert _bits(block[1, 0]) == _bits(bound(1000.0, 500.0, 0.0, **kwargs))
 
-    def test_every_converse_path_matches_its_scalar_call(self, monkeypatch):
-        # A positive rate is at least 2^-52 (docs/math_notes.md, section 3),
-        # so log_d1 > 50 and log_tail > 700 need the rates shrunk: the
-        # next-to-last lane gets m = 1e-30, the last psi = 1e-310.
-        real = bounds.truncation_exponents
-
-        def shrunk(schedule, n, d, rho2):
-            rates = real(schedule, n, d, rho2)
-            r2 = np.ravel(rho2)
-            return bounds.TruncationExponents(
-                np.where(r2 == 8.97e-11, 1e-30, rates.deficit_norm),
-                rates.deficit_cross,
-                np.where(r2 == 1.3e-12, 1e-310, rates.second_moment),
-            )
-
+    def test_every_converse_path_matches_its_scalar_call(self):
         n, d, rho2 = (np.array(column) for column in zip(*_PATH_LANES))
         uncond = unconditional_converse_risk(n, d, rho2)
-        for patch in (False, True):
-            if patch:
-                monkeypatch.setattr(bounds, "truncation_exponents", shrunk)
-            block = truncated_converse_risk(n, d, rho2, k_star=44, margin=8.19)
-            singles = [truncated_converse_risk(*lane, k_star=44, margin=8.19)
-                       for lane in _PATH_LANES]
-            assert [_bits(x) for x in block] == [_bits(x) for x in singles]
-            assert (block[:6] == uncond[:6]).all()
-            assert block[6] > uncond[6]
-            assert ((block[7:] == uncond[7:]) == patch).all()
+        block = truncated_converse_risk(n, d, rho2, k_star=44, margin=8.19)
+        singles = [truncated_converse_risk(*lane, k_star=44, margin=8.19)
+                   for lane in _PATH_LANES]
+        assert [_bits(x) for x in block] == [_bits(x) for x in singles]
+        assert (block[:6] == uncond[:6]).all()
+        assert block[6] > uncond[6]
+        assert (block[7:] != uncond[7:]).all()
+
+    @given(
+        st.lists(st.tuples(st.floats(min_value=1.0, max_value=1e12),
+                           st.floats(min_value=0.0, max_value=1e5),
+                           st.floats(min_value=1e-13, max_value=0.98)),
+                 min_size=1, max_size=12),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=200)),
+        st.floats(min_value=-300.0, max_value=3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_positive_rates_keep_the_converse_finite(self, lanes, k_star, log_margin):
+        # Every rate is a difference of floats, the subtracted one >= 1, so a
+        # positive rate is at least 2^-52 (docs/math_notes.md, section 3).
+        # Then log_d1 < 38 and log_tail < 37, and the converse needs no
+        # overflow fallback for either.
+        margin = 10.0**log_margin
+        kept, ks = [], []
+        for n, d, rho2 in lanes:
+            try:
+                ks.append(bounds._schedule_k_star(n, d, k_star, margin))
+            except ConditionViolatedError:
+                continue
+            kept.append((n, d, rho2))
+        if not kept:
+            return
+        n, d, rho2 = (np.array(column)[:, None] for column in zip(*kept))
+        k = np.array(ks, dtype=np.float64)
+        with bounds._float_errstate():
+            schedule = bounds._schedule(n, d, rho2, k, np.stack([k, np.floor(n[:, 0])], axis=1),
+                                        margin)
+            rates = truncation_exponents(schedule, n, d, rho2)
+        for lane, kk in enumerate(ks):
+            norm, cross, psi = (float(r[lane]) for r in
+                                (rates.deficit_norm, rates.deficit_cross, rates.second_moment))
+            for rate in (norm, cross, psi):
+                assert not 0.0 < rate < 2.0**-52
+            m = min(norm, cross)
+            if m > 0.0:
+                assert math.log(4.0) - kk * m - bounds._log_one_minus_exp_neg(m) < 38.0
+            if psi > 0.0:
+                assert -kk * psi - bounds._log_one_minus_exp_neg(psi) < 37.0
 
     @pytest.mark.parametrize(
         "bound",

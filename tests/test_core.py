@@ -175,6 +175,27 @@ class TestSeedSpecParity:
         fresh = as_seedspec(11, "lbl")
         assert fresh == SeedSpec(11, "lbl")
 
+    def test_commands_leave_numpy_ma_unloaded(self):
+        # np.unique on an int or float array loads numpy.ma on first use;
+        # no command's path calls it.
+        src = str(Path(corralign.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, sys\n"
+            "from corralign import cli\n"
+            "runs = [['simulate-recovery', '--n', '40', '--d', '60', '--rho', '0.9',\n"
+            "         '--trials', '3'],\n"
+            "        ['simulate-detection', '--n', '5', '--d', '20', '--rho', '0.5',\n"
+            "         '--trials', '3'],\n"
+            "        ['curve', '--axis', 'n', '--grid', '10:1e4:4', '--d', '500']]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(args) for args in runs]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] False"
+
 
 class TestPermutation:
     def test_identity(self):
