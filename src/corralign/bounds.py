@@ -167,11 +167,14 @@ def g_md(gamma, rho):
     return _shaped(np.where(rho == 0.0, _g_fa(g), value), shape)
 
 
+def _two_exp(neg_half_d, fa, md):
+    """exp(-d/2 fa) + exp(-d/2 md), in log space; elementwise in all arguments."""
+    return np.exp(np.logaddexp(neg_half_d * fa, neg_half_d * md))
+
+
 def _two_exp_bound(gamma, neg_half_d, abs_rho, u, log_u):
-    """exp(-d/2 g_fa) + exp(-d/2 g_md), in log space; elementwise in all arguments."""
-    la = neg_half_d * _g_fa(gamma)
-    lb = neg_half_d * _g_md(gamma, abs_rho, u, log_u)
-    return np.exp(np.logaddexp(la, lb))
+    """``_two_exp`` of the two exponents at gamma; elementwise in all arguments."""
+    return _two_exp(neg_half_d, _g_fa(gamma), _g_md(gamma, abs_rho, u, log_u))
 
 
 def _golden_min(f, a, b, *lane_args, rel_tol: float = 1e-10, max_iter: int = 200):
@@ -220,8 +223,8 @@ def _golden_min(f, a, b, *lane_args, rel_tol: float = 1e-10, max_iter: int = 200
     return x_out, f_out
 
 
-#: Most lanes one lockstep ``minimize_two_exponent`` pass holds; a larger
-#: call runs in passes of this many, so its scan stays near 130 kB per array.
+#: Most lanes one ``minimize_two_exponent`` scan step holds, and most distinct
+#: rho^2 rows it builds at once, so each scan array stays near 130 kB.
 LANE_CAP = 256
 
 
@@ -232,18 +235,17 @@ def minimize_two_exponent(d, rho2):
     golden-section refinement; gamma = rho^2 (the balanced choice) is always
     kept as a candidate.  Returns (gamma, bound): floats for scalar inputs.
     Array inputs broadcast to one lane per (d, rho^2) pair, and each lane
-    gets the floats its scalar call would.  The lanes run in lockstep, at
-    most ``LANE_CAP`` at a time.
+    gets the floats its scalar call would.  The scan grid and its two
+    exponents are built once per distinct rho^2 and scanned ``LANE_CAP``
+    lanes at a time; one golden-section pass then refines every lane.
     """
     shape, (dd, r2) = _lanes(d, rho2)
     if not np.all((0.0 < r2) & (r2 < 1.0)):
         raise DomainError("rho2 must lie in (0, 1)")
     if not np.all(dd >= 1.0):  # NaN fails this too
         raise DomainError("d must be >= 1")
-    passes = [_minimize_lanes(dd[i : i + LANE_CAP], r2[i : i + LANE_CAP])
-              for i in range(0, max(r2.size, 1), LANE_CAP)]
-    gamma, bound = (_shaped(np.concatenate(parts), shape) for parts in zip(*passes))
-    return gamma, bound
+    gamma, bound = _minimize_lanes(dd, r2)
+    return _shaped(gamma, shape), _shaped(bound, shape)
 
 
 def _linspace_lanes(start, stop, num: int):
@@ -268,21 +270,41 @@ def _md_lane_args(rho2):
 
 
 def _minimize_lanes(d, rho2):
-    """``minimize_two_exponent`` on 1-D lanes, all in one lockstep pass."""
-    lane_args = (-0.5 * d, *_md_lane_args(rho2))
-    hi = 4.0 * rho2
+    """``minimize_two_exponent`` on 1-D lanes.
+
+    The scan grid and its ``_g_fa``/``_g_md`` rows depend on rho^2 alone, so
+    they are built once per distinct rho^2 (at most ``LANE_CAP`` rows at a
+    time) and gathered per lane, ``LANE_CAP`` lanes per scan step.  Gathers
+    and ``np.where`` only select, so each lane gets its scalar call's bits.
+    """
+    lane_of, first = _first_lanes(rho2)
+    at = np.array(list(first.values()), dtype=np.intp)  # ascending
+    row = np.searchsorted(at, lane_of)  # each lane's distinct-rho2 row
+    md_rows = _md_lane_args(rho2[at])
+    hi = 4.0 * rho2[at]
     eps = 1e-12 * hi
-    grid = _linspace_lanes(eps, hi - eps, 64)
-    # At huge d a scan point can overflow to inf; it is never the minimum.
-    with np.errstate(over="ignore"):
-        vals = _two_exp_bound(grid, *(v[:, None] for v in lane_args))
-    lanes = np.arange(rho2.size)
-    i = np.argmin(vals, axis=1)
-    lo_b = grid[lanes, np.maximum(i - 1, 0)]
-    hi_b = grid[lanes, np.minimum(i + 1, grid.shape[1] - 1)]
+    neg_half_d = -0.5 * d
+    lo_b, hi_b, scan_gamma, scan_bound = (np.empty(d.size) for _ in range(4))
+    for r in range(0, at.size, LANE_CAP):
+        rows = slice(r, r + LANE_CAP)
+        grid = _linspace_lanes(eps[rows], hi[rows] - eps[rows], 64)
+        g_fa, g_md = _g_fa(grid), _g_md(grid, *(v[rows, None] for v in md_rows))
+        in_rows = np.flatnonzero((row >= r) & (row < r + LANE_CAP))
+        for i in range(0, in_rows.size, LANE_CAP):
+            lanes = in_rows[i : i + LANE_CAP]
+            k = row[lanes] - r
+            # At huge d a scan point can overflow to inf; it is never the minimum.
+            with np.errstate(over="ignore"):
+                vals = _two_exp(neg_half_d[lanes, None], g_fa[k], g_md[k])
+            j = np.argmin(vals, axis=1)
+            lo_b[lanes] = grid[k, np.maximum(j - 1, 0)]
+            hi_b[lanes] = grid[k, np.minimum(j + 1, grid.shape[1] - 1)]
+            scan_gamma[lanes] = grid[k, j]
+            scan_bound[lanes] = vals[np.arange(lanes.size), j]
+    lane_args = (neg_half_d, *(v[row] for v in md_rows))
     gamma, bound = _golden_min(_two_exp_bound, lo_b, hi_b, *lane_args)
     # The first smallest of (golden, scan, balanced), as min() over the three.
-    candidates = ((grid[lanes, i], vals[lanes, i]), (rho2, _two_exp_bound(rho2, *lane_args)))
+    candidates = ((scan_gamma, scan_bound), (rho2, _two_exp_bound(rho2, *lane_args)))
     for cand_gamma, cand_bound in candidates:
         better = cand_bound < bound
         gamma = np.where(better, cand_gamma, gamma)

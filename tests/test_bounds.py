@@ -534,6 +534,29 @@ class TestCurvePoints:
     def test_empty_grid(self):
         assert curve_points("d", [], n=100.0) == ([], [])
 
+    @pytest.mark.parametrize(
+        "name, axis, fixed",
+        [("curve_vs_d_n10000_risk0.1.csv", "d", {"n": 10_000.0}),
+         ("curve_vs_n_d1000_risk0.1.csv", "n", {"d": 1000.0})],
+    )
+    def test_reference_curves(self, name, axis, fixed):
+        # Every row of the shipped curves: det-ach to 1e-4 and rec-ach to
+        # 1e-3 relative (measured: 1.1e-5 and 1.6e-4 on the d-sweep, 8e-7 and
+        # 2.5e-5 on the n-sweep).  The files write rho2 = 1 where the target
+        # is unreachable on (0, 1); the curve leaves that cell empty.
+        lines = (_REFERENCE / name).read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        points, _ = curve_points(axis, [r["axis"] for r in rows], **fixed)
+        assert len(points) == len(rows) == 50
+        for row, point in zip(rows, points):
+            for column, rel in (("rho2_det_ach", 1e-4), ("rho2_rec_ach", 1e-3)):
+                got, want = getattr(point, column), row[column]
+                if got is None:
+                    assert want >= 1.0, (column, row["axis"])
+                else:
+                    assert abs(got - want) <= rel * want, (column, row["axis"], got, want)
+
     def test_axis_validation(self):
         with pytest.raises(DomainError):
             curve_points("x", [1.0], n=10)
@@ -543,6 +566,9 @@ class TestCurvePoints:
 
 def _bits(x) -> str:
     return float(x).hex()
+
+
+_REFERENCE = Path(__file__).resolve().parent.parent / "data" / "reference"
 
 
 # Mixed (n, d) lanes: defined values, every undefined message, a repeated d
@@ -595,6 +621,49 @@ class TestLockstep:
         for i in (0, LANE_CAP - 1, LANE_CAP, LANE_CAP + 4):
             g, b = minimize_two_exponent(float(d[i]), float(rho2[i]))
             assert (_bits(gamma[i]), _bits(bound[i])) == (_bits(g), _bits(b))
+
+    def test_one_golden_pass_per_call(self, monkeypatch):
+        real, calls = bounds._golden_min, []
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_golden_min", counted)
+        rng = np.random.default_rng(5)
+        lanes = 2 * LANE_CAP + 5
+        minimize_two_exponent(rng.uniform(1.0, 5000.0, lanes), rng.uniform(1e-6, 0.9, lanes))
+        assert calls == [lanes]
+
+    def test_shared_scan_rows_keep_scalar_bits(self):
+        # Repeated rho2 values share one scan row; the d values differ per
+        # lane, and the block spans a LANE_CAP scan step.
+        combos = [(d, r2) for r2 in (5e-324, 1e-13, 0.5, 1.0 - 1e-9)
+                  for d in (1.0, 18.42, 1e4, 1e15, 1e300)]
+        block = combos * (LANE_CAP // len(combos) + 2)
+        assert len(block) > LANE_CAP
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma, bound = minimize_two_exponent(*map(np.array, zip(*block)))
+            singles = [minimize_two_exponent(d, r2) for d, r2 in combos]
+        for i in range(len(block)):
+            g, b = singles[i % len(combos)]
+            assert (_bits(gamma[i]), _bits(bound[i])) == (_bits(g), _bits(b)), block[i]
+
+    @pytest.mark.parametrize("points, limit", [(50, 1_500_000), (256, 4_000_000)])
+    def test_prescan_memory_is_bounded(self, points, limit):
+        # The det-ach pre-scan of a reference-grid block: 41 rho2 rows
+        # shared by every d, scanned LANE_CAP lanes at a time.
+        d = np.linspace(18.420680743952367, 10_000.0, points)
+        table = (np.repeat(d, _PRESCAN.size), np.tile(_PRESCAN, points))
+        detection_ach_risk(*(v[:3] for v in table))  # one-time allocations
+        tracemalloc.start()
+        try:
+            detection_ach_risk(*table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
     @pytest.mark.parametrize("target", [0.1, 0.999999])
     @pytest.mark.parametrize("kind", BOUND_KINDS)
