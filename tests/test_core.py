@@ -122,14 +122,14 @@ class TestSeedSpecParity:
             got = spec.rng(index).bit_generator.state
             assert got == _reference_rng(spec, index).bit_generator.state, index
 
-    @pytest.mark.parametrize("size", range(1, 9))
-    def test_seed_words_match_generate_state(self, size):
-        rnd = random.Random(size)
-        cases = [(0,) * size, (2**32 - 1,) * size]
-        cases += [tuple(rnd.getrandbits(32) for _ in range(size)) for _ in range(20)]
-        for entropy in cases:
-            expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
-            assert core._seed_words(entropy) == expected.tolist(), entropy
+    def test_sequence_is_numpys_own_on_uint32_words(self):
+        spec = SeedSpec(7, "words")
+        for index in _EDGES:
+            seq = spec.rng(index).bit_generator.seed_seq
+            assert type(seq) is np.random.SeedSequence
+            words = core._uint32_words((spec.master_seed, *spec._label_words, index))
+            assert seq.entropy.dtype == np.uint32
+            assert np.array_equal(seq.entropy, np.array(words, np.uint32)), index
 
     def test_spawn_matches_seed_sequence(self):
         spec = SeedSpec(3, "spawn")
@@ -143,7 +143,7 @@ class TestSeedSpecParity:
         spec = SeedSpec(3, "state")
         seq = spec.rng(4).bit_generator.seed_seq
         ref = _reference_rng(spec, 4).bit_generator.seed_seq
-        assert seq.entropy == ref.entropy
+        assert np.array_equal(seq.entropy, np.array(core._uint32_words(ref.entropy), np.uint32))
         for n_words, dtype in [(4, np.uint64), (4, np.uint32), (9, np.uint64)]:
             assert np.array_equal(seq.generate_state(n_words, dtype),
                                   ref.generate_state(n_words, dtype))

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from corralign.bounds import minimize_two_exponent
-from corralign.core import Permutation, ProblemParams, SeedSpec, binomial_ci
+from corralign.core import Permutation, ProblemParams, binomial_ci
 from corralign.detect import (
     RiskEstimate,
     monte_carlo_risk,
@@ -193,31 +193,6 @@ class TestMonteCarloRisk:
         p = ProblemParams(n=10, d=400, rho=0.8)
         est = monte_carlo_risk(p, nominal_threshold(p), 400, 3)
         assert est.risk() <= 0.02
-
-    def test_trials_make_no_seed_sequence(self, monkeypatch):
-        # SeedSpec.rng hashes the seed words itself: no trial calls
-        # SeedSequence, and no trial's generator holds one (as PCG64 would
-        # after making one from a plain seed).
-        made, held = [], []
-        real_seq, real_rng = np.random.SeedSequence, SeedSpec.rng
-
-        class SpySequence(real_seq):
-            def __init__(self, *args, **kwargs):
-                made.append(args)
-                super().__init__(*args, **kwargs)
-
-        def spy_rng(spec, index=0):
-            rng = real_rng(spec, index)
-            held.append(isinstance(rng.bit_generator.seed_seq, real_seq))
-            return rng
-
-        monkeypatch.setattr(np.random, "SeedSequence", SpySequence)
-        monkeypatch.setattr(SeedSpec, "rng", spy_rng)
-        p = ProblemParams(n=100, d=2000, rho=math.sqrt(0.005))
-        monte_carlo_risk(p, nominal_threshold(p), 1000, 0)
-        assert (len(held), any(held), made) == (2000, False, [])
-        SeedSpec(0).rng(0).spawn(1)  # the spy sees one once spawning needs it
-        assert made[0] == ((0, *SeedSpec(0)._label_words, 0),)
 
 
 LAW_TRIALS = 20_000
