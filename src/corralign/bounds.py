@@ -23,9 +23,8 @@ bound of every kind (``detection_ach_risk``, ``truncated_converse_risk``,
 per kind for the pre-scan and one per bisection step.  Lanes step together
 but never mix, so each gets the floats of its own scalar call (see
 docs/math_notes.md, section 3).  A scalar call runs the same lane path and
-pays its fixed numpy cost (``recovery_ach_perr`` takes about 30 us where
-plain float code took 0.3 us), so a caller looping over points should pass
-them as arrays instead.
+pays its fixed numpy cost (``recovery_ach_perr`` takes about 30 us), so a
+caller looping over points should pass them as arrays instead.
 """
 
 from __future__ import annotations
@@ -93,28 +92,25 @@ def _float_errstate():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _require_rho2(rho2) -> None:
+def _checked_lanes(n, d, rho2):
+    """``_lanes`` of (n, d, rho2), rejecting rho2 outside [0, 1), a NaN n or
+    d, n <= 0 and d < 0.
+
+    ``max(0.0, nan)`` would turn a NaN size into a converse risk of 0, so
+    every (n, d, rho2) bound rejects it.
+    """
+    shape, (n, d, rho2) = _lanes(n, d, rho2)
     if not ((0.0 <= rho2) & (rho2 < 1.0)).all():
         raise DomainError("rho2 must lie in [0, 1)")
-
-
-def _require_sizes(n, d, *, reject_nan: bool = True) -> None:
-    """Reject n <= 0 or d < 0, and a NaN n or d unless ``reject_nan`` is False.
-
-    ``max(0.0, nan)`` would turn a NaN size into a converse risk of 0, so the
-    converses reject it; ``recovery_ach_perr`` returns NaN, which the
-    inversion's pre-scan reports as undefined.
-    """
-    if ((n > 0.0) & (d >= 0.0)).all():
-        return
-    nan = np.isnan(n) | np.isnan(d)
-    if reject_nan and nan.any():
-        i = int(np.argmax(nan))
-        raise DomainError(f"n and d must not be NaN, got n = {n[i]}, d = {d[i]}")
-    if np.any(n <= 0.0):
-        raise DomainError(f"n must be > 0, got n = {n[np.argmax(n <= 0.0)]}")
-    if np.any(d < 0.0):
+    if not ((n > 0.0) & (d >= 0.0)).all():
+        nan = np.isnan(n) | np.isnan(d)
+        if nan.any():
+            i = int(np.argmax(nan))
+            raise DomainError(f"n and d must not be NaN, got n = {n[i]}, d = {d[i]}")
+        if np.any(n <= 0.0):
+            raise DomainError(f"n must be > 0, got n = {n[np.argmax(n <= 0.0)]}")
         raise DomainError(f"d must be >= 0, got d = {d[np.argmax(d < 0.0)]}")
+    return shape, (n, d, rho2)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +387,7 @@ def unconditional_converse_risk(n, d, rho2):
     Array inputs broadcast to one risk per lane, each with the bits of its
     scalar call; a scalar call returns a float.
     """
-    shape, (n, d, rho2) = _lanes(n, d, rho2)
-    _require_rho2(rho2)
-    _require_sizes(n, d)
+    shape, (n, d, rho2) = _checked_lanes(n, d, rho2)
     return _shaped(_unconditional_lanes(n, d, rho2), shape)
 
 
@@ -580,9 +574,7 @@ def truncated_converse_risk(n, d, rho2, k_star: int | None = None, margin: float
     inputs broadcast to one risk per lane, each with the bits of its scalar
     call; a scalar call returns a float.
     """
-    shape, (n, d, rho2) = _lanes(n, d, rho2)
-    _require_rho2(rho2)
-    _require_sizes(n, d)
+    shape, (n, d, rho2) = _checked_lanes(n, d, rho2)
     out = _unconditional_lanes(n, d, rho2)
     # The schedule preconditions do not involve rho2, so they are checked once
     # per distinct (n, d); k_star = 0 marks a failure.  A lane failing them,
@@ -643,11 +635,9 @@ def recovery_ach_perr(n, d, rho2):
     Here b = n (1-rho^2)^(d/4), handled in log space; the removable
     singularity at b = 1 takes its geometric-series limit value n.  Array
     inputs broadcast to one bound per lane, each with the bits of its scalar
-    call; a scalar call returns a float.  A NaN n or d gives NaN.
+    call; a scalar call returns a float.
     """
-    shape, (n, d, rho2) = _lanes(n, d, rho2)
-    _require_rho2(rho2)
-    _require_sizes(n, d, reject_nan=False)
+    shape, (n, d, rho2) = _checked_lanes(n, d, rho2)
     with _float_errstate():
         log_b = _math_lanes(math.log, n) + 0.25 * d * _math_lanes(math.log1p, -rho2)
         a = n * log_b
@@ -668,11 +658,9 @@ def recovery_conv_perr(n, d, rho2, epsilon_d: float = 0.0):
     lane, each with the bits of its scalar call; a scalar call returns a
     float.
     """
-    shape, (n, d, rho2) = _lanes(n, d, rho2)
-    _require_rho2(rho2)
     if epsilon_d < 0.0:
         raise DomainError("epsilon_d must be nonnegative")
-    _require_sizes(n, d)
+    shape, (n, d, rho2) = _checked_lanes(n, d, rho2)
     with _float_errstate():
         log_a = _math_lanes(math.log, n) + 0.25 * d * (1.0 + epsilon_d) * _math_lanes(
             math.log1p, -rho2

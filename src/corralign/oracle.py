@@ -333,13 +333,8 @@ def circulant_det_check(cycle_len: int, rho: float) -> CheckResult:
     length = cycle_len
     row = np.zeros(length)
     row[0] = -2.0 * r2 * f
-    if length == 1:
-        row[0] += 2.0 * f
-    elif length == 2:
-        row[1] = 2.0 * f
-    else:
-        row[1] = f
-        row[-1] = f
+    row[1 % length] += f
+    row[-1 % length] += f
     idx = (np.arange(length)[None, :] - np.arange(length)[:, None]) % length
     mat = np.eye(length) - row[idx]
     sign, logdet = np.linalg.slogdet(mat)
@@ -445,7 +440,7 @@ def gaussian_chaos_check(A: np.ndarray, t_grid, trials: int, seed) -> CheckResul
 
     def bound(t: float) -> float:
         rate = min(half_rate(alpha, t), half_rate(lam, t))
-        return min(0.0 if math.isinf(rate) else 2.0 * math.exp(-(t / 16.0) * rate), 1.0)
+        return min(2.0 * math.exp(-(t / 16.0) * rate), 1.0)
 
     trace = float(np.trace(a))
     return _tail_check(
@@ -685,11 +680,11 @@ def _column_sum_stats(rng, size: int, n: int, d: int, rho: float = 0.0) -> np.nd
     """The statistic <sum_i x_i, sum_i y_i> of ``size`` database pairs.
 
     Draws the (size, n, d) blocks y, then z, and sets x = rho y +
-    sqrt(1-rho^2) z (x = z at rho = 0).
+    sqrt(1-rho^2) z.
     """
     ys = rng.standard_normal((size, n, d))
     zs = rng.standard_normal((size, n, d))
-    xs = zs if rho == 0.0 else rho * ys + math.sqrt(1.0 - rho * rho) * zs
+    xs = rho * ys + math.sqrt(1.0 - rho * rho) * zs
     return np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1))
 
 

@@ -465,18 +465,22 @@ class TestInversion:
 
     # max(0.0, nan) keeps 0.0, so a NaN size read as "no risk certified".
     @pytest.mark.parametrize("n,d", [(math.nan, 100.0), (100.0, math.nan)], ids=["n", "d"])
-    def test_nan_size_is_rejected_by_the_converses(self, n, d):
-        for bound in (unconditional_converse_risk, truncated_converse_risk, recovery_conv_perr):
+    def test_nan_size_is_rejected_by_every_bound(self, n, d):
+        for bound in (unconditional_converse_risk, truncated_converse_risk,
+                      recovery_ach_perr, recovery_conv_perr):
             with pytest.raises(DomainError, match="NaN"):
                 bound(n, d, 0.01)
-        for kind in ("det-conv", "rec-conv"):
+        for kind in ("det-conv", "rec-ach", "rec-conv"):
             with pytest.raises(DomainError, match="NaN"):
                 invert_for_rho2(kind, n, d, 0.1)
 
+    # A faulty bound that returns NaN is caught by the pre-scan guard.
     @pytest.mark.filterwarnings("error")
-    def test_nan_prescan_is_undefined(self):
+    def test_nan_prescan_is_undefined(self, monkeypatch):
+        monkeypatch.setattr(bounds, "recovery_ach_perr",
+                            lambda n, d, rho2: np.full(rho2.shape, math.nan))
         with pytest.raises(InversionUndefinedError, match="NaN"):
-            invert_for_rho2("rec-ach", math.nan, 100, 0.1)
+            invert_for_rho2("rec-ach", 100, 100, 0.1)
 
 
 class TestCurvePoints:
@@ -556,6 +560,28 @@ class TestCurvePoints:
                     assert want >= 1.0, (column, row["axis"])
                 else:
                     assert abs(got - want) <= rel * want, (column, row["axis"], got, want)
+
+    # The paper's headline claim: detection needs less correlation than any
+    # recovery decoder, rho2_det_ach < rho2_rec_conv, on most of both
+    # reference grids, and not at their small ends.
+    def test_detection_beats_the_recovery_converse_on_the_d_sweep(self):
+        points, notes = curve_points("d", np.linspace(2 * math.log(1e4), 1e4, 50), n=1e4)
+        edge, *rest = points
+        assert edge.axis == pytest.approx(18.42, abs=0.01) and edge.rho2_det_ach is None
+        assert notes == [f"axis={edge.axis!r} det-ach: det-ach bound never reaches "
+                         "target 0.1 on (0, 1)"]
+        assert len(rest) == 49 and rest[0].axis == pytest.approx(222.13, abs=0.01)
+        for p in rest:
+            assert p.rho2_det_ach < p.rho2_rec_conv, p
+
+    def test_detection_beats_the_recovery_converse_from_mid_n_sweep(self):
+        points, notes = curve_points("n", np.linspace(100, 20_000, 50), d=1000.0)
+        assert notes == []
+        for p in points[:5]:  # n = 100 to 1724.5
+            assert p.rho2_det_ach > p.rho2_rec_conv, p
+        assert points[5].axis == pytest.approx(2130.6, abs=0.1)
+        for p in points[5:]:
+            assert p.rho2_det_ach < p.rho2_rec_conv, p
 
     def test_axis_validation(self):
         with pytest.raises(DomainError):

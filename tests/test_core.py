@@ -114,7 +114,7 @@ class TestSeedSpecParity:
             assert got == _reference_rng(spec, index).bit_generator.state, index
 
     @pytest.mark.parametrize("label_words", [(1, 2), (0, 2**32 - 1), (2**32, 0)])
-    def test_short_prefix_takes_full_hash(self, label_words):
+    def test_short_prefix_matches_seed_sequence(self, label_words):
         # Fewer than four uint32 words before the index: it lands in the pool.
         spec = SeedSpec(5, "short")
         object.__setattr__(spec, "_label_words", label_words)
