@@ -20,7 +20,7 @@ bound of every kind (``detection_ach_risk``, ``truncated_converse_risk``,
 ``unconditional_converse_risk``, ``recovery_ach_perr`` and
 ``recovery_conv_perr``) also take arrays, one lane per point:
 ``curve_points`` inverts a block of grid points at once, with one bound call
-per kind for the pre-scan and one per bisection step.  Lanes step together
+per kind for the pre-scan and one per search step.  Lanes step together
 but never mix, so each gets the floats of its own scalar call (see
 docs/math_notes.md, section 3).  A scalar call runs the same lane path and
 pays its fixed numpy cost (``recovery_ach_perr`` takes about 30 us), so a
@@ -137,7 +137,11 @@ def g_fa(gamma):
 
 
 def _g_md(g, abs_rho, u, log_u):
-    """``g_md`` without checks, elementwise; u = 1 - rho^2 and log_u = ln u."""
+    """``g_md`` without checks, elementwise; u = 1 - rho^2 and log_u = ln u.
+
+    ``log_u`` comes from ``log1p(-rho^2)``: below rho^2 ~ 1.1e-16, u rounds
+    to 1 and ``log(u)`` would drop the -ln(1 - rho^2) term, about rho^2.
+    """
     root = np.sqrt(g)
     q = np.hypot(u, root)  # sqrt(u^2 + gamma)
     q_minus_u = g / (q + u)
@@ -158,8 +162,8 @@ def g_md(gamma, rho):
         raise DomainError("|rho| must be < 1")
     if np.any(g < 0.0):
         raise DomainError("gamma must be nonnegative")
-    u = 1.0 - rho * rho
-    value = _g_md(g, np.abs(rho), u, _math_lanes(math.log, u))
+    rho_sq = rho * rho
+    value = _g_md(g, np.abs(rho), 1.0 - rho_sq, _math_lanes(math.log1p, -rho_sq))
     return _shaped(np.where(rho == 0.0, _g_fa(g), value), shape)
 
 
@@ -261,8 +265,8 @@ def _linspace_lanes(start, stop, num: int):
 def _md_lane_args(rho2):
     """(|rho|, u, ln u) per lane of ``rho2``, the trailing arguments of ``_g_md``."""
     rho = np.sqrt(rho2)
-    u = 1.0 - rho * rho
-    return rho, u, _math_lanes(math.log, u)
+    rho_sq = rho * rho
+    return rho, 1.0 - rho_sq, _math_lanes(math.log1p, -rho_sq)
 
 
 def _minimize_lanes(d, rho2):
@@ -690,12 +694,19 @@ _PRESCAN = np.sort(
 )
 
 
-#: Absolute width in rho2 at which ``invert_for_rho2`` stops bisecting.
-INVERT_TOL = 1e-10
+#: Relative width at which ``invert_for_rho2`` stops narrowing a bracket
+#: [lo, hi] of rho2: hi - lo <= INVERT_RTOL * hi.
+INVERT_RTOL = 1e-12
+
+#: Most search steps after the pre-scan.  Geometric bisection alone takes the
+#: widest pre-scan bracket (a factor of 4.3 in rho2) to ``INVERT_RTOL`` in 41
+#: steps; the regula falsi takes 8-17 on the reference grids.  A lane still
+#: wider at the cap reports its bracket end, which keeps the convention.
+INVERT_MAX_STEPS = 64
 
 
 def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -> list:
-    """The bracket-and-bisect search, run for ``lanes`` lanes in lockstep.
+    """The pre-scan and bracket search, run for ``lanes`` lanes in lockstep.
 
     ``risk(sel, rho2)`` evaluates lanes ``sel`` at the rho2 values, one
     each.  Returns, per lane, the float or the ``InversionUndefinedError``.
@@ -736,18 +747,56 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
         else:
             out.append(None)
     bracketed = np.array([lane for lane, v in enumerate(out) if v is None], dtype=np.intp)
-    lo, hi = np.zeros(lanes), np.zeros(lanes)
-    lo[bracketed] = _PRESCAN[cross[bracketed] - 1]
-    hi[bracketed] = _PRESCAN[cross[bracketed]]
-    active = bracketed
-    while (active := active[hi[active] - lo[active] > INVERT_TOL]).size:
-        mid = 0.5 * (lo[active] + hi[active])
-        up = high(risk(active, mid), target)
-        lo[active[up]] = mid[up]
-        hi[active[~up]] = mid[~up]
-    for lane in bracketed:
-        out[lane] = float(hi[lane] if mode == "ach" else lo[lane])
+    cross = cross[bracketed]
+    lo, hi = _regula_falsi(
+        risk, bracketed, _PRESCAN[cross - 1], _PRESCAN[cross],
+        table[bracketed, cross - 1], table[bracketed, cross], target, high,
+    )
+    for lane, value in zip(bracketed.tolist(), (hi if mode == "ach" else lo).tolist()):
+        out[lane] = value
     return out
+
+
+def _regula_falsi(risk, lanes, lo, hi, risk_lo, risk_hi, target: float, high):
+    """Narrow each bracket [lo, hi] to ``INVERT_RTOL``; returns the final (lo, hi).
+
+    ``lo`` is on the high side of the target (``high(risk, target)``) and
+    ``hi`` is not, with ``risk_lo`` and ``risk_hi`` the bound there.  Each
+    step is one ``risk`` call for all live lanes: Illinois regula falsi on
+    f = ln(risk / target) against ln rho2, where the end kept twice in a row
+    has its f halved.  The secant point is held at least 0.4 * INVERT_RTOL * hi
+    inside the bracket, so after a point lands on the root the next one
+    falls just past it and closes the bracket; where an end's f is not
+    finite (a risk of inf, or a converse clamped to 0), the step is the
+    geometric midpoint instead.
+    """
+    log_target = math.log(target)
+    with np.errstate(divide="ignore"):
+        f_lo, f_hi = np.log(risk_lo) - log_target, np.log(risk_hi) - log_target
+    moved = np.zeros(lanes.size, dtype=np.int8)  # +1: lo moved last step, -1: hi moved
+    live = np.arange(lanes.size)
+    for _ in range(INVERT_MAX_STEPS):
+        if not (live := live[hi[live] - lo[live] > INVERT_RTOL * hi[live]]).size:
+            break
+        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+        secant = np.isfinite(fa) & np.isfinite(fb) & (fa > fb)
+        log_a = np.log(a)
+        gap = 0.4 * INVERT_RTOL * b
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            x = np.exp(log_a + fa / (fa - fb) * (np.log(b) - log_a))
+        x = np.where(secant, np.minimum(np.maximum(x, a + gap), b - gap), np.sqrt(a * b))
+        r = risk(lanes[live], x)
+        up = high(r, target)
+        with np.errstate(divide="ignore"):
+            fx = np.log(r) - log_target
+        # Illinois: halve the f of an end kept for the second step running.
+        last = moved[live]
+        lo[live] = np.where(up, x, a)
+        hi[live] = np.where(up, b, x)
+        f_lo[live] = np.where(up, fx, np.where(last == -1, 0.5 * fa, fa))
+        f_hi[live] = np.where(up, np.where(last == 1, 0.5 * fb, fb), fx)
+        moved[live] = np.where(up, 1, -1)
+    return lo, hi
 
 
 def invert_for_rho2(
@@ -773,10 +822,12 @@ def invert_for_rho2(
     * ``rec-conv``: largest rho2 with recovery_conv_perr >= target.
 
     Every implemented bound decreases in rho2, which a coarse pre-scan
-    asserts before bisecting to absolute width ``INVERT_TOL``.  The
-    bisection brackets the end of the pre-scan prefix where the bound is
-    still on the high side of the target (``> target`` for achievability,
-    ``>= target`` for converses) and reports the bracket's high end for
+    asserts.  The search brackets the end of the pre-scan prefix where the
+    bound is still on the high side of the target (``> target`` for
+    achievability, ``>= target`` for converses) and narrows the bracket by
+    safeguarded Illinois regula falsi on ln(risk / target) against ln rho2
+    until its width is at most ``INVERT_RTOL`` times its high end (at most
+    ``INVERT_MAX_STEPS`` steps).  It reports the bracket's high end for
     achievability, its low end for converses.  Raises
     ``InversionUndefinedError`` when the target is never crossed on (0, 1),
     monotonicity fails or the pre-scan holds a NaN.
@@ -786,8 +837,8 @@ def invert_for_rho2(
     float or the ``InversionUndefinedError`` a scalar call would raise; the
     floats are those of the scalar calls.  One lane runs per distinct input
     of the kind's bound: d for ``det-ach`` (its bound ignores n), (n, d) for
-    the others.  The lanes bisect in lockstep, and the 41-point pre-scan and
-    each bisection step are one array call of the kind's bound.
+    the others.  The lanes search in lockstep, and the 41-point pre-scan and
+    each search step are one array call of the kind's bound.
     """
     if not 0.0 < target_risk < 1.0:
         raise DomainError("target_risk must lie in (0, 1)")

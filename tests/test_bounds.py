@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -131,6 +132,20 @@ class TestTwoExponentBound:
                 assert detection_ach_risk(d, float(rho2)) <= 2.0 * math.exp(
                     -d * rho2 / 60.0
                 ) + 1e-12
+
+    def test_loose_exponential_cap_down_to_the_smallest_rho2(self):
+        # Below rho^2 ~ 1.1e-16, 1 - rho^2 rounds to 1; ln u must still carry
+        # the -ln(1 - rho^2) term, or g_md turns negative and the bound
+        # overflows to inf with raw RuntimeWarnings.
+        rng = np.random.default_rng(7)
+        d = 10.0 ** rng.uniform(0.0, 300.0, 3000)
+        rho2 = np.maximum(10.0 ** rng.uniform(math.log10(5e-324), -0.01, 3000), 5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, bound = minimize_two_exponent(d, rho2)
+            assert np.all(bound <= 2.0 * np.exp(-d * rho2 / 60.0))
+            assert minimize_two_exponent(1e40, 1e-20)[1] == 0.0
+            assert minimize_two_exponent(1e300, 5e-324)[1] <= 2.0
 
     def test_detection_risk_decreasing_in_rho2(self):
         grid = np.geomspace(1e-4, 0.9, 40)
@@ -430,6 +445,43 @@ class TestInversion:
         assert truncated_converse_risk(1000, 500, r2) >= target
         assert truncated_converse_risk(1000, 500, r2 + 1e-6) < target
 
+    # The stop is relative, so a small rho2 is pinned as finely as a large
+    # one: at n = 1e12 an absolute width of 1e-10 returned the pre-scan
+    # point 3.47e-11 for det-conv with no search step.
+    @pytest.mark.parametrize(
+        "kind, n, d",
+        [("det-ach", 1e4, 1e6), ("det-conv", 1e12, 1000.0), ("rec-ach", 1e4, 1e9),
+         ("rec-conv", 1e4, 1e9)],
+    )
+    def test_small_rho2_convention_to_a_relative_offset(self, kind, n, d):
+        r2 = invert_for_rho2(kind, n, d, 0.1)
+        assert r2 not in _PRESCAN.tolist()
+        assert _on_reported_side(kind, n, d, r2, 0.1)
+        step = -1e-9 if kind.endswith("ach") else 1e-9
+        assert not _on_reported_side(kind, n, d, r2 * (1.0 + step), 0.1)
+
+    @given(
+        st.sampled_from(BOUND_KINDS),
+        st.lists(st.tuples(st.floats(min_value=10.0, max_value=1e8),
+                           st.floats(min_value=20.0, max_value=1e5)),
+                 min_size=1, max_size=5),
+        st.floats(min_value=0.01, max_value=0.5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_search_keeps_scalar_bits_convention_and_step_cap(self, kind, lanes, target):
+        name = _BOUND_NAMES[kind]
+        with mock.patch.object(bounds, name, wraps=getattr(bounds, name)) as spy:
+            block = invert_for_rho2(kind, *map(np.array, zip(*lanes)), target)
+        assert 1 <= spy.call_count <= bounds.INVERT_MAX_STEPS  # the pre-scan, then steps
+        for (n, d), got in zip(lanes, block):
+            try:
+                want = invert_for_rho2(kind, n, d, target)
+            except InversionUndefinedError as exc:
+                assert str(got) == str(exc)
+                continue
+            assert _bits(got) == _bits(want)
+            assert _on_reported_side(kind, n, d, got, target)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             invert_for_rho2("nope", 100, 100, 0.1)
@@ -580,6 +632,22 @@ class TestCurvePoints:
 
 def _bits(x) -> str:
     return float(x).hex()
+
+
+_BOUND_NAMES = {"det-ach": "detection_ach_risk", "det-conv": "truncated_converse_risk",
+                "rec-ach": "recovery_ach_perr", "rec-conv": "recovery_conv_perr"}
+
+
+def _on_reported_side(kind, n, d, rho2, target) -> bool:
+    """Whether the kind's bound at rho2 is on the side its inversion reports:
+    the target met for achievability, the lower bound still at or above it
+    for converses."""
+    if kind == "det-ach":
+        return detection_ach_risk(d, rho2) <= target
+    if kind == "rec-ach":
+        return recovery_ach_perr(n, d, rho2) <= 0.5 * target
+    bound = truncated_converse_risk if kind == "det-conv" else recovery_conv_perr
+    return bound(n, d, rho2) >= target
 
 
 _REFERENCE = Path(__file__).resolve().parent.parent / "data" / "reference"
@@ -913,15 +981,12 @@ class TestArrayBounds:
             invert_for_rho2("det-conv", -1.0, 10.0, 0.1)
 
 
-@pytest.mark.parametrize(
-    "kind, name",
-    [("det-ach", "detection_ach_risk"), ("det-conv", "truncated_converse_risk"),
-     ("rec-ach", "recovery_ach_perr"), ("rec-conv", "recovery_conv_perr")],
-)
+@pytest.mark.parametrize("kind, name", list(_BOUND_NAMES.items()))
 def test_inversion_calls_the_bound_once_per_step(monkeypatch, kind, name):
-    # The pre-scan is one call and so is each bisection step: about 32 steps
-    # take the widest pre-scan bracket (about 0.38) to INVERT_TOL.  Called
-    # once per lane and rho2, det-conv made 2,619 calls on this grid.
+    # The pre-scan is one call and so is each search step: regula falsi takes
+    # every pre-scan bracket of the two benchmark grids to INVERT_RTOL in at
+    # most 17 steps.  Called once per lane and rho2, det-conv made 2,619
+    # calls on the d-grid.
     real = getattr(bounds, name)
     calls = []
 
@@ -930,7 +995,11 @@ def test_inversion_calls_the_bound_once_per_step(monkeypatch, kind, name):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bounds, name, counted)
-    d = np.linspace(18.420680743952367, 10_000.0, 50)
-    invert_for_rho2(kind, np.full(d.size, 10_000.0), d, 0.1)
-    assert 2 <= len(calls) <= 45
-    assert calls[0] == d.size * _PRESCAN.size
+    d_grid = (np.full(50, 10_000.0), np.linspace(18.420680743952367, 10_000.0, 50))
+    n_grid = (np.linspace(10.0, 100_000.0, 20), np.full(20, 1000.0))
+    for n, d in (d_grid, n_grid):
+        calls.clear()
+        invert_for_rho2(kind, n, d, 0.1)
+        assert 2 <= len(calls) <= 20
+        lanes = 1 if kind == "det-ach" and d is n_grid[1] else d.size
+        assert calls[0] == lanes * _PRESCAN.size

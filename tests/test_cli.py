@@ -606,19 +606,19 @@ class TestReportGolden:
         [
             (
                 ["verify", "--seed", "0", "--format", "csv"],
-                "18ab4beb8d9349113ff3342fa9ca6d40cc3205a0b89f0d8d37d4b982d7ba0a73",
+                "a0298c00f505fbd786e1b6cc7cf92548792af13c08683e1934365da3fd0ec229",
             ),
             (
                 ["verify", "--seed", "0", "--format", "json"],
-                "e32b8e6117888d93232c47e505d880b548d4a71c295d8786fe973ab097eab4eb",
+                "001132a5f3e315fa1f394475bfb3cc261302d2fc60fc2efef306b1a389883f1b",
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "csv"],
-                "519d96abf2086abccfdb835461072e9efc43c9fdb513dec2abe45fa343525bd6",
+                "ddd9cc18e74457be47ba64ace55fbbce204b48718cd813d2231315edefa7f5e9",
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "json"],
-                "9a907cbd568e7815a890f5b01811cef98b2b57a7a0c5ced1aa2c860478bbfdde",
+                "ca7382ea7a7fe62351433844dfe6661756d74472c60294b68e600d8b68c9aa24",
             ),
         ],
     )
@@ -638,11 +638,11 @@ class TestReportGolden:
             (
                 ["--axis", "d", "--grid", "18.420680743952367:10000:50", "--n", "10000",
                  "--risk", "0.1"],
-                "d18095e9df64739822f9b3bca1f57e03db292e2d21dad5331083f5dc03da97e2",
+                "8f8ec292d5a5860752aba6a9b4305332a0e4bb760e4730efa7f769974a06b7bc",
             ),
             (
                 ["--axis", "n", "--grid", "10:100000:20", "--d", "1000"],
-                "0e11d9c7e02dced1919c626ccbe578044a1c5a7028840b062347214a32faec38",
+                "0fcf40eec99d6dcff4fed8b18593503bf724843553f9b04c1fdaae1d14f42259",
             ),
         ],
     )
