@@ -2,8 +2,9 @@
 
 Four bound families are implemented:
 
-* detection achievability: the minimized two-exponential Chernoff bound on the
-  risk of the sum-of-inner-products threshold test;
+* detection achievability: the two-exponential Chernoff bound on the risk of
+  the sum-of-inner-products threshold test, minimized over its tuning by a
+  scan and a root search on its stationarity condition;
 * detection converse: an unconditional second-moment risk lower bound plus a
   sharper truncated variant driven by a subset-truncation schedule, which
   the converse evaluates at its two end subset sizes only;
@@ -177,50 +178,38 @@ def _two_exp_bound(gamma, neg_half_d, abs_rho, u, log_u):
     return _two_exp(neg_half_d, _g_fa(gamma), _g_md(gamma, abs_rho, u, log_u))
 
 
-def _golden_min(f, a, b, *lane_args, rel_tol: float = 1e-10, max_iter: int = 200):
-    """Golden-section minimization of many lanes at once; returns (x, f(x)).
+def _slope_log_ratio(g, abs_rho, u):
+    """ln F' - ln(-M') at gamma, F = g_fa and M = g_md; elementwise.
 
-    Lane i minimizes ``f(x, *(arg[i] for arg in lane_args))`` on
-    [a[i], b[i]]; ``f`` is elementwise over arrays.  The lanes step together
-    but never mix, and each stops at its own tolerance, so every lane
-    follows the arithmetic of a search run on it alone.
+    The two-exponential bound h = exp(-d/2 F) + exp(-d/2 M) has slope
+    -(d/2)(F' exp(-d/2 F) + M' exp(-d/2 M)), where F' > 0 and M' < 0 on
+    (0, 4 rho^2).  So h falls exactly where
+    phi = ln F' - ln(-M') - (d/2)(F - M) > 0.  With s = sqrt(1+gamma) - 1
+    and q = sqrt(u^2 + gamma), F' = 1 / (2 (2 + s)) and
+    -M' = (|rho| (u+q) - sqrt(gamma)) / (2 u sqrt(gamma) (u+q)).  Where -M'
+    rounds to 0 or below (at 4 rho^2) both terms fall: the ratio is +inf.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x_out, f_out = np.empty(a.size), np.empty(a.size)
-    lanes = np.arange(a.size)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1, *lane_args), f(x2, *lane_args)
-    for _ in range(max_iter if a.size else 0):
-        left = f1 < f2  # keep [a, x2], else [x1, b]
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        step = invphi * (b - a)
-        x = np.where(left, b - step, a + step)
-        fx = f(x, *lane_args)
-        x1, f1, x2, f2 = (
-            np.where(left, x, x2),
-            np.where(left, fx, f2),
-            np.where(left, x1, x),
-            np.where(left, f1, fx),
-        )
-        fbest = np.minimum(f1, f2)
-        done = np.abs(f1 - f2) <= rel_tol * np.maximum(np.abs(fbest), 1e-300)
-        if done.any():
-            first = f1[done] < f2[done]
-            x_out[lanes[done]] = np.where(first, x1[done], x2[done])
-            f_out[lanes[done]] = np.where(first, f1[done], f2[done])
-            keep = ~done
-            if not keep.any():
-                return x_out, f_out
-            lanes, a, b, x1, x2, f1, f2 = (v[keep] for v in (lanes, a, b, x1, x2, f1, f2))
-            lane_args = tuple(v[keep] for v in lane_args)
-    first = f1 < f2
-    x_out[lanes] = np.where(first, x1, x2)
-    f_out[lanes] = np.where(first, f1, f2)
-    return x_out, f_out
+    root = np.sqrt(g)
+    u_plus_q = u + np.hypot(u, root)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        neg_md_slope = (abs_rho * u_plus_q - root) / (2.0 * u * root * u_plus_q)
+        ratio = -np.log(2.0 + 2.0 * np.sqrt(1.0 + g)) - np.log(neg_md_slope)
+    return np.where(neg_md_slope > 0.0, ratio, np.inf)
+
+
+def _phi(ratio, neg_half_d, fa, md):
+    """phi = ratio - (d/2)(fa - md): positive where the two-exponential bound
+    falls (see ``_slope_log_ratio``); elementwise."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ratio + neg_half_d * (fa - md)
+
+
+#: Relative width in gamma at which ``minimize_two_exponent`` stops its root
+#: search.  Near the minimum the bound's relative error is about
+#: (h'' gamma^2 / h) w^2 / 2 at width w, and h'' gamma^2 / h is about
+#: ((d/2) F)^2 <= 745^2 wherever h has not underflowed to 0 (F ~ gamma/4 for
+#: small gamma), so w = 1e-9 leaves at most 3e-13.
+MINIMIZE_RTOL = 1e-9
 
 
 #: Most lanes one ``minimize_two_exponent`` scan step holds, and most distinct
@@ -231,13 +220,22 @@ LANE_CAP = 256
 def minimize_two_exponent(d, rho2):
     """Minimize the two-exponential risk bound over gamma in (0, 4 rho^2).
 
-    A 64-point coarse scan guards against non-unimodality before a
-    golden-section refinement; gamma = rho^2 (the balanced choice) is always
-    kept as a candidate.  Returns (gamma, bound): floats for scalar inputs.
-    Array inputs broadcast to one lane per (d, rho^2) pair, and each lane
-    gets the floats its scalar call would.  The scan grid and its two
-    exponents are built once per distinct rho^2 and scanned ``LANE_CAP``
-    lanes at a time; one golden-section pass then refines every lane.
+    A 64-point coarse scan guards against non-unimodality: the bound first
+    rises from gamma = 0, then falls, and can rise and fall again.  It
+    falls where phi = ln F' - ln(-M') - (d/2)(F - M) > 0, with F = g_fa and
+    M = g_md (``_slope_log_ratio``).  So the first change of phi from + to
+    - among the scan's smallest point and its two neighbours brackets the
+    minimum.  Where there is none and the smallest point is an end of the
+    first scan cell, which spans ten decades, ``PROBE`` log-spaced points
+    of that cell are searched for one too.  A root search on phi
+    (``_illinois``) narrows each bracket to a relative width of
+    ``MINIMIZE_RTOL``, and the first smallest of the bracket's ends, the
+    scan point and gamma = rho^2 (the balanced choice) is returned.
+    Returns (gamma, bound): floats for scalar inputs.  Array inputs
+    broadcast to one lane per (d, rho^2) pair, and each lane gets the floats
+    its scalar call would.  The scan grid and its two exponents are built
+    once per distinct rho^2 and scanned ``LANE_CAP`` lanes at a time; one
+    root search then refines every lane (docs/math_notes.md, section 3).
     """
     shape, (dd, r2) = _lanes(d, rho2)
     if not np.all((0.0 < r2) & (r2 < 1.0)):
@@ -269,42 +267,116 @@ def _md_lane_args(rho2):
     return rho, 1.0 - rho_sq, _math_lanes(math.log1p, -rho_sq)
 
 
+#: Points at which ``minimize_two_exponent`` probes the first scan cell,
+#: [1e-12, 1/63] times 4 rho^2, log-spaced about 0.5 e-folds apart.
+PROBE = 48
+
+
+def _first_turn(x, phi):
+    """Per row, the first neighbouring points x[i] < x[i+1] with
+    phi[i] > 0 >= phi[i+1], where the bound turns from falling to rising.
+
+    Returns (lo, hi, phi_lo, phi_hi, found); a row without a turn gets its
+    first two points and found False.
+    """
+    turns = (phi[:, :-1] > 0.0) & (phi[:, 1:] <= 0.0)
+    i = np.argmax(turns, axis=1)
+    n = np.arange(x.shape[0])
+    return x[n, i], x[n, i + 1], phi[n, i], phi[n, i + 1], turns[n, i]
+
+
 def _minimize_lanes(d, rho2):
     """``minimize_two_exponent`` on 1-D lanes.
 
     The scan grid and its ``_g_fa``/``_g_md`` rows depend on rho^2 alone, so
     they are built once per distinct rho^2 (at most ``LANE_CAP`` rows at a
-    time) and gathered per lane, ``LANE_CAP`` lanes per scan step.  Gathers
-    and ``np.where`` only select, so each lane gets its scalar call's bits.
+    time) and gathered per lane, ``LANE_CAP`` lanes per scan step.  The scan
+    compares the bound scaled by a per-lane power of e, which keeps the
+    smallest point between 1 and 2, and evaluates the bound itself only
+    there.  Gathers and ``np.where`` only select, so each lane gets its
+    scalar call's bits.
     """
     lane_of, first = _first_lanes(rho2)
     at = np.array(list(first.values()), dtype=np.intp)  # ascending
     row = np.searchsorted(at, lane_of)  # each lane's distinct-rho2 row
     md_rows = _md_lane_args(rho2[at])
-    hi = 4.0 * rho2[at]
-    eps = 1e-12 * hi
+    span = 4.0 * rho2[at]
+    # Below rho^2 ~ 6e-313, 1e-12 span underflows to 0: the grid still starts above 0.
+    eps = np.maximum(1e-12 * span, 5e-324)
     neg_half_d = -0.5 * d
-    lo_b, hi_b, scan_gamma, scan_bound = (np.empty(d.size) for _ in range(4))
+    lane_args = (neg_half_d, *(v[row] for v in md_rows))
+    first_cell, first_fm = np.empty((at.size, 2)), np.empty((2, at.size))
+    lo, hi, f_lo, f_hi, scan_gamma, scan_log = (np.empty(d.size) for _ in range(6))
+    turn, j = np.empty(d.size, dtype=bool), np.empty(d.size, dtype=np.intp)
     for r in range(0, at.size, LANE_CAP):
         rows = slice(r, r + LANE_CAP)
-        grid = _linspace_lanes(eps[rows], hi[rows] - eps[rows], 64)
+        grid = _linspace_lanes(eps[rows], span[rows] - eps[rows], 64)
         g_fa, g_md = _g_fa(grid), _g_md(grid, *(v[rows, None] for v in md_rows))
+        first_cell[rows], first_fm[:, rows] = grid[:, :2], (g_fa[:, 0], g_md[:, 0])
+        # With c = -d/2 < 0, the bound over exp(c t) is exp(c (F - t)) +
+        # exp(c (M - t)), t = max(min(F, M)) over the row: at least 1 at every
+        # point and at most 2 at the smallest.  Points that overflow to inf
+        # are never the smallest.
+        t = np.minimum(g_fa, g_md).max(axis=1, keepdims=True)
+        fa_t, md_t = g_fa - t, g_md - t
         in_rows = np.flatnonzero((row >= r) & (row < r + LANE_CAP))
         for i in range(0, in_rows.size, LANE_CAP):
             lanes = in_rows[i : i + LANE_CAP]
             k = row[lanes] - r
-            # At huge d a scan point can overflow to inf; it is never the minimum.
+            c = neg_half_d[lanes, None]
             with np.errstate(over="ignore"):
-                vals = _two_exp(neg_half_d[lanes, None], g_fa[k], g_md[k])
-            j = np.argmin(vals, axis=1)
-            lo_b[lanes] = grid[k, np.maximum(j - 1, 0)]
-            hi_b[lanes] = grid[k, np.minimum(j + 1, grid.shape[1] - 1)]
-            scan_gamma[lanes] = grid[k, j]
-            scan_bound[lanes] = vals[np.arange(lanes.size), j]
-    lane_args = (neg_half_d, *(v[row] for v in md_rows))
-    gamma, bound = _golden_min(_two_exp_bound, lo_b, hi_b, *lane_args)
-    # The first smallest of (golden, scan, balanced), as min() over the three.
-    candidates = ((scan_gamma, scan_bound), (rho2, _two_exp_bound(rho2, *lane_args)))
+                j[lanes] = np.argmin(np.exp(c * fa_t[k]) + np.exp(c * md_t[k]), axis=1)
+            # A turn of the bound from falling to rising between two of the
+            # scan's smallest point and its neighbours is the minimum.
+            at3 = (k[:, None], np.clip(j[lanes, None] + np.arange(-1, 2), 0, grid.shape[1] - 1))
+            x, fa, md = grid[at3], g_fa[at3], g_md[at3]
+            ratio = _slope_log_ratio(x, *(v[lanes, None] for v in lane_args[1:3]))
+            lo[lanes], hi[lanes], f_lo[lanes], f_hi[lanes], turn[lanes] = _first_turn(
+                x, _phi(ratio, c, fa, md))
+            scan_gamma[lanes] = x[:, 1]
+            with np.errstate(over="ignore"):
+                scan_log[lanes] = np.logaddexp(c[:, 0] * fa[:, 1], c[:, 0] * md[:, 1])
+    # The first cell spans ten decades, and the bound can dip and rise
+    # again inside it when d is small and rho^2 near 1.  It is probed on a
+    # log grid where the smallest point is one of its ends and phi can be
+    # positive in it: phi <= R(grid[1]) - (d/2) D(grid[0]) on the cell, as
+    # the slope ratio R and D = F - M both increase.
+    probe = np.flatnonzero(~turn & (j <= 1))
+    cell = _phi(_slope_log_ratio(first_cell[row[probe], 1], *(v[probe] for v in lane_args[1:3])),
+                neg_half_d[probe], *first_fm[:, row[probe]])
+    probe = probe[cell > 0.0]
+    if probe.size:
+        need = np.zeros(at.size, dtype=bool)
+        need[row[probe]] = True
+        need = np.flatnonzero(need)
+        x = np.exp(_linspace_lanes(*np.log(first_cell[need].T), PROBE))
+        x_args = tuple(v[need, None] for v in md_rows)
+        at_p = np.searchsorted(need, row[probe])
+        ratio, fa, md = (v[at_p] for v in (
+            _slope_log_ratio(x, *x_args[:2]), _g_fa(x), _g_md(x, *x_args)))
+        found = _first_turn(x[at_p], _phi(ratio, neg_half_d[probe, None], fa, md))
+        better = probe[found[4]]
+        for out, v in zip((lo, hi, f_lo, f_hi, turn), found):
+            out[better] = v[found[4]]
+    # Where the bound underflows to 0 at the scan's smallest point there is
+    # nothing left to refine.
+    scan_bound = np.exp(scan_log)
+    bracket = np.flatnonzero(turn & (scan_bound > 0.0))
+    turn_args = tuple(v[bracket] for v in lane_args)
+
+    def step(live, g):
+        c, abs_rho, u, log_u = (v[live] for v in turn_args)
+        phi = _phi(_slope_log_ratio(g, abs_rho, u), c, _g_fa(g), _g_md(g, abs_rho, u, log_u))
+        return phi > 0.0, phi
+
+    lo[bracket], hi[bracket] = _illinois(
+        step, lo[bracket], hi[bracket], f_lo[bracket], f_hi[bracket], MINIMIZE_RTOL
+    )
+    # The first smallest of (bracket low end, high end, scan, balanced): the
+    # better end of the bracket, then min() over it, the scan and balanced.
+    gamma, bound = lo, _two_exp_bound(lo, *lane_args)
+    candidates = ((hi, _two_exp_bound(hi, *lane_args)), (scan_gamma, scan_bound),
+                  (rho2, _two_exp_bound(rho2, *lane_args)))
     for cand_gamma, cand_bound in candidates:
         better = cand_bound < bound
         gamma = np.where(better, cand_gamma, gamma)
@@ -698,10 +770,11 @@ _PRESCAN = np.sort(
 #: [lo, hi] of rho2: hi - lo <= INVERT_RTOL * hi.
 INVERT_RTOL = 1e-12
 
-#: Most search steps after the pre-scan.  Geometric bisection alone takes the
-#: widest pre-scan bracket (a factor of 4.3 in rho2) to ``INVERT_RTOL`` in 41
-#: steps; the regula falsi takes 8-17 on the reference grids.  A lane still
-#: wider at the cap reports its bracket end, which keeps the convention.
+#: Most steps of a ``_illinois`` search: after the pre-scan, and in each
+#: ``minimize_two_exponent`` call.  Geometric bisection alone takes the widest
+#: pre-scan bracket (a factor of 4.3 in rho2) to ``INVERT_RTOL`` in 41 steps;
+#: the regula falsi takes 8-17 on the reference grids.  A lane still wider at
+#: the cap reports its bracket end, which keeps the convention.
 INVERT_MAX_STEPS = 64
 
 
@@ -748,54 +821,65 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
             out.append(None)
     bracketed = np.array([lane for lane, v in enumerate(out) if v is None], dtype=np.intp)
     cross = cross[bracketed]
-    lo, hi = _regula_falsi(
-        risk, bracketed, _PRESCAN[cross - 1], _PRESCAN[cross],
-        table[bracketed, cross - 1], table[bracketed, cross], target, high,
-    )
+    # The search runs on f = ln(risk / target), infinite where the risk is
+    # inf or a converse is clamped to 0; the bracket's low end is on the high
+    # side of the target, its high end not.
+    log_target = math.log(target)
+
+    def step(live, x):
+        r = risk(bracketed[live], x)
+        with np.errstate(divide="ignore"):
+            return high(r, target), np.log(r) - log_target
+
+    with np.errstate(divide="ignore"):
+        f_lo = np.log(table[bracketed, cross - 1]) - log_target
+        f_hi = np.log(table[bracketed, cross]) - log_target
+    lo, hi = _illinois(step, _PRESCAN[cross - 1], _PRESCAN[cross], f_lo, f_hi, INVERT_RTOL)
     for lane, value in zip(bracketed.tolist(), (hi if mode == "ach" else lo).tolist()):
         out[lane] = value
     return out
 
 
-def _regula_falsi(risk, lanes, lo, hi, risk_lo, risk_hi, target: float, high):
-    """Narrow each bracket [lo, hi] to ``INVERT_RTOL``; returns the final (lo, hi).
+def _illinois(step, lo, hi, f_lo, f_hi, rtol: float):
+    """Narrow each bracket [lo, hi] (positive) to hi - lo <= rtol * hi, at
+    most ``INVERT_MAX_STEPS`` steps; returns the final (lo, hi) arrays.
 
-    ``lo`` is on the high side of the target (``high(risk, target)``) and
-    ``hi`` is not, with ``risk_lo`` and ``risk_hi`` the bound there.  Each
-    step is one ``risk`` call for all live lanes: Illinois regula falsi on
-    f = ln(risk / target) against ln rho2, where the end kept twice in a row
-    has its f halved.  The secant point is held at least 0.4 * INVERT_RTOL * hi
-    inside the bracket, so after a point lands on the root the next one
-    falls just past it and closes the bracket; where an end's f is not
-    finite (a risk of inf, or a converse clamped to 0), the step is the
-    geometric midpoint instead.
+    f is positive at ``lo`` and not at ``hi``, with ``f_lo`` and ``f_hi``
+    its values there.  ``step(live, x)`` evaluates f for the lanes ``live``
+    at the points x, one each, and returns (whether f > 0 there, f).  All
+    live lanes step together: Illinois regula falsi on f against ln x, where
+    the end kept twice in a row has its f halved.  The secant point is held
+    at least 0.4 * rtol * hi inside the bracket, so after a point lands on
+    the root the next one falls just past it and closes the bracket; where
+    an end's f is not finite, the step is the geometric midpoint instead,
+    held inside the same way (it underflows to 0 for subnormal ends).
     """
-    log_target = math.log(target)
-    with np.errstate(divide="ignore"):
-        f_lo, f_hi = np.log(risk_lo) - log_target, np.log(risk_hi) - log_target
-    moved = np.zeros(lanes.size, dtype=np.int8)  # +1: lo moved last step, -1: hi moved
-    live = np.arange(lanes.size)
+    # The live lanes' brackets, values and last move (+1: lo moved, -1: hi
+    # moved), packed; a lane's bracket is written back when it is done.
+    live, a, b, fa, fb = np.arange(lo.size), lo, hi, f_lo, f_hi
+    moved = np.zeros(lo.size, dtype=np.int8)
     for _ in range(INVERT_MAX_STEPS):
-        if not (live := live[hi[live] - lo[live] > INVERT_RTOL * hi[live]]).size:
+        if not (wide := b - a > rtol * b).all():
+            lo[live], hi[live] = a, b
+            live, a, b, fa, fb, moved = (v[wide] for v in (live, a, b, fa, fb, moved))
+        if not live.size:
             break
-        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
         secant = np.isfinite(fa) & np.isfinite(fb) & (fa > fb)
         log_a = np.log(a)
-        gap = 0.4 * INVERT_RTOL * b
+        gap = 0.4 * rtol * b
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             x = np.exp(log_a + fa / (fa - fb) * (np.log(b) - log_a))
-        x = np.where(secant, np.minimum(np.maximum(x, a + gap), b - gap), np.sqrt(a * b))
-        r = risk(lanes[live], x)
-        up = high(r, target)
-        with np.errstate(divide="ignore"):
-            fx = np.log(r) - log_target
+        x = np.minimum(np.maximum(np.where(secant, x, np.sqrt(a * b)), a + gap), b - gap)
+        up, fx = step(live, x)
         # Illinois: halve the f of an end kept for the second step running.
-        last = moved[live]
-        lo[live] = np.where(up, x, a)
-        hi[live] = np.where(up, b, x)
-        f_lo[live] = np.where(up, fx, np.where(last == -1, 0.5 * fa, fa))
-        f_hi[live] = np.where(up, np.where(last == 1, 0.5 * fb, fb), fx)
-        moved[live] = np.where(up, 1, -1)
+        a, b, fa, fb = (
+            np.where(up, x, a),
+            np.where(up, b, x),
+            np.where(up, fx, np.where(moved == -1, 0.5 * fa, fa)),
+            np.where(up, np.where(moved == 1, 0.5 * fb, fb), fx),
+        )
+        moved = np.where(up, 1, -1)
+    lo[live], hi[live] = a, b
     return lo, hi
 
 

@@ -588,6 +588,52 @@ def _chk_floor_md(spec: SeedSpec) -> CheckResult:
                        "balanced-tuning missed-detection exponent vs rho^2/30")
 
 
+def _golden_min(f, a, b, *lane_args, rel_tol: float = 1e-10, max_iter: int = 200):
+    """Golden-section minimization of many lanes at once; returns (x, f(x)).
+
+    Lane i minimizes ``f(x, *(arg[i] for arg in lane_args))`` on
+    [a[i], b[i]]; ``f`` is elementwise over arrays.  The lanes step together
+    but never mix, and each stops at its own tolerance, so every lane
+    follows the arithmetic of a search run on it alone.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    x_out, f_out = np.empty(a.size), np.empty(a.size)
+    lanes = np.arange(a.size)
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1, *lane_args), f(x2, *lane_args)
+    for _ in range(max_iter if a.size else 0):
+        left = f1 < f2  # keep [a, x2], else [x1, b]
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        step = invphi * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = f(x, *lane_args)
+        x1, f1, x2, f2 = (
+            np.where(left, x, x2),
+            np.where(left, fx, f2),
+            np.where(left, x1, x),
+            np.where(left, f1, fx),
+        )
+        fbest = np.minimum(f1, f2)
+        done = np.abs(f1 - f2) <= rel_tol * np.maximum(np.abs(fbest), 1e-300)
+        if done.any():
+            first = f1[done] < f2[done]
+            x_out[lanes[done]] = np.where(first, x1[done], x2[done])
+            f_out[lanes[done]] = np.where(first, f1[done], f2[done])
+            keep = ~done
+            if not keep.any():
+                return x_out, f_out
+            lanes, a, b, x1, x2, f1, f2 = (v[keep] for v in (lanes, a, b, x1, x2, f1, f2))
+            lane_args = tuple(v[keep] for v in lane_args)
+    first = f1 < f2
+    x_out[lanes] = np.where(first, x1, x2)
+    f_out[lanes] = np.where(first, f1, f2)
+    return x_out, f_out
+
+
 @_check("closed-min-quadratic")
 def _chk_closed_min(spec: SeedSpec) -> CheckResult:
     rng = spec.rng(0)
@@ -608,7 +654,7 @@ def _chk_closed_min(spec: SeedSpec) -> CheckResult:
         vals = a * xs + 0.5 * d * np.log(1.0 / (1.0 - xs * xs))
         i = int(np.argmin(vals))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-        _, f_best = bounds._golden_min(
+        _, f_best = _golden_min(
             lambda xs: np.array([f(x) for x in xs.tolist()]), [lo], [hi], rel_tol=1e-14
         )
         errors.append(abs(float(f_best[0]) - closed))

@@ -614,11 +614,11 @@ class TestReportGolden:
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "csv"],
-                "ddd9cc18e74457be47ba64ace55fbbce204b48718cd813d2231315edefa7f5e9",
+                "f4de10fdb324064fb47d5f715e2c7967222dc28aa7e7d085a86805a594ec5dd4",
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "json"],
-                "ca7382ea7a7fe62351433844dfe6661756d74472c60294b68e600d8b68c9aa24",
+                "23e6c9b643944a278cf52884db1c6797218af6871ef05c47b11cbeca5cdccd80",
             ),
         ],
     )
@@ -638,11 +638,11 @@ class TestReportGolden:
             (
                 ["--axis", "d", "--grid", "18.420680743952367:10000:50", "--n", "10000",
                  "--risk", "0.1"],
-                "8f8ec292d5a5860752aba6a9b4305332a0e4bb760e4730efa7f769974a06b7bc",
+                "752cb1ba36370267112b900e2c995439b5bf816c7dd27f9913fa75a2cad3d24f",
             ),
             (
                 ["--axis", "n", "--grid", "10:100000:20", "--d", "1000"],
-                "0fcf40eec99d6dcff4fed8b18593503bf724843553f9b04c1fdaae1d14f42259",
+                "7e6769bf83ab42eda8a1fcc35433ce5027e4e6d8b92cdd3f5f3201f3cc9cdec8",
             ),
         ],
     )
