@@ -334,6 +334,9 @@ def run_simulate_detection(config: ExperimentConfig) -> int:
         "risk_bound_simple": simple_bound,
     }
     _write_results(config, results)
+    if bound >= 1.0:
+        print(f"warning: risk_bound {bound:.4g} >= 1 is vacuous at these settings; "
+              f"gamma_star {gamma_star:.3g} tunes nothing", file=sys.stderr)
     return 0
 
 

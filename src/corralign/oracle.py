@@ -11,11 +11,18 @@ name, batch index) so reruns and worker counts cannot change results.
 Each job has one implementation: both tail bounds count exceedances in
 ``_tail_check``, both statistic MGFs run through ``_mgf_mc_check``, and every
 worst-case fold is ``_worst``, which lets a NaN through so it fails its check.
+
+The draws never change: each check keeps its streams, draw count and draw
+order.  The batch arithmetic around them may change only where every bit of
+the pinned rows holds (``test_refactored_rows_are_pinned`` and
+``test_batched_rows_are_pinned``), so a faster form must compute the same
+floats, not merely close ones.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -263,6 +270,20 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _quadratic_form(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row t's x_t' A x_t for each row of ``x``.
+
+    Adds the products (x_i A_ij) x_j in row-major (i, j) order, starting
+    from 0, as the three-operand ``np.einsum("ti,ij,tj->t", ...)`` does, so
+    the values keep its bits; zero entries of A add nothing and are skipped.
+    """
+    out = np.zeros(x.shape[0])
+    cols = np.ascontiguousarray(x.T)
+    for i, j in zip(*np.nonzero(a)):
+        out += (cols[i] * a[i, j]) * cols[j]
+    return out
+
+
 def quadratic_mgf_check(R: np.ndarray, b: np.ndarray, trials: int, seed) -> CheckResult:
     """MC mean of exp(X'RX/2 + X'b) against the Gaussian closed form."""
     r = _require_symmetric(R)
@@ -280,7 +301,7 @@ def quadratic_mgf_check(R: np.ndarray, b: np.ndarray, trials: int, seed) -> Chec
 
     def draw(rng, size):
         x = rng.standard_normal((size, dim))
-        return np.exp(0.5 * np.einsum("ti,ij,tj->t", x, r, x) + x @ b)
+        return np.exp(0.5 * _quadratic_form(x, r) + x @ b)
 
     mean, ci = _mc_mean(as_seedspec(seed, "oracle/quadratic-mgf"), trials, draw)
     return CheckResult(
@@ -445,7 +466,7 @@ def gaussian_chaos_check(A: np.ndarray, t_grid, trials: int, seed) -> CheckResul
     trace = float(np.trace(a))
     return _tail_check(
         "tail-chaos", as_seedspec(seed, "oracle/gaussian-chaos"), trials, a.shape[0], t_grid,
-        lambda x: np.einsum("ti,ij,tj->t", x, a, x) - trace,
+        lambda x: _quadratic_form(x, a) - trace,
         lambda ts: [bound(float(t)) for t in ts],
     )
 
@@ -453,6 +474,18 @@ def gaussian_chaos_check(A: np.ndarray, t_grid, trials: int, seed) -> CheckResul
 # ---------------------------------------------------------------------------
 # Truncation event
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(n1: int, k: int) -> np.ndarray:
+    """The size-k subsets of range(n1) as rows, in ``itertools.combinations`` order.
+
+    The array is read-only, as every caller shares it; ``ENUMERATE_CAP``
+    bounds n1, so the cache holds at most 78 arrays.
+    """
+    rows = np.array(list(itertools.combinations(range(n1), k)))
+    rows.flags.writeable = False
+    return rows
 
 
 def truncation_event_holds(
@@ -486,25 +519,22 @@ def truncation_event_holds(
     y = pair.y[fixed]
     # Rows: norm sums of x, of y, and the cross sums negated, so the
     # extremal size-k sum of every row is its smallest.
-    terms = np.stack(
-        [
-            np.sum(x * x, axis=1),
-            np.sum(y * y, axis=1),
-            -float(rho_sign) * np.sum(x * y, axis=1),
-        ]
-    )
+    products = np.empty((3,) + x.shape)
+    np.multiply(x, x, out=products[0])
+    np.multiply(y, y, out=products[1])
+    np.multiply(x, y, out=products[2])
+    terms = products.sum(axis=2)
+    terms[2] *= -float(rho_sign)
     if method == "sorted":
         smallest = np.cumsum(np.sort(terms, axis=1), axis=1)[:, k_star - 1 :]
     else:
         if n1 > ENUMERATE_CAP:
             raise SizeCapError(f"subset enumeration is capped at {ENUMERATE_CAP} fixed points")
-        subsets = (list(itertools.combinations(range(n1), k)) for k in range(k_star, n1 + 1))
-        smallest = np.stack(
-            [terms[:, np.array(s)].sum(axis=2).min(axis=1) for s in subsets], axis=1)
-    norm_x, norm_y, neg_cross = smallest
+        smallest = np.stack([terms[:, _subsets(n1, k)].sum(axis=2).min(axis=1)
+                             for k in range(k_star, n1 + 1)], axis=1)
     w = schedule.w[: smallest.shape[1]]
     v = schedule.v[: smallest.shape[1]]
-    return not (np.any(norm_x <= w) or np.any(norm_y <= w) or np.any(-neg_cross >= v))
+    return not ((smallest[:2] <= w).any() or (-smallest[2] >= v).any())
 
 
 def _event_fails(rng, params: ProblemParams, perm: Permutation, schedule) -> bool:
@@ -637,27 +667,23 @@ def _golden_min(f, a, b, *lane_args, rel_tol: float = 1e-10, max_iter: int = 200
 @_check("closed-min-quadratic")
 def _chk_closed_min(spec: SeedSpec) -> CheckResult:
     rng = spec.rng(0)
+    draws = np.array([(rng.uniform(1.0, 200.0), rng.uniform(-300.0, 300.0)) for _ in range(100)])
+    d, a = draws[np.abs(draws[:, 1]) >= 1e-3].T
+
+    def f(x, a, d):
+        # Scalar math per lane, so each lane keeps the bits of a search run alone.
+        return np.array([a_ * x_ + 0.5 * d_ * math.log(1.0 / (1.0 - x_ * x_))
+                         for x_, a_, d_ in zip(x.tolist(), a.tolist(), d.tolist())])
+
+    xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 10_000)
+    log_term = np.log(1.0 / (1.0 - xs * xs))
+    i = np.array([np.argmin(a_ * xs + 0.5 * d_ * log_term) for a_, d_ in zip(a, d)])
+    _, f_best = _golden_min(f, xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, xs.size - 1)],
+                            a, d, rel_tol=1e-14)
     errors = []
-    for _ in range(100):
-        d = float(rng.uniform(1.0, 200.0))
-        a = float(rng.uniform(-300.0, 300.0))
-        if abs(a) < 1e-3:
-            continue
-        gamma = (2.0 * a / d) ** 2
-        closed = 0.5 * d * (math.log((math.sqrt(gamma + 1.0) + 1.0) / 2.0)
-                            + 1.0 - math.sqrt(gamma + 1.0))
-
-        def f(x: float) -> float:
-            return a * x + 0.5 * d * math.log(1.0 / (1.0 - x * x))
-
-        xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 10_000)
-        vals = a * xs + 0.5 * d * np.log(1.0 / (1.0 - xs * xs))
-        i = int(np.argmin(vals))
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-        _, f_best = _golden_min(
-            lambda xs: np.array([f(x) for x in xs.tolist()]), [lo], [hi], rel_tol=1e-14
-        )
-        errors.append(abs(float(f_best[0]) - closed))
+    for f_, a_, d_ in zip(f_best.tolist(), a.tolist(), d.tolist()):
+        root = math.sqrt((2.0 * a_ / d_) ** 2 + 1.0)
+        errors.append(abs(f_ - 0.5 * d_ * (math.log((root + 1.0) / 2.0) + 1.0 - root)))
     worst = _worst(errors, 0.0)
     return CheckResult("closed-min-quadratic", worst <= 1e-8, worst, 0.0,
                        "closed-form minimum vs 1e4-point grid plus refinement")
@@ -726,11 +752,13 @@ def _column_sum_stats(rng, size: int, n: int, d: int, rho: float = 0.0) -> np.nd
     """The statistic <sum_i x_i, sum_i y_i> of ``size`` database pairs.
 
     Draws the (size, n, d) blocks y, then z, and sets x = rho y +
-    sqrt(1-rho^2) z.
+    sqrt(1-rho^2) z in place of z.
     """
     ys = rng.standard_normal((size, n, d))
-    zs = rng.standard_normal((size, n, d))
-    xs = rho * ys + math.sqrt(1.0 - rho * rho) * zs
+    xs = rng.standard_normal((size, n, d))
+    if rho:  # at rho = 0, x = z exactly
+        xs *= math.sqrt(1.0 - rho * rho)
+        xs += rho * ys
     return np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1))
 
 

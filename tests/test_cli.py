@@ -591,6 +591,18 @@ class TestSimulateDetectionGolden:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("d, vacuous", [("50", True), ("2000", False)])
+    def test_vacuous_bound_warns_on_stderr(self, d, vacuous, capsys):
+        # At the golden settings (d = 50) risk_bound is about 1.09; the
+        # warning goes to stderr, so the pinned stdout cannot move.
+        argv = ["simulate-detection", "--n", "20", "--d", d, "--rho", "0.3",
+                "--trials", "50", "--seed", "5", "--format", "csv"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == int(vacuous)
+        assert all("risk_bound" in w and "vacuous" in w for w in warnings)
+
 
 _CURVE_GOLDEN_ARGS = [
     "curve", "--axis", "d", "--grid", "18.420680743952367:10000:4", "--n", "10000",
