@@ -142,11 +142,27 @@ def _g_md(g, abs_rho, u, log_u):
 
     ``log_u`` comes from ``log1p(-rho^2)``: below rho^2 ~ 1.1e-16, u rounds
     to 1 and ``log(u)`` would drop the -ln(1 - rho^2) term, about rho^2.
+    The first two terms, (q - u - |rho| sqrt(gamma)) / u with
+    q = sqrt(u^2 + gamma), are each about sqrt(gamma) / u as u -> 0, so they
+    are taken as sqrt(gamma) / (q + u) * (_root_gap - |rho|), in which u
+    cancels exactly.
     """
     root = np.sqrt(g)
     q = np.hypot(u, root)  # sqrt(u^2 + gamma)
-    q_minus_u = g / (q + u)
-    return q_minus_u / u - abs_rho * root / u - log_u - np.log1p(q_minus_u / (2.0 * u))
+    q_plus_u = q + u
+    return (root / q_plus_u * (_root_gap(g, root, abs_rho, u, q) - abs_rho)
+            - log_u - np.log1p(g / q_plus_u / (2.0 * u)))
+
+
+def _root_gap(g, root, abs_rho, u, q):
+    """(sqrt(gamma) - |rho| q) / u, q = sqrt(u^2 + gamma), without dividing by u.
+
+    With 1 - rho^2 = u, (sqrt(gamma) - |rho| q)(sqrt(gamma) + |rho| q)
+    = u (gamma - rho^2 u), so the quotient is
+    (gamma - rho^2 u) / (sqrt(gamma) + |rho| q).  NaN, with numpy's
+    invalid-value warning, at gamma = rho = 0.
+    """
+    return (g - abs_rho * abs_rho * u) / (root + abs_rho * q)
 
 
 def g_md(gamma, rho):
@@ -164,7 +180,8 @@ def g_md(gamma, rho):
     if np.any(g < 0.0):
         raise DomainError("gamma must be nonnegative")
     rho_sq = rho * rho
-    value = _g_md(g, np.abs(rho), 1.0 - rho_sq, _math_lanes(math.log1p, -rho_sq))
+    with np.errstate(invalid="ignore"):  # gamma = rho = 0 gives NaN; g_fa replaces it
+        value = _g_md(g, np.abs(rho), 1.0 - rho_sq, _math_lanes(math.log1p, -rho_sq))
     return _shaped(np.where(rho == 0.0, _g_fa(g), value), shape)
 
 
@@ -186,13 +203,14 @@ def _slope_log_ratio(g, abs_rho, u):
     (0, 4 rho^2).  So h falls exactly where
     phi = ln F' - ln(-M') - (d/2)(F - M) > 0.  With s = sqrt(1+gamma) - 1
     and q = sqrt(u^2 + gamma), F' = 1 / (2 (2 + s)) and
-    -M' = (|rho| (u+q) - sqrt(gamma)) / (2 u sqrt(gamma) (u+q)).  Where -M'
+    -M' = (|rho| (u+q) - sqrt(gamma)) / (2 u sqrt(gamma) (u+q)), whose
+    numerator is u (|rho| - ``_root_gap``), so u cancels.  Where -M'
     rounds to 0 or below (at 4 rho^2) both terms fall: the ratio is +inf.
     """
     root = np.sqrt(g)
-    u_plus_q = u + np.hypot(u, root)
+    q = np.hypot(u, root)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        neg_md_slope = (abs_rho * u_plus_q - root) / (2.0 * u * root * u_plus_q)
+        neg_md_slope = (abs_rho - _root_gap(g, root, abs_rho, u, q)) / (2.0 * root * (u + q))
         ratio = -np.log(2.0 + 2.0 * np.sqrt(1.0 + g)) - np.log(neg_md_slope)
     return np.where(neg_md_slope > 0.0, ratio, np.inf)
 

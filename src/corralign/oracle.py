@@ -1,20 +1,25 @@
 """Independent verification oracles for every closed form in the package.
 
 Everything here recomputes a quantity by a second route — brute-force
-enumeration, Monte Carlo, or dense linear algebra — and compares it against
-the closed form used elsewhere.  The ``verify`` entry point runs the whole
-named-check suite and returns a structured report; the CLI surfaces it.
+enumeration, Monte Carlo, numerical inversion, or dense linear algebra — and
+compares it against the closed form used elsewhere.  The ``verify`` entry
+point runs the whole named-check suite and returns a structured report; the
+CLI surfaces it.
 
 All Monte-Carlo checks accept at 3 sigma (with a rule-of-three floor for
 degenerate counts) and derive their generators from (master seed, check
 name, batch index) so reruns and worker counts cannot change results.
-Each job has one implementation: both tail bounds count exceedances in
-``_tail_check``, both statistic MGFs run through ``_mgf_mc_check``, and every
-worst-case fold is ``_worst``, which lets a NaN through so it fails its check.
+Each job has one implementation: both tail bounds take their exact tails
+from ``quadratic_form_tail``, both statistic MGFs run through
+``_mgf_mc_check``, and every worst-case fold is ``_worst``, which lets a NaN
+through so it fails its check.
 
 The draws never change: each check keeps its streams, draw count and draw
-order.  The batch arithmetic around them may change only where every bit of
-the pinned rows holds (``test_refactored_rows_are_pinned`` and
+order.  The exception is the two tail rows, ``tail-squares`` and
+``tail-chaos``, which draw nothing: their bounds are checked against the
+exact law of a Gaussian quadratic form, the same at every seed.  The batch
+arithmetic around the draws may change only where every bit of the pinned
+rows holds (``test_refactored_rows_are_pinned`` and
 ``test_batched_rows_are_pinned``), so a faster form must compute the same
 floats, not merely close ones.
 """
@@ -375,35 +380,116 @@ def circulant_det_check(cycle_len: int, rho: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _tail_check(name: str, spec: SeedSpec, trials: int, dim: int, t_grid,
-                statistic, bound) -> CheckResult:
-    """Largest excess of the empirical P(statistic >= t) over its bound.
+#: Absolute accuracy ``quadratic_form_tail`` aims for, for each of its
+#: truncation and its aliasing.
+TAIL_TOL = 1e-10
+#: Most nodes one ``quadratic_form_tail`` call sums.  With fewer than about
+#: four nonzero weights ``TAIL_TOL`` would take far more (about 3e10 for two
+#: unit weights); there the integral stops early and the returned error
+#: says by how much.
+TAIL_NODE_CAP = 1 << 20
 
-    ``statistic`` maps a (size, dim) block of N(0, I) rows, drawn in
-    ``_batches``, to one value per row; ``bound`` maps the t grid to its
-    per-t tail bounds.  The check passes iff no grid point's exceedance rate
-    tops its bound by more than ``binomial_ci``.
+
+def quadratic_form_tail(weights, x):
+    """P(sum_j w_j X_j^2 > x) for independent N(0, 1) X_j, and an error bound.
+
+    Imhof's inversion formula (docs/math_notes.md, section 6) gives
+    P = 1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du, where
+    theta(u) = sum_j arctan(w_j u) / 2 - x u / 2 and
+    rho(u) = prod_j (1 + w_j^2 u^2)^(1/4); the integrand tends to
+    (sum_j w_j - x) / 2 as u -> 0.  It is summed by the trapezoid rule on
+    the grid of ``_imhof_grid``.  Returns (tail, error), shaped like ``x``:
+    error is the difference between the rules with steps h and 2h plus the
+    truncation bound, over pi.
+    """
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    xs = np.asarray(x, dtype=np.float64)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(xs))):
+        raise DomainError("weights and x must be finite")
+    vals, counts = np.unique(w[w != 0.0], return_counts=True)
+    if vals.size == 0:
+        raise DomainError("weights must have a nonzero entry")
+    mult = counts.astype(np.float64)
+    flat = xs.reshape(-1)
+    h, nodes, truncation = _imhof_grid(vals, mult, flat)
+    fine, coarse = _imhof_sums(vals, mult, flat, h, nodes)
+    tail = 0.5 + h * fine / math.pi
+    error = (np.abs(h * fine - 2.0 * h * coarse) + truncation) / math.pi
+    return tail.reshape(xs.shape), error.reshape(xs.shape)
+
+
+def _imhof_grid(vals, mult, xs) -> tuple[float, int, float]:
+    """(h, nodes, truncation): the trapezoid step and node count for
+    ``quadratic_form_tail``, and the bound on the integral past the last node.
+
+    The integrand is even in u and analytic near the real axis, so the
+    trapezoid rule with step h errs only by aliasing: it gives the tail at
+    x plus the tails of Q - x beyond 4 pi / h.  The step puts 2 pi / h past
+    |x - sum w| plus the Laurent-Massart deviation of level ``TAIL_TOL``,
+    so the rule with step 2h is accurate too.  The integral stops at the
+    first U at which Imhof's bound 2 / (m U^(m/2) prod_j |w_j|^(1/2)) on
+    its remainder is at most pi ``TAIL_TOL`` (m nonzero weights with
+    multiplicity), or at ``TAIL_NODE_CAP`` nodes.
+    """
+    level = -math.log(TAIL_TOL)
+    deviation = (2.0 * math.sqrt(float(mult @ (vals * vals)) * level)
+                 + 2.0 * float(np.abs(vals).max()) * level)
+    h = 2.0 * math.pi / (float(np.abs(xs - mult @ vals).max(initial=0.0)) + deviation)
+    m = float(mult.sum())
+    log_root_prod = 0.5 * float(mult @ np.log(np.abs(vals)))
+    log_end = (math.log(2.0 / (math.pi * m * TAIL_TOL)) - log_root_prod) / (0.5 * m)
+    nodes = math.ceil(math.exp(min(log_end - math.log(h), math.log(TAIL_NODE_CAP))))
+    truncation = math.exp(math.log(2.0 / m) - 0.5 * m * math.log(nodes * h) - log_root_prod)
+    return h, nodes, truncation
+
+
+def _imhof_sums(vals, mult, xs, h: float, nodes: int):
+    """(fine, coarse) per x: half the integrand at 0 plus its sum over nodes
+    1..``nodes`` of step h, and over the even nodes alone.
+
+    Equal weights come once, with their multiplicity, and the nodes go in
+    chunks, so no array holds more than ``_BATCH * 50`` values.
+    """
+    fine = 0.25 * (mult @ vals - xs)  # half the u -> 0 limit
+    coarse = fine.copy()
+    chunk = max(_BATCH * 50 // max(vals.size, xs.size), 1)
+    for start in range(1, nodes + 1, chunk):
+        u = h * np.arange(start, min(start + chunk, nodes + 1), dtype=np.float64)
+        wu = u[:, None] * vals
+        phase = 0.5 * (np.arctan(wu) @ mult)
+        amp = np.exp(-0.5 * (np.log(np.hypot(1.0, wu)) @ mult)) / u
+        g = np.sin(phase - 0.5 * xs[:, None] * u) * amp
+        fine += g.sum(axis=1)
+        coarse += g[:, start % 2 :: 2].sum(axis=1)
+    return fine, coarse
+
+
+def _positive_grid(t_grid) -> np.ndarray:
+    """The t grid as a nonempty 1-D array of positive values.
+
+    An empty grid would pass its check with statistic -inf.
     """
     ts = np.asarray(t_grid, dtype=np.float64).reshape(-1)
     if ts.size == 0:
         raise DomainError("t grid must be nonempty")
-    if np.any(ts <= 0.0):
+    if not np.all(ts > 0.0):
         raise DomainError("t grid must be positive")
-    counts = np.zeros(ts.shape[0], dtype=np.int64)
-    for rng, size in _batches(spec, trials):
-        s = statistic(rng.standard_normal((size, dim)))
-        counts += (s[:, None] >= ts[None, :]).sum(axis=0)
-    worst = _worst([c / trials - (bnd + binomial_ci(int(c), trials))
-                    for c, bnd in zip(counts, bound(ts))])
+    return ts
+
+
+def _bound_excess(name: str, tail, error, bound) -> CheckResult:
+    """Largest (exact tail + error - bound) over a t grid; passes iff <= 0."""
+    worst = _worst(tail + error - bound)
     return CheckResult(name, worst <= 0.0, worst, 0.0,
-                       f"max (empirical - bound - 3sigma) over {ts.shape[0]} grid points")
+                       f"max (exact + error - bound) over {tail.size} grid points; "
+                       f"error <= {float(error.max()):.1e}")
 
 
-def laurent_massart_check(d: int, alpha, t_grid, trials: int, seed) -> CheckResult:
+def laurent_massart_check(d: int, alpha, t_grid) -> CheckResult:
     """Lower-tail bound for weighted chi-square sums, on a grid of t values.
 
-    Passes iff the empirical P(sum alpha_i (X_i^2 - 1) <= -t) never exceeds
-    exp(-t^2 / (4 |alpha|_2^2)) by more than 3 sigma.
+    Passes iff the exact P(sum alpha_i (X_i^2 - 1) <= -t), plus its error
+    (``quadratic_form_tail``), never exceeds exp(-t^2 / (4 |alpha|_2^2)).
     """
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
     if alpha.shape[0] != d:
@@ -413,11 +499,10 @@ def laurent_massart_check(d: int, alpha, t_grid, trials: int, seed) -> CheckResu
     norm_sq = float(alpha @ alpha)
     if norm_sq == 0.0:
         raise DomainError("alpha must have a positive entry")
-    return _tail_check(
-        "tail-squares", as_seedspec(seed, "oracle/laurent-massart"), trials, d, t_grid,
-        lambda x: -((x * x - 1.0) @ alpha),
-        lambda ts: np.exp(-(ts**2) / (4.0 * norm_sq)),
-    )
+    ts = _positive_grid(t_grid)
+    upper, error = quadratic_form_tail(alpha, alpha.sum() - ts)
+    return _bound_excess("tail-squares", 1.0 - upper, error,
+                         np.exp(-(ts**2) / (4.0 * norm_sq)))
 
 
 def aligned_cross_term_matrix(rho: float, block_dim: int) -> np.ndarray:
@@ -437,12 +522,14 @@ def aligned_cross_term_matrix(rho: float, block_dim: int) -> np.ndarray:
     return 0.5 * math.copysign(1.0, rho) * a
 
 
-def gaussian_chaos_check(A: np.ndarray, t_grid, trials: int, seed) -> CheckResult:
+def gaussian_chaos_check(A: np.ndarray, t_grid) -> CheckResult:
     """Upper-tail bound for centered Gaussian quadratic forms on a t grid.
 
     The bound is 2 exp(-(t/16) min{t / (2 |alpha|_2^2), 1 / |alpha|_inf,
     t / (2 |lambda|_2^2), 1 / |lambda|_inf}) with alpha the diagonal of A
-    and lambda the eigenvalues of its off-diagonal part.
+    and lambda the eigenvalues of its off-diagonal part.  X'AX - tr A is
+    sum_j mu_j Z_j^2 - tr A over the eigenvalues mu of A, so its exact tail
+    at t, plus its error, comes from ``quadratic_form_tail`` at t + tr A.
     """
     a = _require_symmetric(A)
     alpha = np.diag(a).copy()
@@ -463,12 +550,9 @@ def gaussian_chaos_check(A: np.ndarray, t_grid, trials: int, seed) -> CheckResul
         rate = min(half_rate(alpha, t), half_rate(lam, t))
         return min(2.0 * math.exp(-(t / 16.0) * rate), 1.0)
 
-    trace = float(np.trace(a))
-    return _tail_check(
-        "tail-chaos", as_seedspec(seed, "oracle/gaussian-chaos"), trials, a.shape[0], t_grid,
-        lambda x: _quadratic_form(x, a) - trace,
-        lambda ts: [bound(float(t)) for t in ts],
-    )
+    ts = _positive_grid(t_grid)
+    tail, error = quadratic_form_tail(np.linalg.eigvalsh(a), ts + float(np.trace(a)))
+    return _bound_excess("tail-chaos", tail, error, np.array([bound(float(t)) for t in ts]))
 
 
 # ---------------------------------------------------------------------------
@@ -940,16 +1024,14 @@ def _chk_circulant(spec: SeedSpec) -> CheckResult:
 @_check("tail-squares")
 def _chk_tail_squares(spec: SeedSpec) -> CheckResult:
     alpha = np.concatenate([np.ones(30), np.linspace(0.1, 2.0, 20)])
-    return laurent_massart_check(50, alpha, [1.0, 5.0, 10.0, 20.0], 400_000, spec)
+    return laurent_massart_check(50, alpha, [1.0, 5.0, 10.0, 20.0])
 
 
 @_check("tail-chaos")
 def _chk_tail_chaos(spec: SeedSpec) -> CheckResult:
     a = aligned_cross_term_matrix(0.6, 5)
-    res = gaussian_chaos_check(a, [1.0, 4.0, 8.0, 16.0], 400_000, spec)
-    diag = gaussian_chaos_check(
-        np.diag(np.linspace(0.2, 1.0, 6)), [2.0, 6.0, 12.0], 200_000,
-        spec.stream("diag"))
+    res = gaussian_chaos_check(a, [1.0, 4.0, 8.0, 16.0])
+    diag = gaussian_chaos_check(np.diag(np.linspace(0.2, 1.0, 6)), [2.0, 6.0, 12.0])
     passed = res.passed and diag.passed
     return CheckResult("tail-chaos", passed, _worst([res.statistic, diag.statistic]), 0.0,
                        "cross-term block matrix and diagonal special case")

@@ -182,17 +182,17 @@ def test_criterion_7_inequality_grids():
 
 @pytest.mark.criterion(8)
 def test_criterion_8_concentration_tails():
+    # Each bound is checked against the exact tail plus its error.
     t0 = time.monotonic()
-    trials = 1_000_000
     d = 50
     alpha = np.linspace(0.2, 3.0, d)
-    res = laurent_massart_check(d, alpha, [1.0, 5.0, 10.0, 20.0], trials, 5000)
+    res = laurent_massart_check(d, alpha, [1.0, 5.0, 10.0, 20.0])
     assert res.passed, res.detail
     cross = oracle.aligned_cross_term_matrix(0.6, 5)
-    res2 = gaussian_chaos_check(cross, [1.0, 3.0, 8.0, 15.0], trials, 5001)
+    res2 = gaussian_chaos_check(cross, [1.0, 3.0, 8.0, 15.0])
     assert res2.passed, res2.detail
     diag = np.diag(np.linspace(-0.4, 0.5, 6))
-    res3 = gaussian_chaos_check(diag, [1.0, 4.0, 10.0], trials, 5002)
+    res3 = gaussian_chaos_check(diag, [1.0, 4.0, 10.0])
     assert res3.passed, res3.detail
     assert time.monotonic() - t0 < 180.0
 

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -67,6 +68,25 @@ class TestExponents:
         # Threshold at the alternate mean: gamma = 4 rho^2 kills the exponent.
         for rho in (0.2, 0.5, 0.9):
             assert g_md(4.0 * rho * rho, rho) == pytest.approx(0.0, abs=1e-12)
+
+    def test_g_md_near_rho2_one_matches_decimal_reference(self):
+        # rho = 1 - 2^-k has an exact square and 1 - rho^2 is exact in floats,
+        # so a 50-digit reference sees the inputs the library does.  Here the
+        # two leading terms of g_md are each about sqrt(gamma) / u; taken
+        # apart, their difference loses up to 1.2e-6 relative.
+        def reference(gamma, rho):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                g, r = Decimal(gamma), Decimal(rho)
+                u = 1 - r * r
+                q = (u * u + g).sqrt()
+                return (q - (r * r * g).sqrt()) / u - 1 - ((u + q) / 2).ln()
+
+        for k in (6, 10, 14, 18, 22, 26):
+            rho = 1.0 - 2.0**-k
+            for gamma in (1e-12, 1e-6, 1e-3, 0.1, 1.0, 2.0, 3.5):
+                want = reference(gamma, rho)
+                assert abs(Decimal(g_md(gamma, rho)) - want) <= Decimal("1e-10") * abs(want)
 
     def test_domain_validation(self):
         # gamma = 0 is the valid continuous extension, negative gamma is not.
@@ -650,6 +670,16 @@ class TestCurvePoints:
 
     def test_empty_grid(self):
         assert curve_points("d", [], n=100.0) == ([], [])
+
+    def test_small_d_det_ach_is_decreasing(self):
+        # Below d ~ 70 the det-ach pre-scan once rose by rounding near
+        # rho^2 = 1 (27 such notes on this grid).  Only the real "never
+        # reaches" notes stay: as rho^2 -> 1 the bound tends to about
+        # 2 exp(-0.1 d), above 0.1 until d ~ 30.
+        grid = np.geomspace(18.5, 2e4, 300)
+        _, notes = curve_points("d", grid, n=1e4, target_risk=0.1)
+        assert notes and all("det-ach bound never reaches" in note for note in notes)
+        assert max(float(note.split()[0][len("axis="):]) for note in notes) < 30.0
 
     @pytest.mark.parametrize(
         "name, axis, fixed",

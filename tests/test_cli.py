@@ -618,11 +618,11 @@ class TestReportGolden:
         [
             (
                 ["verify", "--seed", "0", "--format", "csv"],
-                "a0298c00f505fbd786e1b6cc7cf92548792af13c08683e1934365da3fd0ec229",
+                "ab0d8519e4586cb5a7b7e58ef5a4fa4628f5a9d704cad779d859063276eb59d9",
             ),
             (
                 ["verify", "--seed", "0", "--format", "json"],
-                "001132a5f3e315fa1f394475bfb3cc261302d2fc60fc2efef306b1a389883f1b",
+                "555d3fe18c8350a9b6a17dfbebc776e49a525088dbb46ac63a5287c7ce96334a",
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "csv"],
@@ -650,7 +650,7 @@ class TestReportGolden:
             (
                 ["--axis", "d", "--grid", "18.420680743952367:10000:50", "--n", "10000",
                  "--risk", "0.1"],
-                "752cb1ba36370267112b900e2c995439b5bf816c7dd27f9913fa75a2cad3d24f",
+                "7ae3bd19b9326047d3737e4c28128601fcef1660b1afd515df2b56e409de0a23",
             ),
             (
                 ["--axis", "n", "--grid", "10:100000:20", "--d", "1000"],

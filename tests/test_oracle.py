@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from corralign import bounds, oracle
 from corralign.core import (
     Permutation,
     ProblemParams,
     SeedSpec,
+    binomial_ci,
     cycle_decompose,
     cycle_type_count,
     enumerate_cycle_types,
@@ -31,6 +33,7 @@ from corralign.oracle import (
     log_likelihood_ratio,
     mc_second_moment,
     pair_mgf_check,
+    quadratic_form_tail,
     quadratic_mgf_check,
     second_moment_reduction,
     truncated_first_moment_check,
@@ -219,30 +222,30 @@ class TestCirculant:
 class TestConcentration:
     def test_laurent_massart(self):
         alpha = np.linspace(0.5, 2.0, 30)
-        res = laurent_massart_check(30, alpha, [1.0, 5.0, 15.0], 150_000, 9)
+        res = laurent_massart_check(30, alpha, [1.0, 5.0, 15.0])
         assert res.passed, res.detail
 
     def test_gaussian_chaos_cross_term(self):
         from corralign.oracle import aligned_cross_term_matrix
 
         A = aligned_cross_term_matrix(0.6, 4)
-        res = gaussian_chaos_check(A, [1.0, 3.0, 8.0], 150_000, 10)
+        res = gaussian_chaos_check(A, [1.0, 3.0, 8.0])
         assert res.passed, res.detail
 
     def test_gaussian_chaos_rejects_asymmetric(self):
         with pytest.raises(DomainError):
-            gaussian_chaos_check(np.array([[0.0, 1.0], [0.5, 0.0]]), [1.0], 100, 0)
+            gaussian_chaos_check(np.array([[0.0, 1.0], [0.5, 0.0]]), [1.0])
 
     def test_empty_grid_is_rejected(self):
         # An empty grid would pass with statistic -inf.
         with pytest.raises(DomainError, match="nonempty"):
-            laurent_massart_check(3, [1.0, 1.0, 1.0], [], 1000, 0)
+            laurent_massart_check(3, [1.0, 1.0, 1.0], [])
         with pytest.raises(DomainError, match="nonempty"):
-            gaussian_chaos_check(np.eye(2), [], 1000, 0)
+            gaussian_chaos_check(np.eye(2), [])
 
     def test_zero_alpha_is_rejected(self):
         with pytest.raises(DomainError, match="positive entry"):
-            laurent_massart_check(3, [0.0, 0.0, 0.0], [1.0], 1000, 0)
+            laurent_massart_check(3, [0.0, 0.0, 0.0], [1.0])
 
 
 @pytest.mark.parametrize(
@@ -253,14 +256,120 @@ class TestConcentration:
         (pair_mgf_check, (0.15, 0.25, 2)),
         (mc_second_moment, (2, 2, 0.3)),
         (tv_risk_lower_bound_mc, (2, 2, 0.3)),
-        (laurent_massart_check, (2, [1, 1], [1.0])),
-        (gaussian_chaos_check, (np.eye(2), [1.0])),
     ],
 )
 def test_zero_trials_is_domain_error(helper, args):
     # Every Monte-Carlo rate or mean divides by the trial count.
     with pytest.raises(DomainError, match="trials"):
         helper(*args, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "helper, args",
+    [
+        (laurent_massart_check, (2, [1, 1])),
+        (gaussian_chaos_check, (np.eye(2),)),
+    ],
+)
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_nonpositive_t_is_domain_error(helper, args, t):
+    # A tail bound is stated for t > 0 alone, and a NaN t would compare as
+    # no excess.
+    with pytest.raises(DomainError, match="positive"):
+        helper(*args, [1.0, t])
+
+
+def _squares_row_form():
+    alpha = np.concatenate([np.ones(30), np.linspace(0.1, 2.0, 20)])
+    return alpha, alpha.sum() - np.array([1.0, 5.0, 10.0, 20.0])
+
+
+def _chaos_row_forms():
+    cross = oracle.aligned_cross_term_matrix(0.6, 5)
+    diag = np.linspace(0.2, 1.0, 6)
+    return [(np.linalg.eigvalsh(cross), np.array([1.0, 4.0, 8.0, 16.0]) + np.trace(cross)),
+            (diag, np.array([2.0, 6.0, 12.0]) + diag.sum())]
+
+
+class TestExactTail:
+    @pytest.mark.parametrize("d", [5, 50])
+    def test_equal_weights_match_chi2_sf(self, d):
+        xs = np.array([0.0, 0.5, 2.0, d / 2.0, d, 2.0 * d, 4.0 * d])
+        tail, error = quadratic_form_tail(np.ones(d), xs)
+        assert np.all(np.abs(tail - stats.chi2.sf(xs, d)) <= 1e-8)
+        assert np.all(error <= 1e-9)
+
+    def test_row_tails_are_pinned(self):
+        # The verify rows' exact tails, to 1e-6 absolute: the lower tail of
+        # the squares row, then the cross-term block of the chaos row.
+        alpha, xs = _squares_row_form()
+        lower = 1.0 - quadratic_form_tail(alpha, xs)[0]
+        assert np.allclose(lower, [0.4935901, 0.3435785, 0.1782833, 0.0171229], rtol=0, atol=1e-6)
+        (lam, xs), _ = _chaos_row_forms()
+        upper = quadratic_form_tail(lam, xs)[0]
+        assert np.allclose(upper, [0.2896688, 0.0780750, 0.0108458, 0.0001470], rtol=0, atol=1e-6)
+
+    def test_cross_term_tail_matches_its_chi2_difference(self):
+        # The cross-term block's eigenvalues are 0.8 and -0.2, five each, so
+        # its tail is P(0.8 A - 0.2 B > x) for independent chi2_5 A and B.
+        (lam, xs), _ = _chaos_row_forms()
+        assert np.allclose(np.sort(lam), [-0.2] * 5 + [0.8] * 5, atol=1e-12)
+        for x, tail in zip(xs, quadratic_form_tail(lam, xs)[0]):
+            ref, _ = integrate.quad(
+                lambda b: stats.chi2.pdf(b, 5) * stats.chi2.sf((x + 0.2 * b) / 0.8, 5),
+                0.0, np.inf, epsabs=1e-13, epsrel=1e-12)
+            assert abs(tail - ref) <= 1e-8, (x, tail, ref)
+
+    def test_mixed_sign_form_matches_monte_carlo(self):
+        # The one tie between the sampler and the law: 400,000 fixed-seed
+        # draws of the cross-term statistic x'Ax - tr A, at 3 sigma.
+        a = oracle.aligned_cross_term_matrix(0.6, 5)
+        ts = np.array([0.5, 1.0, 4.0, 8.0])
+        rng = np.random.default_rng(2024)
+        trials, counts = 400_000, np.zeros(ts.size, dtype=np.int64)
+        for _ in range(trials // 4000):
+            x = rng.standard_normal((4000, a.shape[0]))
+            stat = np.einsum("ti,ij,tj->t", x, a, x) - np.trace(a)
+            counts += (stat[:, None] > ts).sum(axis=0)
+        tail, _ = quadratic_form_tail(np.linalg.eigvalsh(a), ts + np.trace(a))
+        for count, p in zip(counts, tail):
+            assert abs(count / trials - p) <= binomial_ci(int(count), trials), (count, p)
+
+    @pytest.mark.parametrize(
+        "weights, xs",
+        [_squares_row_form(), *_chaos_row_forms(), (np.ones(5), np.array([1.0, 5.0, 20.0])),
+         (np.array([1.0, -1.0, 0.5, -2.0, 0.3]), np.array([-1.0, 0.5, 2.0]))],
+        ids=["squares", "cross-term", "diagonal", "chi2-5", "five-mixed"],
+    )
+    def test_error_bound_holds_against_ten_times_the_nodes(self, weights, xs):
+        tail, error = quadratic_form_tail(weights, xs)
+        vals, counts = np.unique(weights, return_counts=True)
+        mult = counts.astype(np.float64)
+        h, nodes, _ = oracle._imhof_grid(vals, mult, xs)
+        fine, _ = oracle._imhof_sums(vals, mult, xs, h / 10.0, 10 * nodes)
+        assert np.all(np.abs(tail - (0.5 + h / 10.0 * fine / math.pi)) <= error)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_few_weights_state_their_truncation(self, d):
+        # With one or two weights the node cap stops the integral early; the
+        # error it states must still cover the true tail.
+        xs = np.array([0.1, 1.0, 3.0])
+        tail, error = quadratic_form_tail(np.ones(d), xs)
+        assert np.all(np.abs(tail - stats.chi2.sf(xs, d)) <= error)
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError, match="nonzero"):
+            quadratic_form_tail([0.0, 0.0], [1.0])
+        with pytest.raises(DomainError, match="finite"):
+            quadratic_form_tail([1.0, math.nan], [1.0])
+        with pytest.raises(DomainError, match="finite"):
+            quadratic_form_tail([1.0, 2.0], [math.inf])
+
+    def test_rows_draw_nothing(self):
+        # The two rows no longer depend on the seed: same bytes at 0 and 7.
+        for name in ("tail-squares", "tail-chaos"):
+            r0, r7 = (oracle._REGISTRY[name](SeedSpec(seed, f"verify/{name}")) for seed in (0, 7))
+            assert r0 == r7 and r0.passed and r0.statistic.hex() == r7.statistic.hex()
 
 
 class TestTruncationEvent:
@@ -373,7 +482,7 @@ def test_chernoff_identity_holds_at_every_seed():
 
 
 def test_refactored_rows_are_pinned():
-    # Bits of the checks that share the tail loop, the MGF helper and the
+    # Bits of the checks that share the exact tail, the MGF helper and the
     # truncation event; a refactor of those paths must keep every row.
     names = ("null-mgf-mc", "alt-mgf-mc", "tail-squares", "tail-chaos",
              "truncation-event-methods", "truncation-first-moment")
@@ -384,7 +493,7 @@ def test_refactored_rows_are_pinned():
             rows.append(f"{r.name}|{int(r.passed)}|{r.statistic.hex()}|"
                         f"{r.reference.hex()}|{r.detail}")
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == "8ee039f355e9888dca7dab99f6a7a95aaf156f7b93bd5d5b2d6213edbf1cf3ad"
+    assert digest == "509e0d4ee2fe066528115baa5339fa2c1ead14978a619c48d6d1e220abd18aa1"
 
 
 def test_floor_md_matches_scalar_g_md_loop():
