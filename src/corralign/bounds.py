@@ -24,8 +24,9 @@ bound of every kind (``detection_ach_risk``, ``truncated_converse_risk``,
 per kind for the pre-scan and one per search step.  Lanes step together
 but never mix, so each gets the floats of its own scalar call (see
 docs/math_notes.md, section 3).  A scalar call runs the same lane path and
-pays its fixed numpy cost (``recovery_ach_perr`` takes about 30 us), so a
-caller looping over points should pass them as arrays instead.
+pays its fixed numpy cost (``recovery_ach_perr`` takes about 17 us on a
+2-core Xeon), so a caller looping over points should pass them as arrays
+instead.
 """
 
 from __future__ import annotations
@@ -72,25 +73,11 @@ def _first_lanes(*columns):
     return [first.setdefault(row, lane) for lane, row in enumerate(rows)], first
 
 
-def _math_lanes(f, x, where=None):
-    """``f``, a scalar Python function, applied lane by lane where ``where``; NaN elsewhere.
-
-    numpy's ufuncs may differ from ``math`` in the last bit (``expm1`` on
-    about 10% of inputs), so the bounds' ``math`` steps stay ``math`` calls
-    per lane, and so does ``x ** 2``, which Python takes from libm's ``pow``.
-    """
-    if where is None:
-        return np.array([f(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
-    out = np.empty(x.shape)
-    out.fill(math.nan)
-    out[where] = [f(v) for v in x[where].tolist()]
-    return out
-
-
 def _float_errstate():
-    """numpy's error state for Python float arithmetic, which overflows to inf
-    and makes NaN (inf - inf, inf * 0) without a warning."""
-    return np.errstate(over="ignore", invalid="ignore")
+    """numpy's error state for the bounds, which compute on every lane: an
+    overflow to inf, a log of 0 and a NaN (inf - inf, inf * 0) pass silently
+    to the selects that replace them."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _checked_lanes(n, d, rho2):
@@ -181,7 +168,7 @@ def g_md(gamma, rho):
         raise DomainError("gamma must be nonnegative")
     rho_sq = rho * rho
     with np.errstate(invalid="ignore"):  # gamma = rho = 0 gives NaN; g_fa replaces it
-        value = _g_md(g, np.abs(rho), 1.0 - rho_sq, _math_lanes(math.log1p, -rho_sq))
+        value = _g_md(g, np.abs(rho), 1.0 - rho_sq, np.log1p(-rho_sq))
     return _shaped(np.where(rho == 0.0, _g_fa(g), value), shape)
 
 
@@ -282,7 +269,7 @@ def _md_lane_args(rho2):
     """(|rho|, u, ln u) per lane of ``rho2``, the trailing arguments of ``_g_md``."""
     rho = np.sqrt(rho2)
     rho_sq = rho * rho
-    return rho, 1.0 - rho_sq, _math_lanes(math.log1p, -rho_sq)
+    return rho, 1.0 - rho_sq, np.log1p(-rho_sq)
 
 
 #: Points at which ``minimize_two_exponent`` probes the first scan cell,
@@ -488,9 +475,8 @@ def unconditional_converse_risk(n, d, rho2):
 def _unconditional_lanes(n, d, rho2):
     """``unconditional_converse_risk`` on checked 1-D lanes."""
     with _float_errstate():
-        e = -d * n * _math_lanes(math.log1p, -rho2)  # dn ln(1/(1-rho^2)) >= 0
-    # Where e > 700 the root is NaN, and max(0, NaN) is 0, as is the bound there.
-    value = 1.0 - np.sqrt(_math_lanes(math.expm1, e, ~(e > 700.0)))
+        # dn ln(1/(1-rho^2)) >= 0; where it overflows expm1, the value is -inf.
+        value = 1.0 - np.sqrt(np.expm1(-d * n * np.log1p(-rho2)))
     return np.where(value > 0.0, value, 0.0)
 
 
@@ -549,7 +535,7 @@ def _schedule_k_star(n: float, d: float, k_star: int | None, margin: float) -> i
     """The schedule preconditions, but for the length cap; returns k_star or its default."""
     if not math.isfinite(d * n):
         raise ConditionViolatedError(f"d * n overflows the float range: d = {d}, n = {n}")
-    if margin <= 0.0:
+    if not margin > 0.0:  # NaN fails this too
         raise ConditionViolatedError("margin must be > 0")
     n_top = int(math.floor(n))
     if k_star is None:
@@ -629,7 +615,7 @@ def truncation_exponents(
     rho = np.sqrt(rho2)
     u = 1.0 - rho2
     sqrt_d = np.sqrt(d)
-    rho2_sq = _math_lanes(lambda x: x**2, np.asarray(rho2, dtype=np.float64))
+    rho2_sq = np.square(rho2)
     # Minima are exact, so the order of the four-way minimum is free.
     four_way = np.minimum(
         np.minimum(s / (rho * sqrt_d), 4.0 * rho * s / (u * sqrt_d)),
@@ -694,28 +680,23 @@ def _truncated_lanes(n, d, rho2, ks, uncond, margin):
     cols = (n[:, None], d[:, None], rho2[:, None])
     with _float_errstate():
         u = 1.0 - rho2
-        t1 = 0.5 * d * n * _math_lanes(lambda x: x**2, rho2 / u) + d * ks * rho2 / u
+        t1 = 0.5 * d * n * np.square(rho2 / u) + d * ks * rho2 / u
         # {k_star, floor(n)}: the size may repeat, which min and all ignore.
         schedule = _schedule(*cols, ks, np.stack([ks, np.floor(n)], axis=1), margin)
         rates = truncation_exponents(schedule, *cols)
         norm, cross, psi = rates.deficit_norm, rates.deficit_cross, rates.second_moment
         m = np.where(cross < norm, cross, norm)  # min(norm, cross)
-        # B2 overflows where t1 > 700, whatever the schedule.
-        ok = ~(t1 > 700.0) & schedule.valid & ~(m <= 0.0) & ~(psi <= 0.0)
-        # A positive rate is at least 2^-52, so log_d1 < 38 and log_tail < 37
-        # (docs/math_notes.md, section 3): neither exp below can overflow.
-        log_d1 = math.log(4.0) - ks * m - _math_lanes(_log_one_minus_exp_neg, m, ok)
-        log_tail = -ks * psi - _math_lanes(_log_one_minus_exp_neg, psi, ok)
-        d1 = _math_lanes(math.exp, log_d1, ok)
-        b2 = _math_lanes(math.exp, t1, ok) + _math_lanes(math.exp, log_tail, ok)
+        # ln(1 - e^-x) is -inf at a rate x = 0 and NaN below, and B2 >= e^700
+        # where t1 > 700, so value is -inf, NaN or below 0 there, and the
+        # unconditional bound is kept.  A positive rate is at least 2^-52, so
+        # log_d1 < 38 and log_tail < 37 (docs/math_notes.md, section 3).
+        log_d1 = math.log(4.0) - ks * m - np.log(-np.expm1(-m))
+        log_tail = -ks * psi - np.log(-np.expm1(-psi))
+        d1 = np.exp(log_d1)
+        b2 = np.exp(t1) + np.exp(log_tail)
         value = 1.0 - (np.sqrt(b2 - 1.0 + 2.0 * d1) + d1)
     best = np.where(value > 0.0, value, 0.0)  # max(0.0, value, uncond)
-    return np.where(ok & ~(uncond > best), best, uncond)
-
-
-def _log_one_minus_exp_neg(x: float) -> float:
-    """ln(1 - e^-x) for x > 0."""
-    return math.log(-math.expm1(-x))
+    return np.where(schedule.valid & ~(uncond > best), best, uncond)
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +714,10 @@ def recovery_ach_perr(n, d, rho2):
     """
     shape, (n, d, rho2) = _checked_lanes(n, d, rho2)
     with _float_errstate():
-        log_b = _math_lanes(math.log, n) + 0.25 * d * _math_lanes(math.log1p, -rho2)
+        log_b = np.log(n) + 0.25 * d * np.log1p(-rho2)
         a = n * log_b
-        live = (log_b != 0.0) & ~(a > 690.0)
         # (1 - b^n) / (1 - b), sign-safe
-        ratio = _math_lanes(math.expm1, a, live) / _math_lanes(math.expm1, log_b, live)
-        value = _math_lanes(math.exp, log_b, live) * ratio
+        value = np.exp(log_b) * (np.expm1(a) / np.expm1(log_b))
     value = np.where(a > 690.0, math.inf, value)
     return _shaped(np.where(log_b == 0.0, n, value), shape)
 
@@ -752,18 +731,13 @@ def recovery_conv_perr(n, d, rho2, epsilon_d: float = 0.0):
     lane, each with the bits of its scalar call; a scalar call returns a
     float.
     """
-    if epsilon_d < 0.0:
+    if not epsilon_d >= 0.0:  # NaN fails this too
         raise DomainError("epsilon_d must be nonnegative")
     shape, (n, d, rho2) = _checked_lanes(n, d, rho2)
     with _float_errstate():
-        log_a = _math_lanes(math.log, n) + 0.25 * d * (1.0 + epsilon_d) * _math_lanes(
-            math.log1p, -rho2
-        )
-        # a <= 1 drives the expression to 1 - 1 - 4 or below: NaN there, then 0.
-        live = log_a > 0.0
-        value = 1.0 - _math_lanes(math.exp, -2.0 * log_a, live) - 4.0 * _math_lanes(
-            math.exp, -log_a, live
-        )
+        log_a = np.log(n) + 0.25 * d * (1.0 + epsilon_d) * np.log1p(-rho2)
+        # a <= 1 drives the expression to 1 - 1 - 4 or below, then to 0.
+        value = 1.0 - np.exp(-2.0 * log_a) - 4.0 * np.exp(-log_a)
     return _shaped(np.where(value > 0.0, value, 0.0), shape)
 
 

@@ -443,10 +443,27 @@ class TestConverses:
             vals += [ex.deficit_norm, ex.deficit_cross, ex.second_moment]
         assert len(vals) == 545
         digest = hashlib.sha256(",".join(float(v).hex() for v in vals).encode()).hexdigest()
-        assert digest == "dbaf988e4e92cc4d4ee20cf788c92cf8ac350ac267aed2f808262431437bbdb4"
+        assert digest == "34c057e5619e141c680ef21b3e0fd0ad3a3f84f1baf64582bbae111b58bcc8d2"
 
     def test_zero_rho2_is_the_unconditional_bound(self):
         assert truncated_converse_risk(100, 10, 0.0) == 1.0
+
+    @pytest.mark.parametrize("n, d, rho2", [(1000, 500, 1e-6), (100, 100, 1e-3), (1e4, 1e3, 1e-5)])
+    def test_zero_rate_is_the_unconditional_bound_silently(self, n, d, rho2):
+        # At margin 1e-300, 1 + margin rounds to 1: the schedule is invalid
+        # and deficit_norm is 0, so the converse takes ln(1 - e^-x) at a rate
+        # x <= 0 (-inf or NaN), and no numpy warning may escape.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            risk = truncated_converse_risk(n, d, rho2, margin=1e-300)
+            assert risk == unconditional_converse_risk(n, d, rho2)
+
+    @pytest.mark.parametrize("margin", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_margin_is_rejected(self, margin):
+        with pytest.raises(ConditionViolatedError, match="margin must be > 0"):
+            truncation_schedule(1000, 500, 1e-6, margin=margin)
+        risk = truncated_converse_risk(1000, 500, 1e-6, margin=margin)
+        assert risk == unconditional_converse_risk(1000, 500, 1e-6)
 
     def test_invalid_schedule_falls_back(self):
         # The schedule's preconditions hold and B2 does not overflow, but the
@@ -483,6 +500,11 @@ class TestRecoveryBounds:
         base = recovery_conv_perr(1000, 40, 0.05, epsilon_d=0.0)
         softened = recovery_conv_perr(1000, 40, 0.05, epsilon_d=0.5)
         assert softened <= base
+
+    @pytest.mark.parametrize("epsilon_d", [-0.5, math.nan])
+    def test_conv_rejects_negative_or_nan_epsilon_d(self, epsilon_d):
+        with pytest.raises(DomainError, match="epsilon_d must be nonnegative"):
+            recovery_conv_perr(1000, 40, 0.05, epsilon_d=epsilon_d)
 
     def test_conv_clamped_at_zero(self):
         assert recovery_conv_perr(10, 100, 0.9) == 0.0
@@ -1002,6 +1024,43 @@ class TestArrayBounds:
             assert block.shape == (2, 2)
             assert _bits(block[1, 0]) == _bits(bound(1000.0, 500.0, 0.0, **kwargs))
 
+    @pytest.mark.parametrize(
+        "name", ["log1p", "expm1", "exp", "log", "sqrt", "hypot", "logaddexp", "square"])
+    def test_ufuncs_give_each_element_its_own_bits(self, name):
+        # The lanes rely on this: a ufunc gives an element the bits of its
+        # 1-element call whether it sits in a long array, a view shifted by
+        # one element or one byte, or a strided view.
+        rng = np.random.default_rng(27)
+        size = 10_000
+        mag = 10.0 ** rng.uniform(-20.0, 3.0, size)
+        signed = mag * rng.choice([-1.0, 1.0], size)
+        args = {
+            "log1p": (np.where(signed > -1.0, signed, -rng.uniform(0.0, 1.0, size)),),
+            "expm1": (signed,), "exp": (signed,), "log": (mag,), "sqrt": (mag,),
+            "hypot": (mag, rng.permutation(mag)), "logaddexp": (signed, rng.permutation(signed)),
+            "square": (signed,),
+        }[name]
+        f = getattr(np, name)
+
+        def shifted(x, offset):  # a copy of x starting ``offset`` bytes into a buffer
+            raw = np.empty(x.nbytes + 8, dtype=np.uint8)[offset : offset + x.nbytes]
+            out = raw.view(np.float64)
+            out[:] = x
+            return out
+
+        by_byte = [shifted(a, 1) for a in args]
+        assert not by_byte[0].flags.aligned
+        with np.errstate(all="ignore"):
+            whole = f(*args).view(np.uint64)
+            singles = np.array([f(*(a[i : i + 1] for a in args))[0] for i in range(size)])
+            views = (
+                f(*(np.concatenate([[0.0], a])[1:] for a in args)),
+                f(*by_byte),
+                f(*(np.repeat(a, 3)[::3] for a in args)),
+            )
+        for other in (singles, *views):
+            assert np.array_equal(whole, other.view(np.uint64))
+
     def test_every_converse_path_matches_its_scalar_call(self):
         n, d, rho2 = (np.array(column) for column in zip(*_PATH_LANES))
         uncond = unconditional_converse_risk(n, d, rho2)
@@ -1050,9 +1109,9 @@ class TestArrayBounds:
                 assert not 0.0 < rate < 2.0**-52
             m = min(norm, cross)
             if m > 0.0:
-                assert math.log(4.0) - kk * m - bounds._log_one_minus_exp_neg(m) < 38.0
+                assert math.log(4.0) - kk * m - np.log(-np.expm1(-m)) < 38.0  # log_d1
             if psi > 0.0:
-                assert -kk * psi - bounds._log_one_minus_exp_neg(psi) < 37.0
+                assert -kk * psi - np.log(-np.expm1(-psi)) < 37.0  # log_tail
 
     @pytest.mark.parametrize(
         "bound",

@@ -654,7 +654,7 @@ class TestReportGolden:
             ),
             (
                 ["--axis", "n", "--grid", "10:100000:20", "--d", "1000"],
-                "7e6769bf83ab42eda8a1fcc35433ce5027e4e6d8b92cdd3f5f3201f3cc9cdec8",
+                "df8e0daba551a16a23127d3c2e6ada32319e71d79f33be2336020bf02eaa967c",
             ),
         ],
     )
