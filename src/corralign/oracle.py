@@ -15,13 +15,17 @@ from ``quadratic_form_tail``, both statistic MGFs run through
 through so it fails its check.
 
 The draws never change: each check keeps its streams, draw count and draw
-order.  The exception is the two tail rows, ``tail-squares`` and
-``tail-chaos``, which draw nothing: their bounds are checked against the
-exact law of a Gaussian quadratic form, the same at every seed.  The batch
-arithmetic around the draws may change only where every bit of the pinned
-rows holds (``test_refactored_rows_are_pinned`` and
-``test_batched_rows_are_pinned``), so a faster form must compute the same
-floats, not merely close ones.
+order.  There are two exceptions.  The tail rows, ``tail-squares`` and
+``tail-chaos``, draw nothing: their bounds are checked against the exact
+law of a Gaussian quadratic form, the same at every seed.  The column-sum
+rows, ``null-mgf-mc``, ``alt-mgf-mc`` and ``statistic-moments``, draw the
+two column sums of each database pair from their law, not the databases
+(``_column_sum_stats``): two (size, d) blocks per batch where the databases
+took two (size, n, d) blocks, with the same trial counts, batches and
+3-sigma rules.  The batch arithmetic around the draws may change only where
+every bit of the pinned rows holds (``test_refactored_rows_are_pinned``,
+``test_batched_rows_are_pinned`` and ``test_rows_not_redrawn_are_pinned``),
+so a faster form must compute the same floats, not merely close ones.
 """
 
 from __future__ import annotations
@@ -835,15 +839,18 @@ def _chk_chernoff_identity(spec: SeedSpec) -> CheckResult:
 def _column_sum_stats(rng, size: int, n: int, d: int, rho: float = 0.0) -> np.ndarray:
     """The statistic <sum_i x_i, sum_i y_i> of ``size`` database pairs.
 
-    Draws the (size, n, d) blocks y, then z, and sets x = rho y +
-    sqrt(1-rho^2) z in place of z.
+    Draws the column sums from their law (docs/math_notes.md, section 5),
+    not the databases: sum_i y_i = sqrt(n) g1 and sum_i x_i = sqrt(n) (rho
+    g1 + sqrt(1-rho^2) g2) for independent N(0, I_d) rows g1 and g2.  Draws
+    the (size, d) blocks g1, then g2, sets x = rho g1 + sqrt(1-rho^2) g2 in
+    place of g2 and returns n <x, g1>.
     """
-    ys = rng.standard_normal((size, n, d))
-    xs = rng.standard_normal((size, n, d))
-    if rho:  # at rho = 0, x = z exactly
-        xs *= math.sqrt(1.0 - rho * rho)
-        xs += rho * ys
-    return np.einsum("tj,tj->t", xs.sum(axis=1), ys.sum(axis=1))
+    g1 = rng.standard_normal((size, d))
+    x = rng.standard_normal((size, d))
+    if rho:  # at rho = 0, x = g2 exactly
+        x *= math.sqrt(1.0 - rho * rho)
+        x += rho * g1
+    return n * np.einsum("tj,tj->t", x, g1)
 
 
 def _mgf_mc_check(spec: SeedSpec, name: str, closed: float, lam: float,
@@ -1085,8 +1092,24 @@ def _chk_curve_ordering(spec: SeedSpec) -> CheckResult:
                        f"{len(points)} grid points; notes: {len(notes)}")
 
 
-#: Deterministic execution order of the verification suite.
+#: Deterministic report order of the verification suite.
 VERIFY_CHECKS: tuple[str, ...] = tuple(_REGISTRY)
+
+#: ``VERIFY_CHECKS`` in the order ``verify`` hands them to its workers:
+#: heaviest first, by serial time per check, so the last tasks to start are
+#: short and the workers finish together.  The README's ``verify`` cost
+#: paragraph gives the command that re-times the checks; a new check must
+#: be placed here too.
+DISPATCH_ORDER: tuple[str, ...] = (
+    "truncation-first-moment", "tv-vs-unconditional", "likelihood-unit-mean",
+    "jensen-consistency", "statistic-moments", "truncation-event-methods",
+    "pair-mgf", "second-moment-mc", "null-mgf-mc", "alt-mgf-mc", "quadratic-mgf",
+    "second-moment-dominance", "curve-ordering", "likelihood-single-row",
+    "likelihood-logsumexp-naive", "closed-min-quadratic", "tail-chaos",
+    "chernoff-identity", "second-moment-census", "sqrt-floor-family",
+    "exponent-floor-md", "circulant-dets", "truncated-vs-unconditional",
+    "balanced-tuning-slack", "tail-squares", "sqrt-cube-envelope", "exponent-floor-fa",
+)
 
 
 def _run_named(args: tuple[str, int]) -> CheckResult:
@@ -1099,8 +1122,11 @@ def verify(seed: int = 0, workers: int = 1) -> VerifyReport:
     """Run every named oracle check with generators derived from one seed.
 
     The report is identical for any worker count: each check seeds itself
-    from (seed, its own name) and results are collected in registry order.
+    from (seed, its own name), the checks start in ``DISPATCH_ORDER`` and
+    the results are reported in ``VERIFY_CHECKS`` order.
     """
     master = int(seed)
-    tasks = [(name, master) for name in VERIFY_CHECKS]
-    return VerifyReport(checks=tuple(parallel_map(_run_named, tasks, workers)))
+    order = sorted(VERIFY_CHECKS, key=DISPATCH_ORDER.index)
+    results = parallel_map(_run_named, [(name, master) for name in order], workers)
+    by_name = dict(zip(order, results))
+    return VerifyReport(checks=tuple(by_name[name] for name in VERIFY_CHECKS))

@@ -618,11 +618,11 @@ class TestReportGolden:
         [
             (
                 ["verify", "--seed", "0", "--format", "csv"],
-                "ab0d8519e4586cb5a7b7e58ef5a4fa4628f5a9d704cad779d859063276eb59d9",
+                "991edb48b9bbdd76bd1c8f50386da270dd148026a6998e66fcd0925ea9fc76fb",
             ),
             (
                 ["verify", "--seed", "0", "--format", "json"],
-                "555d3fe18c8350a9b6a17dfbebc776e49a525088dbb46ac63a5287c7ce96334a",
+                "f3905fd5ff04182ca5e00f2a792f827bf0aa30e841320aae4bdc4893519ec03b",
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "csv"],
