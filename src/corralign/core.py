@@ -8,9 +8,11 @@ on scheduling or worker count.  Each stream is numpy's PCG64 seeded by
 ``SeedSequence((master_seed, *label_words, index))``; ``SeedSpec`` passes
 that entropy as a uint32 array of its words, which gives the same bits and
 spares numpy's conversion of Python ints on each call.  ``parallel_map``
-is the one process fan-out, ``count_failures`` the one seeded-trial loop (one
-share of each arm's trials per worker), and ``binomial_ci`` the one interval
-for Monte-Carlo error counts.
+is the one process fan-out, ``count_failures`` the seeded-trial loop of the
+detection and recovery simulations (one share of each arm's trials per
+worker; the oracle's truncation rows draw the same per-trial streams but
+test them in stacks), and ``binomial_ci`` the one interval for Monte-Carlo
+error counts.
 """
 
 from __future__ import annotations

@@ -56,13 +56,34 @@ def sample_alt(params: ProblemParams, perm: Permutation, seed) -> DatabasePair:
     """Correlated hypothesis with planted permutation ``perm``.
 
     X_i = rho * Y_{sigma_i} + sqrt(1 - rho^2) * Z_i with Z independent of Y,
-    so corr(X_i[k], Y_{sigma_i}[k]) = rho for every feature k.
+    so corr(X_i[k], Y_{sigma_i}[k]) = rho for every feature k.  The one-pair
+    case of :func:`sample_alt_stack`.
+    """
+    x, y = sample_alt_stack(params, perm, [as_generator(seed)])
+    return DatabasePair(x[0], y[0])
+
+
+def sample_alt_stack(
+    params: ProblemParams, perm: Permutation, rngs
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) stacks of shape (k, n, d): pair j is drawn from ``rngs[j]`` alone.
+
+    Each generator draws its y block, then its z block, so pair j has the
+    bits of ``sample_alt(params, perm, rngs[j])``.  x is formed in z's
+    buffer as sqrt(1 - rho^2) z + rho y[sigma], the same floats as the
+    sum in the other order.
     """
     params.require_alt()
     if perm.n != params.n:
         raise ValueError(f"permutation length {perm.n} does not match n = {params.n}")
-    rng = as_generator(seed)
-    y = rng.standard_normal((params.n, params.d))
-    z = rng.standard_normal((params.n, params.d))
-    x = params.rho * y[perm.map] + np.sqrt(1.0 - params.rho2) * z
-    return DatabasePair(x, y)
+    shape = (len(rngs), params.n, params.d)
+    y = np.empty(shape)
+    x = np.empty(shape)
+    for rng, y_j, z_j in zip(rngs, y, x):
+        rng.standard_normal(out=y_j)
+        rng.standard_normal(out=z_j)
+    x *= np.sqrt(1.0 - params.rho2)
+    paired = y[:, perm.map]
+    paired *= params.rho
+    x += paired
+    return x, y

@@ -22,8 +22,14 @@ rows, ``null-mgf-mc``, ``alt-mgf-mc`` and ``statistic-moments``, draw the
 two column sums of each database pair from their law, not the databases
 (``_column_sum_stats``): two (size, d) blocks per batch where the databases
 took two (size, n, d) blocks, with the same trial counts, batches and
-3-sigma rules.  The batch arithmetic around the draws may change only where
-every bit of the pinned rows holds (``test_refactored_rows_are_pinned``,
+3-sigma rules; ``statistic-moments`` takes its radii from the exact
+standard deviations of the statistic and its square.  The two truncation
+rows, ``truncation-event-methods`` and ``truncation-first-moment``, keep one
+generator per trial, ``spec.rng(i)``, and its draws; they test the event
+on stacks of such trials (``_pair_chunks`` and ``_events_hold``), whose
+sums run along the last axis, so each trial gets the floats it gets alone.
+The batch arithmetic around the draws may change only where every bit of
+the pinned rows holds (``test_refactored_rows_are_pinned``,
 ``test_batched_rows_are_pinned`` and ``test_rows_not_redrawn_are_pinned``),
 so a faster form must compute the same floats, not merely close ones.
 """
@@ -47,7 +53,6 @@ from .core import (
     SeedSpec,
     as_seedspec,
     binomial_ci,
-    count_failures,
     cycle_decompose,
     cycle_type_count,
     enumerate_cycle_types,
@@ -55,7 +60,7 @@ from .core import (
     parallel_map,
 )
 from .errors import DomainError, SizeCapError
-from .gen import DatabasePair, sample_alt
+from .gen import DatabasePair, sample_alt_stack
 
 #: cycle-type cap for the exact second moment.
 SECOND_MOMENT_CAP = 10
@@ -594,6 +599,16 @@ def truncation_event_holds(
     ``enumerate`` scans every subset (fixed-point sets up to 12) and is the
     reference that ``sorted`` is tested against.
     """
+    return bool(_events_hold(pair.x[None], pair.y[None], perm, schedule, rho_sign, method)[0])
+
+
+def _events_hold(xs, ys, perm: Permutation, schedule, rho_sign: float,
+                 method: str = "sorted") -> np.ndarray:
+    """``truncation_event_holds`` on each pair of the (k, n, d) stacks xs, ys.
+
+    Every sum runs along the last axis, so pair j gets the floats that it
+    gets alone.
+    """
     if rho_sign not in (1.0, -1.0, 1, -1):
         raise DomainError(f"rho_sign must be +1 or -1, got {rho_sign}")
     if method not in ("sorted", "enumerate"):
@@ -602,33 +617,44 @@ def truncation_event_holds(
     n1 = fixed.shape[0]
     k_star = schedule.k_star
     if n1 < k_star:
-        return True
-    x = pair.x[fixed]
-    y = pair.y[fixed]
+        return np.ones(xs.shape[0], dtype=bool)
+    x, y = (xs, ys) if n1 == xs.shape[1] else (xs[:, fixed], ys[:, fixed])
     # Rows: norm sums of x, of y, and the cross sums negated, so the
     # extremal size-k sum of every row is its smallest.
     products = np.empty((3,) + x.shape)
     np.multiply(x, x, out=products[0])
     np.multiply(y, y, out=products[1])
     np.multiply(x, y, out=products[2])
-    terms = products.sum(axis=2)
+    terms = products.sum(axis=-1)
     terms[2] *= -float(rho_sign)
     if method == "sorted":
-        smallest = np.cumsum(np.sort(terms, axis=1), axis=1)[:, k_star - 1 :]
+        smallest = np.cumsum(np.sort(terms, axis=-1), axis=-1)[..., k_star - 1 :]
     else:
         if n1 > ENUMERATE_CAP:
             raise SizeCapError(f"subset enumeration is capped at {ENUMERATE_CAP} fixed points")
-        smallest = np.stack([terms[:, _subsets(n1, k)].sum(axis=2).min(axis=1)
-                             for k in range(k_star, n1 + 1)], axis=1)
-    w = schedule.w[: smallest.shape[1]]
-    v = schedule.v[: smallest.shape[1]]
-    return not ((smallest[:2] <= w).any() or (-smallest[2] >= v).any())
+        smallest = np.stack([terms[..., _subsets(n1, k)].sum(axis=-1).min(axis=-1)
+                             for k in range(k_star, n1 + 1)], axis=-1)
+    w = schedule.w[: smallest.shape[-1]]
+    v = schedule.v[: smallest.shape[-1]]
+    return ~((smallest[:2] <= w).any(axis=(0, 2)) | (-smallest[2] >= v).any(axis=-1))
 
 
-def _event_fails(rng, params: ProblemParams, perm: Permutation, schedule) -> bool:
-    """Whether the truncation event fails on one pair drawn with ``perm`` planted."""
-    pair = sample_alt(params, perm, rng)
-    return not truncation_event_holds(pair, perm, schedule, params.rho_sign)
+def _pair_chunks(params: ProblemParams, perm: Permutation, spec: SeedSpec, trials: int,
+                 method: str = "sorted"):
+    """Yield (xs, ys) stacks of ``sample_alt_stack`` over trials 0 .. trials - 1.
+
+    Trial i draws from ``spec.rng(i)`` as a lone ``sample_alt`` call would.
+    A chunk holds as many trials as keep every array of the draw and of
+    ``_events_hold`` with ``method`` within ``_BATCH * 50`` values.
+    """
+    n, d = params.n, params.d
+    per_trial = 3 * n * d
+    if method == "enumerate":
+        per_trial = max(per_trial, 3 * max(math.comb(n, k) * k for k in range(n + 1)))
+    chunk = max(_BATCH * 50 // per_trial, 1)
+    for start in range(0, trials, chunk):
+        rngs = [spec.rng(i) for i in range(start, min(start + chunk, trials))]
+        yield sample_alt_stack(params, perm, rngs)
 
 
 def truncated_first_moment_check(
@@ -645,7 +671,8 @@ def truncated_first_moment_check(
     Draws correlated pairs with the identity permutation planted and counts
     how often the event fails; the rate must stay below the closed-form
     deficit bound plus 3 sigma.  Requires a schedule whose rates are
-    positive.
+    positive.  Trial i draws from its own generator, and the event is
+    tested on stacks of trials (``_pair_chunks``).
     """
     params = ProblemParams(n=n, d=d, rho=rho)
     schedule = bounds.truncation_schedule(n, d, params.rho2, k_star=k_star, margin=margin)
@@ -659,10 +686,15 @@ def truncated_first_moment_check(
             reference=0.0,
             detail="schedule preconditions failed; no deficit bound available",
         )
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     deficit = 4.0 * math.exp(-k_star * m) / -math.expm1(-m)
-    arm = ((params, Permutation.identity(n), schedule),
-           as_seedspec(seed, "oracle/truncation-first-moment"))
-    (failures,) = count_failures(_event_fails, [arm], trials)
+    identity = Permutation.identity(n)
+    spec = as_seedspec(seed, "oracle/truncation-first-moment")
+    failures = 0
+    for xs, ys in _pair_chunks(params, identity, spec, trials):
+        failures += int(np.count_nonzero(
+            ~_events_hold(xs, ys, identity, schedule, params.rho_sign)))
     rate = failures / trials
     ci = binomial_ci(failures, trials)
     return CheckResult(
@@ -883,12 +915,13 @@ def _chk_stat_moments(spec: SeedSpec) -> CheckResult:
         t_null[done:done + size] = _column_sum_stats(rng, size, n, d)
         t_alt[done:done + size] = _column_sum_stats(rng, size, n, d, rho)
         done += size
+    # 3-sigma radii from the exact standard deviations of T and, under the
+    # null, of T^2 (E T^4 = n^4 (3d^2 + 6d); docs/math_notes.md section 5).
+    radius = 3.0 / math.sqrt(trials)
     checks = [
-        (abs(t_null.mean()), 3.0 * t_null.std() / math.sqrt(trials)),
-        (abs(t_alt.mean() - rho * n * d),
-         3.0 * t_alt.std() / math.sqrt(trials)),
-        (abs(t_null.var() - n * n * d),
-         3.0 * np.var((t_null - t_null.mean()) ** 2) ** 0.5 / math.sqrt(trials)),
+        (abs(t_null.mean()), radius * n * math.sqrt(d)),
+        (abs(t_alt.mean() - rho * n * d), radius * n * math.sqrt(d * (1.0 + rho * rho))),
+        (abs(t_null.var() - n * n * d), radius * n * n * math.sqrt(2.0 * d * d + 6.0 * d)),
     ]
     worst = _worst([stat - tol for stat, tol in checks])
     return CheckResult("statistic-moments", worst <= 0.0, worst, 0.0,
@@ -1054,14 +1087,12 @@ def _chk_trunc_methods(spec: SeedSpec) -> CheckResult:
     identity = Permutation.identity(n)
     disagreements = 0
     holds = 0
-    for index in range(200):
-        rng = spec.rng(index)
-        pair = sample_alt(params, identity, rng)
+    for xs, ys in _pair_chunks(params, identity, spec, 200, method="enumerate"):
         for sched in (schedule, tightened):
-            a = truncation_event_holds(pair, identity, sched, 1.0, method="sorted")
-            b = truncation_event_holds(pair, identity, sched, 1.0, method="enumerate")
-            disagreements += int(a != b)
-            holds += int(a)
+            a = _events_hold(xs, ys, identity, sched, 1.0, method="sorted")
+            b = _events_hold(xs, ys, identity, sched, 1.0, method="enumerate")
+            disagreements += int(np.count_nonzero(a != b))
+            holds += int(np.count_nonzero(a))
     return CheckResult("truncation-event-methods", disagreements == 0,
                        float(disagreements), 0.0,
                        f"sorted vs enumerate on 200 draws ({holds}/400 events held)")
@@ -1101,14 +1132,14 @@ VERIFY_CHECKS: tuple[str, ...] = tuple(_REGISTRY)
 #: paragraph gives the command that re-times the checks; a new check must
 #: be placed here too.
 DISPATCH_ORDER: tuple[str, ...] = (
-    "truncation-first-moment", "tv-vs-unconditional", "likelihood-unit-mean",
-    "jensen-consistency", "statistic-moments", "truncation-event-methods",
-    "pair-mgf", "second-moment-mc", "null-mgf-mc", "alt-mgf-mc", "quadratic-mgf",
-    "second-moment-dominance", "curve-ordering", "likelihood-single-row",
-    "likelihood-logsumexp-naive", "closed-min-quadratic", "tail-chaos",
-    "chernoff-identity", "second-moment-census", "sqrt-floor-family",
-    "exponent-floor-md", "circulant-dets", "truncated-vs-unconditional",
-    "balanced-tuning-slack", "tail-squares", "sqrt-cube-envelope", "exponent-floor-fa",
+    "tv-vs-unconditional", "likelihood-unit-mean", "truncation-first-moment",
+    "jensen-consistency", "statistic-moments", "pair-mgf", "second-moment-mc",
+    "null-mgf-mc", "alt-mgf-mc", "quadratic-mgf", "curve-ordering",
+    "second-moment-dominance", "truncation-event-methods", "closed-min-quadratic",
+    "tail-chaos", "likelihood-single-row", "likelihood-logsumexp-naive",
+    "chernoff-identity", "sqrt-floor-family", "second-moment-census", "exponent-floor-md",
+    "circulant-dets", "truncated-vs-unconditional", "tail-squares",
+    "balanced-tuning-slack", "sqrt-cube-envelope", "exponent-floor-fa",
 )
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corralign.core import Permutation, ProblemParams, SeedSpec, uniform_permutation
-from corralign.gen import DatabasePair, sample_alt, sample_null
+from corralign.gen import DatabasePair, sample_alt, sample_alt_stack, sample_null
 
 
 class TestDatabasePair:
@@ -51,6 +51,27 @@ class TestSampling:
         p = ProblemParams(n=4, d=7, rho=0.3)
         with pytest.raises(ValueError):
             sample_alt(p, Permutation.identity(3), SeedSpec(0, "t"))
+        with pytest.raises(ValueError):
+            sample_alt_stack(p, Permutation.identity(3), [SeedSpec(0, "t").rng(0)])
+
+    @pytest.mark.parametrize("rho", [0.44, -0.7])
+    def test_stack_pairs_match_lone_draws(self, rho):
+        # Pair k of a stack is sample_alt on generator k, bit for bit, and
+        # both are the two-block draw x = rho y[sigma] + sqrt(1 - rho^2) z.
+        p = ProblemParams(n=9, d=13, rho=rho)
+        perm = uniform_permutation(9, SeedSpec(4, "perm"))
+        spec = SeedSpec(4, "stack")
+        indices = [0, 5, 1, 17, 2]
+        xs, ys = sample_alt_stack(p, perm, [spec.rng(i) for i in indices])
+        assert xs.shape == ys.shape == (5, 9, 13)
+        for k, i in enumerate(indices):
+            lone = sample_alt(p, perm, spec.rng(i))
+            assert np.array_equal(xs[k], lone.x) and np.array_equal(ys[k], lone.y)
+            rng = spec.rng(i)
+            y = rng.standard_normal((9, 13))
+            z = rng.standard_normal((9, 13))
+            x = rho * y[perm.map] + np.sqrt(1.0 - rho * rho) * z
+            assert np.array_equal(xs[k], x) and np.array_equal(ys[k], y)
 
     def test_alt_correlation_structure(self):
         # Empirical corr(x_i[k], y_perm[i][k]) should be close to rho, and the

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from corralign.core import (
 )
 from corralign.detect import sip_statistic
 from corralign.errors import DomainError, SizeCapError
-from corralign.gen import DatabasePair, sample_alt, sample_null
+from corralign.gen import DatabasePair, sample_alt, sample_alt_stack, sample_null
 from corralign.oracle import (
     CIRCULANT_CAP,
     DISPATCH_ORDER,
@@ -450,6 +451,67 @@ class TestTruncationEvent:
         assert "schedule preconditions failed" in res.detail
 
 
+class TestStackedEvent:
+    @pytest.mark.parametrize("rho", [0.4, -0.4])
+    def test_stack_matches_each_pair(self, rho):
+        # The stacked evaluator against the one-pair call on every pair:
+        # both methods; fixed points on all 8 rows, on 5 (0 < fixed < n) and
+        # on 2 (fewer than k_star = 3); and schedules scaled so that the
+        # event holds on some draws and fails on others.
+        n, d = 8, 30
+        p = ProblemParams(n=n, d=d, rho=rho)
+        sch = bounds.truncation_schedule(n, d, p.rho2, k_star=3, margin=0.5)
+        schedules = (sch, dataclasses.replace(sch, v=sch.v * 0.3),
+                     dataclasses.replace(sch, w=sch.w * 3.0))
+        spec = SeedSpec(31, "stacked-event")
+        outcomes = {}
+        for mapping in ([0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 0, 3, 4, 5, 6, 7],
+                        [1, 2, 3, 4, 5, 0, 6, 7]):
+            perm = Permutation(np.array(mapping))
+            xs, ys = sample_alt_stack(p, perm, [spec.rng(i) for i in range(40)])
+            for j, s in enumerate(schedules):
+                for method in ("sorted", "enumerate"):
+                    stacked = oracle._events_hold(xs, ys, perm, s, p.rho_sign, method)
+                    lone = [truncation_event_holds(DatabasePair(x=x, y=y), perm, s,
+                                                   p.rho_sign, method)
+                            for x, y in zip(xs, ys)]
+                    assert stacked.dtype == bool and stacked.tolist() == lone
+                    outcomes[perm.fixed_point_count(), j] = set(lone)
+        assert outcomes[8, 1] == outcomes[5, 1] == outcomes[5, 2] == {True, False}
+        assert all(outcomes[2, j] == {True} for j in range(3))
+
+    @pytest.mark.parametrize("rho", [math.sqrt(0.2), -math.sqrt(0.2)])
+    def test_first_moment_count_matches_a_per_trial_loop(self, rho):
+        # At k_star = 1 and a thin margin some of the 400 trials fail (3 at
+        # rho > 0, 2 at rho < 0), spread over three stacks of trials; the
+        # count must be that of one draw and one event test per trial.
+        n, d, k_star, margin, trials = 12, 40, 1, 0.02, 400
+        res = truncated_first_moment_check(n, d, rho, k_star, margin, trials, 0)
+        p = ProblemParams(n=n, d=d, rho=rho)
+        sch = bounds.truncation_schedule(n, d, p.rho2, k_star=k_star, margin=margin)
+        ident = Permutation.identity(n)
+        spec = SeedSpec(0, "oracle/truncation-first-moment")
+        fails = sum(not truncation_event_holds(sample_alt(p, ident, spec.rng(i)), ident, sch,
+                                               p.rho_sign)
+                    for i in range(trials))
+        assert fails > 0
+        assert res.statistic == fails / trials
+        assert res.detail.startswith(f"{fails} event failures in {trials} ")
+
+    def test_first_moment_row_memory_stays_chunked(self):
+        # The row tests its 2,000 trials in stacks of at most _BATCH * 50
+        # values per array (a peak of about 5 MB); one stack of all 2,000
+        # trials took about 30 MB.
+        check = oracle._REGISTRY["truncation-first-moment"]
+        tracemalloc.start()
+        try:
+            check(SeedSpec(0, "verify/truncation-first-moment"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, peak
+
+
 class TestVerify:
     def test_registry_names_unique_and_nonempty(self):
         assert len(VERIFY_CHECKS) == len(set(VERIFY_CHECKS))
@@ -497,6 +559,21 @@ def test_column_sum_law_matches_the_databases(n, d, rho, seed):
 
     assert abs(db.mean() - cs.mean()) <= 3.0 * math.sqrt((db.var() + cs.var()) / m)
     assert abs(db.var() - cs.var()) <= 3.0 * math.sqrt(var_of_var(db) + var_of_var(cs))
+
+
+def test_statistic_moment_radii_are_the_exact_deviations():
+    # statistic-moments takes its radii from the exact standard deviations
+    # of T (null and alternate) and of T^2 under the null
+    # (docs/math_notes.md section 5); 200,000 draws give each to about 1%,
+    # and a wrong constant (say 2d^2 + 2d for T^2) is off by about 10%.
+    n, d, rho, m = 4, 8, 0.5, 200_000
+    rng = np.random.default_rng(2)
+    t_null = oracle._column_sum_stats(rng, m, n, d)
+    t_alt = oracle._column_sum_stats(rng, m, n, d, rho)
+    exact = [n * math.sqrt(d), n * math.sqrt(d * (1.0 + rho * rho)),
+             n * n * math.sqrt(2.0 * d * d + 6.0 * d)]
+    sample = [t_null.std(), t_alt.std(), (t_null**2).std()]
+    assert np.allclose(sample, exact, rtol=0.03, atol=0.0), (sample, exact)
 
 
 @pytest.mark.parametrize(
@@ -555,9 +632,10 @@ def test_batched_rows_are_pinned():
     # the column-sum blend); every row must keep its bits.  statistic-moments
     # missed its 3-sigma band at seed 7 when it drew whole databases; drawing
     # the column sums from their law, it passes at seeds 1 and 7, and a
-    # future miss is pinned as it stands.
+    # future miss is pinned as it stands.  Its radii are the exact standard
+    # deviations of T and T^2, not sample ones.
     names = ("closed-min-quadratic", "quadratic-mgf", "pair-mgf", "statistic-moments")
-    assert _row_digest(names) == "9abf5a67c6a3538b6114c603bbbc2cc939cb819c417598333eff80ee915fbe0d"
+    assert _row_digest(names) == "e9201f0245cbeab853c1eb30a08657d24b7cca640882b250b967024d4606d870"
 
 
 def test_rows_not_redrawn_are_pinned():
