@@ -31,7 +31,8 @@ sums run along the last axis, so each trial gets the floats it gets alone.
 The batch arithmetic around the draws may change only where every bit of
 the pinned rows holds (``test_refactored_rows_are_pinned``,
 ``test_batched_rows_are_pinned`` and ``test_rows_not_redrawn_are_pinned``),
-so a faster form must compute the same floats, not merely close ones.
+so a faster form must compute the same floats, not merely close ones; log L's
+factored form (``_batched_log_l``) is the one exception, by rounding only.
 """
 
 from __future__ import annotations
@@ -126,23 +127,37 @@ def _log_ratio_matrix(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     return -0.5 * d * math.log(u) - quad / (2.0 * u)
 
 
-def _logsumexp(v: np.ndarray, axis=-1) -> np.ndarray:
-    m = np.max(v, axis=axis, keepdims=True)
-    out = m[..., 0] + np.log(np.sum(np.exp(v - m), axis=axis))
-    return out
-
-
 def _batched_log_l(xs: np.ndarray, ys: np.ndarray, rho: float) -> np.ndarray:
-    """Vector of log likelihood ratios for a batch of (x, y) pairs."""
-    n = xs.shape[-2]
-    m = _log_ratio_matrix(xs, ys, rho)
-    perms = enumerate_permutations(n)
-    vals = m[..., np.arange(n)[None, :], perms].sum(axis=-1)
-    return _logsumexp(vals, axis=-1) - math.log(math.factorial(n))
+    """log L per pair, by the floats each pair gets alone: every sum runs per trial."""
+    n, d = xs.shape[-2:]
+    step = max(1, 8 * _BATCH // math.factorial(n))  # (n!, step) arrays stay in cache
+    if len(xs) > step:
+        return np.concatenate([_batched_log_l(xs[i:i + step], ys[i:i + step], rho)
+                               for i in range(0, len(xs), step)])
+    u = 1.0 - rho * rho
+    xt, yt = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (xs, ys))
+    g = np.zeros((n, n, len(xs)))
+    for k in range(d):
+        g += xt[:, None, k] * yt[None, :, k]
+    g = g.reshape(n * n, -1)
+    cols = (np.arange(n) * n + enumerate_permutations(n)).T
+    s = np.take(g, cols[0], axis=0)
+    for c in cols[1:]:
+        s += np.take(g, c, axis=0)
+    s *= rho / u
+    top = np.max(s, axis=0)
+    np.exp(s - top, out=s)
+    lse = top + np.log(np.sum(s.T.copy(), axis=-1))
+    sq = sum(np.sum((a * a).reshape(len(a), -1), axis=-1) for a in (xs, ys))
+    return (lse - math.log(math.factorial(n)) - 0.5 * n * d * math.log(u)
+            - rho * rho * sq / (2.0 * u))
 
 
 def log_likelihood_ratio(pair: DatabasePair, rho: float) -> float:
-    """Log of the uniform permutation-mixture likelihood ratio, via log-sum-exp."""
+    """Log of the uniform permutation-mixture likelihood ratio; with u = 1 - rho^2,
+    -(nd/2) ln u - rho^2 (sum|x_i|^2 + sum|y_j|^2)/(2u) - ln n! + (max-shifted)
+    log sum_sigma exp((rho/u) sum_i <x_i, y_sigma(i)>) (``docs/math_notes.md`` 1).
+    """
     rho = float(rho)
     if not -1.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (-1, 1), got {rho}")
@@ -190,10 +205,13 @@ def exact_second_moment(n: int, d: float, rho2: float) -> float:
         raise SizeCapError(
             f"cycle-type second moment is capped at n = {SECOND_MOMENT_CAP}, got {n}"
         )
-    types = enumerate_cycle_types(n)
-    return second_moment_reduction(
-        [(t, cycle_type_count(t)) for t in types], n, d, rho2
-    )
+    return second_moment_reduction(_cycle_type_counts(n), n, d, rho2)
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle_type_counts(n: int) -> tuple[tuple[CycleType, int], ...]:
+    """``(type, class size)`` for every cycle type of S_n, in ``enumerate_cycle_types`` order."""
+    return tuple((t, cycle_type_count(t)) for t in enumerate_cycle_types(n))
 
 
 def _mc_cap(n: int) -> None:
@@ -976,7 +994,7 @@ def _chk_lse_naive(spec: SeedSpec) -> CheckResult:
             errors.append(abs(math.log(naive) - got) / max(1.0, abs(got)))
     worst = _worst(errors, 0.0)
     return CheckResult("likelihood-logsumexp-naive", worst <= 1e-8, worst, 0.0,
-                       "log-sum-exp vs naive product evaluation where it is stable")
+                       "factored log-sum-exp vs naive product of the log ratio matrix")
 
 
 @_check("second-moment-census")
@@ -1132,14 +1150,14 @@ VERIFY_CHECKS: tuple[str, ...] = tuple(_REGISTRY)
 #: paragraph gives the command that re-times the checks; a new check must
 #: be placed here too.
 DISPATCH_ORDER: tuple[str, ...] = (
-    "tv-vs-unconditional", "likelihood-unit-mean", "truncation-first-moment",
-    "jensen-consistency", "statistic-moments", "pair-mgf", "second-moment-mc",
-    "null-mgf-mc", "alt-mgf-mc", "quadratic-mgf", "curve-ordering",
-    "second-moment-dominance", "truncation-event-methods", "closed-min-quadratic",
-    "tail-chaos", "likelihood-single-row", "likelihood-logsumexp-naive",
-    "chernoff-identity", "sqrt-floor-family", "second-moment-census", "exponent-floor-md",
-    "circulant-dets", "truncated-vs-unconditional", "tail-squares",
-    "balanced-tuning-slack", "sqrt-cube-envelope", "exponent-floor-fa",
+    "truncation-first-moment", "tv-vs-unconditional", "pair-mgf", "likelihood-unit-mean",
+    "statistic-moments", "jensen-consistency", "null-mgf-mc", "second-moment-mc",
+    "alt-mgf-mc", "quadratic-mgf", "curve-ordering", "truncation-event-methods",
+    "likelihood-single-row", "likelihood-logsumexp-naive", "tail-chaos",
+    "closed-min-quadratic", "chernoff-identity", "second-moment-census",
+    "second-moment-dominance", "sqrt-floor-family", "exponent-floor-md", "circulant-dets",
+    "truncated-vs-unconditional", "tail-squares", "balanced-tuning-slack",
+    "sqrt-cube-envelope", "exponent-floor-fa",
 )
 
 

@@ -633,11 +633,11 @@ class TestReportGolden:
         [
             (
                 ["verify", "--seed", "0", "--format", "csv"],
-                "c30396c4b3fe9dc30ebbdb3f5d6654a2b65e70b0e88f464bed88be422c486cde",
+                "b65e41009fb429fc3262aa73fa325b233fdac7930f30cc0ebf9d66f1b0487e40",
             ),
             (
                 ["verify", "--seed", "0", "--format", "json"],
-                "119cfa6878e27f70e082e5a5e1539768591c074a0146591731e85b63fa506dee",
+                "bc31cf74cb2faaac682cd0b2820fed312f852ed8f05ea25f825cb3a89c709dee",
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "csv"],

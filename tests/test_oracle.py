@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from corralign import bounds, oracle
 from corralign.core import (
@@ -29,6 +29,8 @@ from corralign.oracle import (
     MC_CAP,
     SECOND_MOMENT_CAP,
     VERIFY_CHECKS,
+    _batched_log_l,
+    _log_ratio_matrix,
     circulant_det_check,
     exact_second_moment,
     gaussian_chaos_check,
@@ -96,14 +98,39 @@ class TestLikelihood:
             rng = spec.rng(i)
             xs = rng.standard_normal((4000, 3, 2))
             ys = rng.standard_normal((4000, 3, 2))
-            from corralign.oracle import _batched_log_l
-
             w = np.exp(_batched_log_l(xs, ys, 0.45))
             total += w.sum()
             total_sq += (w * w).sum()
         mean = total / trials
         var = total_sq / trials - mean * mean
         assert abs(mean - 1.0) <= 3.0 * math.sqrt(var / trials)
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("n", range(1, MC_CAP + 1))
+    def test_factored_form_matches_symmetric_form(self, n, d, rho):
+        # The factored log L against the per-row symmetric form: the log
+        # ratio matrix summed along each permutation, then log-mean-exp'd.
+        rng = np.random.default_rng([n, d, int(10 * rho) + 10])
+        xs = rng.standard_normal((64, n, d))
+        ys = rng.standard_normal((64, n, d))
+        m = _log_ratio_matrix(xs, ys, rho)
+        per_perm = m[:, np.arange(n), enumerate_permutations(n)].sum(axis=-1)
+        ref = special.logsumexp(per_perm, axis=-1) - math.log(math.factorial(n))
+        got = _batched_log_l(xs, ys, rho)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("n, d, rho", [(1, 3, 0.5), (2, 2, 0.4), (3, 2, -0.3),
+                                           (4, 2, 0.0316), (5, 1, 0.9), (6, 5, -0.9)])
+    def test_trial_value_does_not_depend_on_its_batch(self, n, d, rho):
+        # Bit for bit, so batching never moves a pinned row; at n = 5 and 6
+        # the 300 trials also span several chunks.
+        rng = np.random.default_rng(n)
+        xs = rng.standard_normal((300, n, d))
+        ys = rng.standard_normal((300, n, d))
+        batch = _batched_log_l(xs, ys, rho)
+        alone = [_batched_log_l(xs[k:k + 1], ys[k:k + 1], rho)[0] for k in range(300)]
+        assert batch.tobytes() == np.array(alone).tobytes()
 
     def test_cap(self):
         rng = np.random.default_rng(3)
@@ -642,10 +669,12 @@ def test_rows_not_redrawn_are_pinned():
     # Bits of every row outside the three column-sum rows, whose draws
     # changed to the column sums' own law; the others kept their streams,
     # so they keep their bits.  A check added to the registry moves this
-    # digest and must be pinned here.
+    # digest and must be pinned here.  The likelihood rows were re-pinned
+    # when log L took its sigma-free part out of the sum over permutations:
+    # same draws, values moved by rounding (a few ulp), no pass/fail changed.
     redrawn = ("null-mgf-mc", "alt-mgf-mc", "statistic-moments")
     names = [name for name in VERIFY_CHECKS if name not in redrawn]
-    assert _row_digest(names) == "52abdff9ed3d43e22e7f279281924cf7bb21bfccb501798373bc02774881bb87"
+    assert _row_digest(names) == "937e0ceef355811680a3cfa9d7225dd9223a5ae9737e362afd626fc6dbe7bcf1"
 
 
 def _closed_min_loop(spec):
