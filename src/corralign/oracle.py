@@ -31,8 +31,10 @@ sums run along the last axis, so each trial gets the floats it gets alone.
 The batch arithmetic around the draws may change only where every bit of
 the pinned rows holds (``test_refactored_rows_are_pinned``,
 ``test_batched_rows_are_pinned`` and ``test_rows_not_redrawn_are_pinned``),
-so a faster form must compute the same floats, not merely close ones; log L's
-factored form (``_batched_log_l``) is the one exception, by rounding only.
+so a faster form must compute the same floats, not merely close ones.  Two
+rows moved on purpose: log L's factored form (``_batched_log_l``), by
+rounding only, and ``closed-min-quadratic``, whose grid minimum is refined
+by the library's one bracketing search (``bounds._illinois`` on f').
 """
 
 from __future__ import annotations
@@ -756,75 +758,43 @@ def _chk_floor_md(spec: SeedSpec) -> CheckResult:
                        "balanced-tuning missed-detection exponent vs rho^2/30")
 
 
-def _golden_min(f, a, b, *lane_args, rel_tol: float = 1e-10, max_iter: int = 200):
-    """Golden-section minimization of many lanes at once; returns (x, f(x)).
-
-    Lane i minimizes ``f(x, *(arg[i] for arg in lane_args))`` on
-    [a[i], b[i]]; ``f`` is elementwise over arrays.  The lanes step together
-    but never mix, and each stops at its own tolerance, so every lane
-    follows the arithmetic of a search run on it alone.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x_out, f_out = np.empty(a.size), np.empty(a.size)
-    lanes = np.arange(a.size)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1, *lane_args), f(x2, *lane_args)
-    for _ in range(max_iter if a.size else 0):
-        left = f1 < f2  # keep [a, x2], else [x1, b]
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        step = invphi * (b - a)
-        x = np.where(left, b - step, a + step)
-        fx = f(x, *lane_args)
-        x1, f1, x2, f2 = (
-            np.where(left, x, x2),
-            np.where(left, fx, f2),
-            np.where(left, x1, x),
-            np.where(left, f1, fx),
-        )
-        fbest = np.minimum(f1, f2)
-        done = np.abs(f1 - f2) <= rel_tol * np.maximum(np.abs(fbest), 1e-300)
-        if done.any():
-            first = f1[done] < f2[done]
-            x_out[lanes[done]] = np.where(first, x1[done], x2[done])
-            f_out[lanes[done]] = np.where(first, f1[done], f2[done])
-            keep = ~done
-            if not keep.any():
-                return x_out, f_out
-            lanes, a, b, x1, x2, f1, f2 = (v[keep] for v in (lanes, a, b, x1, x2, f1, f2))
-            lane_args = tuple(v[keep] for v in lane_args)
-    first = f1 < f2
-    x_out[lanes] = np.where(first, x1, x2)
-    f_out[lanes] = np.where(first, f1, f2)
-    return x_out, f_out
-
-
 @_check("closed-min-quadratic")
 def _chk_closed_min(spec: SeedSpec) -> CheckResult:
     rng = spec.rng(0)
     draws = np.array([(rng.uniform(1.0, 200.0), rng.uniform(-300.0, 300.0)) for _ in range(100)])
     d, a = draws[np.abs(draws[:, 1]) >= 1e-3].T
+    root = np.sqrt((2.0 * a / d) ** 2 + 1.0)
+    closed = 0.5 * d * (np.log((root + 1.0) / 2.0) + 1.0 - root)
+    worst = _worst(np.abs(_quadratic_log_min(a, d) - closed), 0.0)
+    return CheckResult("closed-min-quadratic", worst <= 1e-8, worst, 0.0,
+                       "closed-form minimum vs 1e4-point grid plus refinement")
 
-    def f(x, a, d):
-        # Scalar math per lane, so each lane keeps the bits of a search run alone.
-        return np.array([a_ * x_ + 0.5 * d_ * math.log(1.0 / (1.0 - x_ * x_))
-                         for x_, a_, d_ in zip(x.tolist(), a.tolist(), d.tolist())])
+
+def _quadratic_log_min(a, d):
+    """Per lane, the minimum of f(x) = a x + (d/2) ln(1 / (1 - x^2)) on
+    (-1, 1): a 10,000-point grid, then a root search on f'.
+
+    f is strictly convex, so its minimizer is the one root of
+    f'(x) = a + d x / (1 - x^2), between the grid neighbours of the grid's
+    smallest point (|a| <= 300 and d >= 1 keep it in |x| <= 0.9984).
+    ``bounds._illinois`` narrows that bracket on -f'(t - 1), positive left
+    of the root, against t = 1 + x, and the smaller f at its ends is taken.
+    """
+    def f(x):
+        return a * x + 0.5 * d * np.log(1.0 / (1.0 - x * x))
+
+    def step(live, t):
+        x = t - 1.0
+        neg_slope = -(a[live] + d[live] * x / (1.0 - x * x))
+        return neg_slope > 0.0, neg_slope
 
     xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 10_000)
     log_term = np.log(1.0 / (1.0 - xs * xs))
     i = np.array([np.argmin(a_ * xs + 0.5 * d_ * log_term) for a_, d_ in zip(a, d)])
-    _, f_best = _golden_min(f, xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, xs.size - 1)],
-                            a, d, rel_tol=1e-14)
-    errors = []
-    for f_, a_, d_ in zip(f_best.tolist(), a.tolist(), d.tolist()):
-        root = math.sqrt((2.0 * a_ / d_) ** 2 + 1.0)
-        errors.append(abs(f_ - 0.5 * d_ * (math.log((root + 1.0) / 2.0) + 1.0 - root)))
-    worst = _worst(errors, 0.0)
-    return CheckResult("closed-min-quadratic", worst <= 1e-8, worst, 0.0,
-                       "closed-form minimum vs 1e4-point grid plus refinement")
+    lo, hi, lanes = 1.0 + xs[i - 1], 1.0 + xs[i + 1], np.arange(a.size)
+    lo, hi = bounds._illinois(step, lo, hi, step(lanes, lo)[1], step(lanes, hi)[1],
+                              bounds.INVERT_RTOL)
+    return np.minimum(f(lo - 1.0), f(hi - 1.0))
 
 
 @_check("sqrt-cube-envelope")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corralign
-from corralign import bounds, oracle
+from corralign import bounds
 from corralign.bounds import (
     _PRESCAN,
     BOUND_KINDS,
@@ -211,7 +211,7 @@ def _golden_section_minimum(d, rho2):
             vals = bounds._two_exp_bound(grid, *(v[:, None] for v in args))
             j = np.argmin(vals, axis=1)
             n = np.arange(dd.size)
-            _, refined = oracle._golden_min(
+            _, refined = _golden_min(
                 bounds._two_exp_bound, grid[n, np.maximum(j - 1, 0)],
                 grid[n, np.minimum(j + 1, 63)], *args,
             )
@@ -219,6 +219,52 @@ def _golden_section_minimum(d, rho2):
         golden[i : i + 2_000] = np.minimum(
             np.minimum(refined, vals[n, j]), bounds._two_exp_bound(r2, *args))
     return golden, scan
+
+
+def _golden_min(f, a, b, *lane_args, rel_tol: float = 1e-10, max_iter: int = 200):
+    """Golden-section minimization of many lanes at once; returns (x, f(x)).
+
+    Lane i minimizes ``f(x, *(arg[i] for arg in lane_args))`` on
+    [a[i], b[i]]; ``f`` is elementwise over arrays.  The lanes step together
+    but never mix, and each stops at its own tolerance, so every lane
+    follows the arithmetic of a search run on it alone.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    x_out, f_out = np.empty(a.size), np.empty(a.size)
+    lanes = np.arange(a.size)
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1, *lane_args), f(x2, *lane_args)
+    for _ in range(max_iter if a.size else 0):
+        left = f1 < f2  # keep [a, x2], else [x1, b]
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        step = invphi * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = f(x, *lane_args)
+        x1, f1, x2, f2 = (
+            np.where(left, x, x2),
+            np.where(left, fx, f2),
+            np.where(left, x1, x),
+            np.where(left, f1, fx),
+        )
+        fbest = np.minimum(f1, f2)
+        done = np.abs(f1 - f2) <= rel_tol * np.maximum(np.abs(fbest), 1e-300)
+        if done.any():
+            first = f1[done] < f2[done]
+            x_out[lanes[done]] = np.where(first, x1[done], x2[done])
+            f_out[lanes[done]] = np.where(first, f1[done], f2[done])
+            keep = ~done
+            if not keep.any():
+                return x_out, f_out
+            lanes, a, b, x1, x2, f1, f2 = (v[keep] for v in (lanes, a, b, x1, x2, f1, f2))
+            lane_args = tuple(v[keep] for v in lane_args)
+    first = f1 < f2
+    x_out[lanes] = np.where(first, x1, x2)
+    f_out[lanes] = np.where(first, f1, f2)
+    return x_out, f_out
 
 
 def _rounding(d, rho2, gamma):
@@ -936,25 +982,32 @@ class TestLockstep:
 
 
 def test_one_golden_section_loop():
-    """The golden-section constant, and so the golden loop, lives in one place."""
+    """The package has one bracketing search, ``bounds._illinois``; the only
+    golden-section loop is this file's reference, ``_golden_min``."""
     golden = re.compile(r"sqrt\(5(\.0)?\)\s*-\s*1(\.0)?\)\s*/\s*2")
     sources = {p.name: p.read_text() for p in Path(corralign.__file__).parent.glob("*.py")}
-    hits = {name: len(golden.findall(text)) for name, text in sources.items()}
-    assert {name: k for name, k in hits.items() if k} == {"oracle.py": 1}
+    assert [name for name, text in sources.items() if golden.search(text)] == []
+    assert len(golden.findall(Path(__file__).read_text())) == 1
 
 
-def test_golden_min_stops_at_max_iter():
-    """An objective that never converges (all NaN) ends after max_iter steps."""
+def test_illinois_stops_at_max_steps(monkeypatch):
+    """An f that never converges (all NaN, so every step takes the geometric
+    midpoint) ends after INVERT_MAX_STEPS steps, inside its start brackets."""
     calls = []
 
-    def f(x):
-        calls.append(x.size)
-        return np.full_like(x, np.nan)
+    def step(live, x):
+        calls.append(live.size)
+        return np.zeros(x.size, dtype=bool), np.full_like(x, np.nan)
 
-    x, fx = oracle._golden_min(f, np.array([0.0, 1.0]), np.array([1.0, 3.0]), max_iter=37)
-    assert len(calls) == 2 + 37  # the two start points, then one per step
-    assert np.isnan(fx).all()
-    assert ((x >= [0.0, 1.0]) & (x <= [1.0, 3.0])).all()
+    # Geometric bisection takes both brackets to INVERT_RTOL in 40 steps, so
+    # a cap of 37 stops them unconverged.
+    monkeypatch.setattr(bounds, "INVERT_MAX_STEPS", 37)
+    nan = np.full(2, np.nan)
+    lo, hi = bounds._illinois(step, np.array([0.5, 1.0]), np.array([1.0, 3.0]), nan, nan,
+                              bounds.INVERT_RTOL)
+    assert calls == [2] * 37
+    assert ((0.5 <= lo) & (lo < hi) & (hi <= [1.0, 3.0])).all()
+    assert (hi - lo > bounds.INVERT_RTOL * hi).all()
 
 
 # One lane per path through the truncated converse at k_star = 44,

@@ -633,11 +633,11 @@ class TestReportGolden:
         [
             (
                 ["verify", "--seed", "0", "--format", "csv"],
-                "b65e41009fb429fc3262aa73fa325b233fdac7930f30cc0ebf9d66f1b0487e40",
+                "51f545a8840452f6033f70cdd7fe7e015908a2865b17c6ad97c97ebbef6b7f08",
             ),
             (
                 ["verify", "--seed", "0", "--format", "json"],
-                "bc31cf74cb2faaac682cd0b2820fed312f852ed8f05ea25f825cb3a89c709dee",
+                "d6ebbe2825e378401773b1a46a01bfbc0a17fdc001e89a743f55adea399393ff",
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "csv"],
