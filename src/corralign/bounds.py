@@ -887,7 +887,7 @@ def invert_for_rho2(
 ):
     """Squared correlation at which a bound family meets a target risk.
 
-    Conventions (documented in the CLI manual):
+    Conventions (README, "Curve inversion conventions"):
 
     * ``det-ach``:  smallest rho2 with detection_ach_risk(d, rho2) <= target.
     * ``det-conv``: largest rho2 with truncated_converse_risk >= target

@@ -1,9 +1,10 @@
 """Command-line front end: simulations, bound curves, and verification.
 
 Four subcommands share a config model: ``simulate-detection``,
-``simulate-recovery``, ``curve``, and ``verify``.  Options may come from a
-JSON config file (``--config``) with command-line flags taking precedence;
-every run emits its fully resolved configuration on the diagnostic stream so
+``simulate-recovery``, ``curve``, and ``verify``.  Each reads the fields of
+its row in ``_COMMANDS``; they are its flags and the keys a JSON config file
+(``--config``) may hold, with command-line flags taking precedence.  Every
+run emits its fully resolved configuration on the diagnostic stream so
 experiments can be reproduced from their logs alone.
 
 Exit codes: 0 success, 1 usage error, 2 verification/assertion failure,
@@ -46,8 +47,9 @@ class OutputError(Exception):
 class ExperimentConfig:
     """Fully resolved options for one CLI run.
 
-    ``--config`` with the rendered JSON reproduces the config; unknown fields
-    are rejected by name so config files cannot silently drift.
+    ``--config`` with the rendered JSON reproduces the config; fields the
+    command does not read are rejected by name so config files cannot
+    silently drift.
     """
 
     command: str
@@ -67,41 +69,51 @@ class ExperimentConfig:
     margin: float = 0.1
     epsilon_d: float = 0.0
 
-    def render(self) -> str:
-        """Canonical JSON form (stable key order = field order)."""
-        return json.dumps(dataclasses.asdict(self))
+    def to_dict(self) -> dict:
+        """The command and the fields it reads, in field order."""
+        keep = ("command", *_COMMANDS[self.command].fields)
+        return {k: v for k, v in dataclasses.asdict(self).items() if k in keep}
 
-    def resolved_format(self) -> str:
-        if self.format is not None:
-            return self.format
-        return "csv" if self.command == "curve" else "json"
+    def render(self) -> str:
+        """Canonical JSON form of ``to_dict``."""
+        return json.dumps(self.to_dict())
 
 
 class _Rule(NamedTuple):
     """A config field's type (``int``, ``float`` or ``str``, also its flag's
-    parser), its domain and the message for a value outside the domain."""
+    parser), its flag's help text, its domain and the message for a value
+    outside the domain."""
 
     kind: type
+    help: str
     ok: Callable[[object], bool] = lambda value: True
     why: str = ""
 
 
 #: One rule per field of ``ExperimentConfig`` but ``command`` and ``grid``.
 _FIELDS = {
-    "n": _Rule(int, lambda v: v >= 1, "must be >= 1"),
-    "d": _Rule(int, lambda v: v >= 1, "must be >= 1"),
-    "rho": _Rule(float, lambda v: -1.0 < v < 1.0, "must lie in (-1, 1)"),
-    "trials": _Rule(int, lambda v: v >= 1, "must be a positive integer"),
-    "seed": _Rule(int, lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer"),
-    "out": _Rule(str),
-    "format": _Rule(str, lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
-    "threads": _Rule(int, lambda v: v >= 1, "must be >= 1"),
-    "threshold": _Rule(float),
-    "axis": _Rule(str, lambda v: v in ("d", "n"), "must be 'd' or 'n'"),
-    "risk": _Rule(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "kstar": _Rule(int, lambda v: v >= 1, "must be >= 1"),
-    "margin": _Rule(float, lambda v: v > 0.0, "must be > 0"),
-    "epsilon_d": _Rule(float, lambda v: v >= 0.0, "must be >= 0"),
+    "n": _Rule(int, "number of rows (curve: fixed when sweeping d)", lambda v: v >= 1,
+               "must be >= 1"),
+    "d": _Rule(int, "feature dimension (curve: fixed when sweeping n)", lambda v: v >= 1,
+               "must be >= 1"),
+    "rho": _Rule(float, "correlation coefficient", lambda v: -1.0 < v < 1.0,
+                 "must lie in (-1, 1)"),
+    "trials": _Rule(int, "Monte-Carlo trials per arm", lambda v: v >= 1,
+                    "must be a positive integer"),
+    "seed": _Rule(int, "master seed (u64)", lambda v: 0 <= v < 2**64,
+                  "must fit in an unsigned 64-bit integer"),
+    "out": _Rule(str, "output path (default: stdout)"),
+    "format": _Rule(str, "output format: csv or json", lambda v: v in ("csv", "json"),
+                    "must be 'csv' or 'json'"),
+    "threads": _Rule(int, "worker processes", lambda v: v >= 1, "must be >= 1"),
+    "threshold": _Rule(float, "test threshold (default |rho|dn/2)"),
+    "axis": _Rule(str, "sweep variable: d or n", lambda v: v in ("d", "n"),
+                  "must be 'd' or 'n'"),
+    "risk": _Rule(float, "target risk level", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "kstar": _Rule(int, "truncation depth override", lambda v: v >= 1, "must be >= 1"),
+    "margin": _Rule(float, "truncation schedule margin", lambda v: v > 0.0, "must be > 0"),
+    "epsilon_d": _Rule(float, "recovery-converse exponent correction", lambda v: v >= 0.0,
+                       "must be >= 0"),
 }
 
 
@@ -152,26 +164,22 @@ def _parse_grid(value) -> tuple[float, float, int]:
 
 
 def _build_config(command: str, values: dict) -> ExperimentConfig:
+    row = _COMMANDS[command]
     kwargs: dict[str, object] = {"command": command}
     for key, value in values.items():
-        if key != "grid" and key not in _FIELDS:
-            raise UsageError(f"unknown config field {key!r}")
+        if key not in row.fields:
+            raise _invalid(key, f"{command} does not read it")
         if value is not None:
             kwargs[key] = _parse_grid(value) if key == "grid" else _check(key, value, command)
     config = ExperimentConfig(**kwargs)
-    if command in ("simulate-detection", "simulate-recovery"):
-        for field in ("n", "d", "rho"):
-            if getattr(config, field) is None:
-                raise _invalid(field, f"required by {command}")
-        if config.rho == 0.0:
-            raise _invalid("rho", f"must be nonzero for {command}")
-        if command == "simulate-detection" and config.rho * config.rho == 0.0:
-            raise _invalid("rho", "rho^2 underflows to 0; detection needs rho^2 > 0")
+    for key in row.required:
+        if getattr(config, key) is None:
+            raise _invalid(key, f"required by {command}")
+    if config.rho == 0.0:
+        raise _invalid("rho", f"must be nonzero for {command}")
+    if command == "simulate-detection" and config.rho * config.rho == 0.0:
+        raise _invalid("rho", "rho^2 underflows to 0; detection needs rho^2 > 0")
     if command == "curve":
-        if config.axis is None:
-            raise _invalid("axis", "required by curve")
-        if config.grid is None:
-            raise _invalid("grid", "required by curve")
         if min(config.grid[:2]) < 1.0:
             raise _invalid("grid", f"endpoints must be >= 1 (a grid of {config.axis} values)")
         if config.axis == "d" and config.n is None:
@@ -191,35 +199,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """One subcommand per row of ``_COMMANDS``, with a flag per field it reads."""
     parser = _Parser(prog="corralign", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def add_command(command: str, help: str, *flags: tuple[str, str]) -> _Parser:
-        """One subcommand with the common flags, then ``(field, help)`` flags."""
-        p = sub.add_parser(command, help=help)
+    for command, row in _COMMANDS.items():
+        p = sub.add_parser(command, help=row.help, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override it")
-        common = [("seed", "master seed (u64)"), ("trials", "Monte-Carlo trials per arm"),
-                  ("out", "output path (default: stdout)"),
-                  ("format", "output format: csv or json"), ("threads", "worker processes")]
-        for key, text in common + list(flags):
-            option = "--" + key.replace("_", "-")
-            p.add_argument(option, dest=key, type=_kind(key, command), help=text)
-        return p
-
-    params = [("n", "number of rows"), ("d", "feature dimension"),
-              ("rho", "correlation coefficient")]
-    add_command("simulate-detection", "Monte-Carlo risk of the threshold test", *params,
-                ("threshold", "test threshold (default |rho|dn/2)"))
-    add_command("simulate-recovery", "Monte-Carlo exact-alignment error", *params)
-    p_curve = add_command(
-        "curve", "invert all bounds along a grid of d or n",
-        ("n", "fixed n (axis=d sweeps)"), ("d", "fixed d (axis=n sweeps)"),
-        ("axis", "sweep variable: d or n"), ("risk", "target risk level"),
-        ("kstar", "truncation depth override"), ("margin", "truncation schedule margin"),
-        ("epsilon_d", "recovery-converse exponent correction"),
-    )
-    p_curve.add_argument("--grid", help="start:stop:count (linear spacing)")
-    add_command("verify", "run the oracle verification suite")
+        for key in row.fields:
+            rule = _FIELDS.get(key, _Rule(str, "start:stop:count (linear spacing)"))  # grid
+            p.add_argument("--" + key.replace("_", "-"), help=rule.help,
+                           type=_kind(key, command) if key in _FIELDS else str)
     return parser
 
 
@@ -287,7 +276,7 @@ def _write_report(
     The CSV has a header of ``columns`` (default: the first row's keys) and
     one line per row.
     """
-    if config.resolved_format() == "json":
+    if (config.format or _COMMANDS[config.command].format) == "json":
         payload = {"schema": 1, "command": config.command, **fields}
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -301,7 +290,7 @@ def _write_report(
 def _write_results(config: ExperimentConfig, results: dict) -> None:
     """Write one simulation's results: a JSON report or a one-row CSV."""
     fields = {
-        "config": dataclasses.asdict(config),
+        "config": config.to_dict(),
         "results": results,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -376,7 +365,7 @@ def run_curve(config: ExperimentConfig) -> int:
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
     rows = [dataclasses.asdict(p) for p in points]
-    _write_report(config, {"config": dataclasses.asdict(config), "rows": rows}, rows)
+    _write_report(config, {"config": config.to_dict(), "rows": rows}, rows)
     violations = [p for p in points if p.converse_exceeds_achievable]
     for p in violations:
         print(f"error: detection converse exceeds achievable at axis={p.axis!r}",
@@ -397,11 +386,30 @@ def run_verify(config: ExperimentConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "simulate-detection": run_simulate_detection,
-    "simulate-recovery": run_simulate_recovery,
-    "curve": run_curve,
-    "verify": run_verify,
+class _Command(NamedTuple):
+    """One subcommand: its ``--help`` line, its runner, the fields it reads
+    (its flags and the keys its config file may hold), the fields it
+    requires and its report format when ``--format`` is not given."""
+
+    help: str
+    run: Callable[[ExperimentConfig], int]
+    fields: tuple[str, ...]
+    required: tuple[str, ...] = ()
+    format: str = "json"
+
+
+_SIMULATION = ("n", "d", "rho", "trials", "seed", "out", "format", "threads")
+_COMMANDS = {
+    "simulate-detection": _Command("Monte-Carlo risk of the threshold test",
+                                   run_simulate_detection, (*_SIMULATION, "threshold"),
+                                   ("n", "d", "rho")),
+    "simulate-recovery": _Command("Monte-Carlo exact-alignment error", run_simulate_recovery,
+                                  (*_SIMULATION, "epsilon_d"), ("n", "d", "rho")),
+    "curve": _Command("invert all bounds along a grid of d or n", run_curve,
+                      ("n", "d", "out", "format", "threads", "axis", "grid", "risk", "kstar",
+                       "margin", "epsilon_d"), ("axis", "grid"), "csv"),
+    "verify": _Command("run the oracle verification suite", run_verify,
+                       ("seed", "out", "format", "threads")),
 }
 
 
@@ -409,7 +417,7 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(argv)
         print(f"config: {config.render()}", file=sys.stderr)
-        return _RUNNERS[config.command](config)
+        return _COMMANDS[config.command].run(config)
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,14 +41,19 @@ def parallel_map(fn, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, in task order, over ``workers`` processes.
 
     A process pool is used only when ``workers > 1`` and there is more than
-    one task, and it holds no more processes than there are tasks; ``fn``
+    one task, and it holds no more processes than there are tasks or CPUs
+    this process may run on (the pool starts every process at once); ``fn``
     must be a module-level function.  A worker's exception is re-raised in
     the caller.
     """
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~2 MB; serial runs skip it
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks), cpus)) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 

@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -92,14 +94,17 @@ class TestConfigRoundTrip:
                 )
 
     def test_validation_messages_name_field(self, read_config):
-        with pytest.raises(UsageError, match="'trials'"):
+        with pytest.raises(UsageError, match="'trials': must be a positive integer"):
             read_config(
                 json.dumps(
-                    {"command": "verify", "trials": 0}
+                    {"command": "simulate-recovery", "n": 3, "d": 3, "rho": 0.5, "trials": 0}
                 )
             )
-        with pytest.raises(UsageError, match="'risk'"):
-            read_config(json.dumps({"command": "verify", "risk": 2.0}))
+        with pytest.raises(UsageError, match=r"'risk': must lie in \(0, 1\)"):
+            read_config(
+                json.dumps({"command": "curve", "axis": "d", "grid": "10:90:5", "n": 100,
+                            "risk": 2.0})
+            )
 
 
 class TestCurveGridFloor:
@@ -375,7 +380,7 @@ _RULE_CASES = [
     ("simulate-detection", "d", 0),
     ("curve", "d", 0.5),
     ("simulate-detection", "rho", 1.0),
-    ("verify", "trials", 0),
+    ("simulate-recovery", "trials", 0),
     ("verify", "seed", 2**64),
     ("verify", "out", 5),
     ("curve", "format", "xml"),
@@ -406,7 +411,7 @@ class TestFieldRules:
         def spy(config):
             raise AssertionError(f"{command} ran")
 
-        monkeypatch.setitem(cli._RUNNERS, command, spy)
+        monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(run=spy))
         config = {**_VALID[command], field: value}
         if source == "flag":
             argv = [command]
@@ -419,6 +424,122 @@ class TestFieldRules:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"usage error: invalid field '{field}'" in err
+        assert "Traceback" not in err
+
+
+# The fields each command reads: its flags, its config keys and the config
+# attributes its runner touches (33 pairs of the 4 x 15 command-field pairs).
+_READS = {
+    "simulate-detection": {"seed", "trials", "out", "format", "threads", "n", "d", "rho",
+                           "threshold"},
+    "simulate-recovery": {"seed", "trials", "out", "format", "threads", "n", "d", "rho",
+                          "epsilon_d"},
+    "curve": {"out", "format", "threads", "n", "d", "axis", "grid", "risk", "kstar",
+              "margin", "epsilon_d"},
+    "verify": {"seed", "out", "format", "threads"},
+}
+
+# A valid value, other than the default, for every field of every command.
+_SAMPLE = {
+    "n": 40, "d": 60, "rho": -0.5, "trials": 7, "seed": 2**63, "out": "report.txt",
+    "format": "json", "threads": 2, "threshold": 1.5, "axis": "n", "grid": (10.0, 90.0, 5),
+    "risk": 0.05, "kstar": 3, "margin": 0.2, "epsilon_d": 0.1,
+}
+
+_OUTSIDE = [(command, field) for command in _READS for field in _SAMPLE
+            if field not in _READS[command]]
+
+
+def _flags(values: dict) -> list:
+    argv = []
+    for key, value in values.items():
+        text = ":".join(map(str, value)) if key == "grid" else str(value)
+        argv += ["--" + key.replace("_", "-"), text]
+    return argv
+
+
+def _stub_library(monkeypatch):
+    """Stand-ins for every library call the four runners make."""
+    estimate = SimpleNamespace(fa_rate=0.1, md_rate=0.2, risk=lambda: 0.3, ci_radius=0.01,
+                               value=0.4, trials=7)
+    monkeypatch.setattr(cli, "monte_carlo_risk", lambda *a, **k: estimate)
+    monkeypatch.setattr(cli, "optimal_gamma", lambda params: (0.5, 0.2))
+    monkeypatch.setattr(cli, "recovery_error_mc", lambda *a, **k: estimate)
+    monkeypatch.setattr(bounds, "recovery_ach_perr", lambda *a, **k: 0.5)
+    monkeypatch.setattr(bounds, "recovery_conv_perr", lambda *a, **k: 0.1)
+    point = BoundCurvePoint(10.0, 0.1, 0.05, 0.2, 0.1)
+    monkeypatch.setattr(bounds, "curve_points", lambda *a, **k: ([point], []))
+    check = oracle.CheckResult("exponent-floor-fa", True, 0.0, 0.0)
+    monkeypatch.setattr(oracle, "verify", lambda **k: oracle.VerifyReport((check,)))
+
+
+class TestCommandRows:
+    def test_rows_are_the_table(self):
+        assert {c: set(row.fields) for c, row in cli._COMMANDS.items()} == _READS
+        assert sum(len(fields) for fields in _READS.values()) == 33
+        assert set(_SAMPLE) == set(cli._FIELDS) | {"grid"}
+
+    @pytest.mark.parametrize("command", list(_READS))
+    def test_runner_reads_its_row(self, monkeypatch, tmp_path, command):
+        _stub_library(monkeypatch)
+        # The report's config echo reads the row by construction; skip it.
+        monkeypatch.setattr(ExperimentConfig, "to_dict", lambda self: {})
+        reads = set()
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return object.__getattribute__(self, name)
+
+        values = {key: _SAMPLE[key] for key in _READS[command]}
+        config = Recording(command=command, **{**values, "out": str(tmp_path / "r")})
+        reads.clear()
+        assert cli._COMMANDS[command].run(config) == 0
+        assert reads & set(_SAMPLE) == _READS[command]
+
+    @pytest.mark.parametrize("command", list(_READS))
+    def test_help_lists_its_row(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+        assert flags - {"help", "config"} == {f.replace("_", "-") for f in _READS[command]}
+
+    @pytest.mark.parametrize("command", list(_READS))
+    def test_row_round_trips(self, read_config, command):
+        values = {key: _SAMPLE[key] for key in _READS[command]}
+        cfg = ExperimentConfig(command=command, **values)
+        assert list(json.loads(cfg.render())) == ["command"] + [
+            f.name for f in dataclasses.fields(ExperimentConfig) if f.name in values
+        ]
+        assert read_config(cfg.render()) == cfg
+        assert resolve_config([command, *_flags(values)]) == cfg
+
+    def test_flags_are_whole_field_names(self, capsys):
+        # verify's only flag starting --t is --threads; a prefix still names no field.
+        assert main(["verify", "--t", "2"]) == 1
+        assert "usage error: unrecognized arguments: --t 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, field", _OUTSIDE)
+    def test_field_outside_row_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, source, command, field
+    ):
+        def spy(config):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(run=spy))
+        config = {**_VALID[command], field: _SAMPLE[field]}
+        if source == "flag":
+            argv = [command, *_flags(config)]
+            message = "usage error: unrecognized arguments: --" + field.replace("_", "-")
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = [command, "--config", str(path)]
+            message = f"usage error: invalid field '{field}': {command} does not read it"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
 
 
@@ -573,6 +694,7 @@ class TestSimulateRecoveryGolden:
                 "b30cec1f6318d970d1424c0d1ef24b9b1fd37174661b531555a2d4d64d72a971",
             ),
         ],
+        ids=["argmax-path", "jv-path"],
     )
     def test_csv_stdout_digest(self, args, digest, capsys):
         assert main(["simulate-recovery", *args, "--format", "csv"]) == 0
@@ -599,6 +721,7 @@ class TestSimulateDetectionGolden:
                 "95b457c2de4c02875ed4cf14ea030197e0c2d4d5a43908a86d9fa932dc001dd3",
             ),
         ],
+        ids=["threads-1", "threads-3", "negative-rho"],
     )
     def test_csv_stdout_digest(self, args, digest, capsys):
         argv = ["simulate-detection", "--n", "20", "--d", "50", *args, "--format", "csv"]
@@ -645,9 +768,10 @@ class TestReportGolden:
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "json"],
-                "23e6c9b643944a278cf52884db1c6797218af6871ef05c47b11cbeca5cdccd80",
+                "cc7b4c26dae24d8a796a52b75b1d979dedfe61a3a401a1eada070a185dd60190",
             ),
         ],
+        ids=["verify-csv", "verify-json", "curve-csv", "curve-json"],
     )
     def test_stdout_digest(self, args, digest, capsys):
         assert main(args) == 0
@@ -672,6 +796,7 @@ class TestReportGolden:
                 "df8e0daba551a16a23127d3c2e6ada32319e71d79f33be2336020bf02eaa967c",
             ),
         ],
+        ids=["d-sweep", "n-sweep"],
     )
     def test_benchmark_curve_digest(self, args, digest, threads, capsys):
         assert main(["curve", *args, "--format", "csv", "--threads", threads]) == 0

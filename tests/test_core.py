@@ -316,8 +316,9 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="task three failed"):
             parallel_map(_fail_on_three, list(range(6)), workers=2)
 
-    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
-        # The pool forks every worker up front, so idle ones are wasted.
+    @staticmethod
+    def _pool_sizes(monkeypatch) -> list:
+        """The ``max_workers`` each pool is asked for; a serial pool runs the tasks."""
         asked = []
 
         class SerialPool:
@@ -334,8 +335,29 @@ class TestParallelMap:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return asked
+
+    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
+        # The pool forks every worker up front, so idle ones are wasted.
+        asked = self._pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert parallel_map(_square, range(3), workers=64) == [0, 1, 4]
         assert asked == [3]
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_is_no_larger_than_the_usable_cpus(self, monkeypatch, affinity):
+        # 5000 workers and tasks would fork 5000 processes; the fake pool starts none.
+        asked = self._pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        tasks = list(range(5000))
+        assert parallel_map(_square, tasks, workers=5000) == [t * t for t in tasks]
+        arms = [((0.5,), SeedSpec(1, "cpus"))]
+        assert count_failures(_below, arms, 5000, 5000) == count_failures(_below, arms, 5000)
+        assert asked == ([2, 2] if affinity else [3, 3])
 
 
 def _below(rng, p):
