@@ -171,14 +171,19 @@ def _build_config(command: str, values: dict) -> ExperimentConfig:
             raise _invalid(key, f"{command} does not read it")
         if value is not None:
             kwargs[key] = _parse_grid(value) if key == "grid" else _check(key, value, command)
+    kwargs.setdefault("format", row.format)
     config = ExperimentConfig(**kwargs)
     for key in row.required:
         if getattr(config, key) is None:
             raise _invalid(key, f"required by {command}")
     if config.rho == 0.0:
         raise _invalid("rho", f"must be nonzero for {command}")
-    if command == "simulate-detection" and config.rho * config.rho == 0.0:
-        raise _invalid("rho", "rho^2 underflows to 0; detection needs rho^2 > 0")
+    if command == "simulate-detection":
+        if config.rho * config.rho == 0.0:
+            raise _invalid("rho", "rho^2 underflows to 0; detection needs rho^2 > 0")
+        if config.threshold is None:
+            params = ProblemParams(n=config.n, d=config.d, rho=config.rho)
+            config = dataclasses.replace(config, threshold=nominal_threshold(params))
     if command == "curve":
         if min(config.grid[:2]) < 1.0:
             raise _invalid("grid", f"endpoints must be >= 1 (a grid of {config.axis} values)")
@@ -276,7 +281,7 @@ def _write_report(
     The CSV has a header of ``columns`` (default: the first row's keys) and
     one line per row.
     """
-    if (config.format or _COMMANDS[config.command].format) == "json":
+    if config.format == "json":
         payload = {"schema": 1, "command": config.command, **fields}
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -300,11 +305,7 @@ def _write_results(config: ExperimentConfig, results: dict) -> None:
 def run_simulate_detection(config: ExperimentConfig) -> int:
     """Estimate both error rates of the threshold test and report bounds."""
     params = ProblemParams(n=int(config.n), d=int(config.d), rho=float(config.rho))
-    threshold = (
-        float(config.threshold)
-        if config.threshold is not None
-        else nominal_threshold(params)
-    )
+    threshold = float(config.threshold)
     seed = SeedSpec(master_seed=config.seed, stream_label="cli/simulate-detection")
     estimate = monte_carlo_risk(
         params, threshold, config.trials, seed, workers=config.threads

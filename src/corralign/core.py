@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidAlternateError, SizeCapError
 
-#: Largest n for which integer partitions are enumerated; the oracle's exact
-#: second moment is the only user (the count grows super-polynomially beyond).
+#: Largest n for which integer partitions are enumerated; the exact second
+#: moment in ``laws`` is the only user (the count grows super-polynomially beyond).
 PARTITION_CAP = 60
 
 #: Largest n for which all of S_n is materialised (8! = 40320 rows).
@@ -346,7 +346,7 @@ def cycle_type_count(t: CycleType) -> int:
 def enumerate_cycle_types(n: int) -> list[CycleType]:
     """All cycle types of S_n (the integer partitions of n), deterministic order.
 
-    Caps at ``PARTITION_CAP``; the oracle's exact second moment never needs more.
+    Caps at ``PARTITION_CAP``; ``laws.exact_second_moment`` never needs more.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -2,15 +2,15 @@
 
 Everything here recomputes a quantity by a second route — brute-force
 enumeration, Monte Carlo, numerical inversion, or dense linear algebra — and
-compares it against the closed form used elsewhere.  The ``verify`` entry
-point runs the whole named-check suite and returns a structured report; the
-CLI surfaces it.
+compares it against the closed form used elsewhere, or against an exact law
+from ``laws``.  The ``verify`` entry point runs the whole named-check suite
+and returns a structured report; the CLI surfaces it.
 
 All Monte-Carlo checks accept at 3 sigma (with a rule-of-three floor for
 degenerate counts) and derive their generators from (master seed, check
 name, batch index) so reruns and worker counts cannot change results.
 Each job has one implementation: both tail bounds take their exact tails
-from ``quadratic_form_tail``, both statistic MGFs run through
+from ``laws.quadratic_form_tail``, both statistic MGFs run through
 ``_mgf_mc_check``, and every worst-case fold is ``_worst``, which lets a NaN
 through so it fails its check.
 
@@ -57,16 +57,14 @@ from .core import (
     as_seedspec,
     binomial_ci,
     cycle_decompose,
-    cycle_type_count,
     enumerate_cycle_types,
     enumerate_permutations,
     parallel_map,
 )
 from .errors import DomainError, SizeCapError
 from .gen import DatabasePair, sample_alt_stack
+from .laws import ARRAY_BUDGET, exact_second_moment, quadratic_form_tail, second_moment_reduction
 
-#: cycle-type cap for the exact second moment.
-SECOND_MOMENT_CAP = 10
 #: cap for Monte-Carlo likelihood statistics.
 MC_CAP = 6
 #: largest cycle length for the circulant determinant check.
@@ -164,56 +162,6 @@ def log_likelihood_ratio(pair: DatabasePair, rho: float) -> float:
     if not -1.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (-1, 1), got {rho}")
     return float(_batched_log_l(pair.x[None], pair.y[None], rho)[0])
-
-
-# ---------------------------------------------------------------------------
-# Second moment via cycle types
-# ---------------------------------------------------------------------------
-
-
-def cycle_type_weight(t: CycleType, d: float, rho2: float) -> float:
-    """Product over cycle lengths k of (1 - rho^(2k))^(-d N_k); inf past the float range."""
-    if not 0.0 <= rho2 < 1.0:
-        raise DomainError("rho2 must lie in [0, 1)")
-    acc = 0.0
-    for k, count in enumerate(t.counts, start=1):
-        if count:
-            acc += count * math.log1p(-(rho2**k))
-    try:
-        return math.exp(-d * acc)
-    except OverflowError:
-        return math.inf
-
-
-def second_moment_reduction(
-    type_counts, n: int, d: float, rho2: float
-) -> float:
-    """Shared reduction sum((count / n!) * weight) in the given sequence order.
-
-    Both the cycle-type formula and the brute-force permutation census reduce
-    through this function, so agreement between them is exact, not
-    approximate.
-    """
-    total = math.factorial(n)
-    acc = 0.0
-    for t, count in type_counts:
-        acc += (count / total) * cycle_type_weight(t, d, rho2)
-    return acc
-
-
-def exact_second_moment(n: int, d: float, rho2: float) -> float:
-    """E_0 L^2 summed over cycle types with exact integer multiplicities."""
-    if n > SECOND_MOMENT_CAP:
-        raise SizeCapError(
-            f"cycle-type second moment is capped at n = {SECOND_MOMENT_CAP}, got {n}"
-        )
-    return second_moment_reduction(_cycle_type_counts(n), n, d, rho2)
-
-
-@functools.lru_cache(maxsize=None)
-def _cycle_type_counts(n: int) -> tuple[tuple[CycleType, int], ...]:
-    """``(type, class size)`` for every cycle type of S_n, in ``enumerate_cycle_types`` order."""
-    return tuple((t, cycle_type_count(t)) for t in enumerate_cycle_types(n))
 
 
 def _mc_cap(n: int) -> None:
@@ -409,90 +357,6 @@ def circulant_det_check(cycle_len: int, rho: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-#: Absolute accuracy ``quadratic_form_tail`` aims for, for each of its
-#: truncation and its aliasing.
-TAIL_TOL = 1e-10
-#: Most nodes one ``quadratic_form_tail`` call sums.  With fewer than about
-#: four nonzero weights ``TAIL_TOL`` would take far more (about 3e10 for two
-#: unit weights); there the integral stops early and the returned error
-#: says by how much.
-TAIL_NODE_CAP = 1 << 20
-
-
-def quadratic_form_tail(weights, x):
-    """P(sum_j w_j X_j^2 > x) for independent N(0, 1) X_j, and an error bound.
-
-    Imhof's inversion formula (docs/math_notes.md, section 6) gives
-    P = 1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du, where
-    theta(u) = sum_j arctan(w_j u) / 2 - x u / 2 and
-    rho(u) = prod_j (1 + w_j^2 u^2)^(1/4); the integrand tends to
-    (sum_j w_j - x) / 2 as u -> 0.  It is summed by the trapezoid rule on
-    the grid of ``_imhof_grid``.  Returns (tail, error), shaped like ``x``:
-    error is the difference between the rules with steps h and 2h plus the
-    truncation bound, over pi.
-    """
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    xs = np.asarray(x, dtype=np.float64)
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(xs))):
-        raise DomainError("weights and x must be finite")
-    vals, counts = np.unique(w[w != 0.0], return_counts=True)
-    if vals.size == 0:
-        raise DomainError("weights must have a nonzero entry")
-    mult = counts.astype(np.float64)
-    flat = xs.reshape(-1)
-    h, nodes, truncation = _imhof_grid(vals, mult, flat)
-    fine, coarse = _imhof_sums(vals, mult, flat, h, nodes)
-    tail = 0.5 + h * fine / math.pi
-    error = (np.abs(h * fine - 2.0 * h * coarse) + truncation) / math.pi
-    return tail.reshape(xs.shape), error.reshape(xs.shape)
-
-
-def _imhof_grid(vals, mult, xs) -> tuple[float, int, float]:
-    """(h, nodes, truncation): the trapezoid step and node count for
-    ``quadratic_form_tail``, and the bound on the integral past the last node.
-
-    The integrand is even in u and analytic near the real axis, so the
-    trapezoid rule with step h errs only by aliasing: it gives the tail at
-    x plus the tails of Q - x beyond 4 pi / h.  The step puts 2 pi / h past
-    |x - sum w| plus the Laurent-Massart deviation of level ``TAIL_TOL``,
-    so the rule with step 2h is accurate too.  The integral stops at the
-    first U at which Imhof's bound 2 / (m U^(m/2) prod_j |w_j|^(1/2)) on
-    its remainder is at most pi ``TAIL_TOL`` (m nonzero weights with
-    multiplicity), or at ``TAIL_NODE_CAP`` nodes.
-    """
-    level = -math.log(TAIL_TOL)
-    deviation = (2.0 * math.sqrt(float(mult @ (vals * vals)) * level)
-                 + 2.0 * float(np.abs(vals).max()) * level)
-    h = 2.0 * math.pi / (float(np.abs(xs - mult @ vals).max(initial=0.0)) + deviation)
-    m = float(mult.sum())
-    log_root_prod = 0.5 * float(mult @ np.log(np.abs(vals)))
-    log_end = (math.log(2.0 / (math.pi * m * TAIL_TOL)) - log_root_prod) / (0.5 * m)
-    nodes = math.ceil(math.exp(min(log_end - math.log(h), math.log(TAIL_NODE_CAP))))
-    truncation = math.exp(math.log(2.0 / m) - 0.5 * m * math.log(nodes * h) - log_root_prod)
-    return h, nodes, truncation
-
-
-def _imhof_sums(vals, mult, xs, h: float, nodes: int):
-    """(fine, coarse) per x: half the integrand at 0 plus its sum over nodes
-    1..``nodes`` of step h, and over the even nodes alone.
-
-    Equal weights come once, with their multiplicity, and the nodes go in
-    chunks, so no array holds more than ``_BATCH * 50`` values.
-    """
-    fine = 0.25 * (mult @ vals - xs)  # half the u -> 0 limit
-    coarse = fine.copy()
-    chunk = max(_BATCH * 50 // max(vals.size, xs.size), 1)
-    for start in range(1, nodes + 1, chunk):
-        u = h * np.arange(start, min(start + chunk, nodes + 1), dtype=np.float64)
-        wu = u[:, None] * vals
-        phase = 0.5 * (np.arctan(wu) @ mult)
-        amp = np.exp(-0.5 * (np.log(np.hypot(1.0, wu)) @ mult)) / u
-        g = np.sin(phase - 0.5 * xs[:, None] * u) * amp
-        fine += g.sum(axis=1)
-        coarse += g[:, start % 2 :: 2].sum(axis=1)
-    return fine, coarse
-
-
 def _positive_grid(t_grid) -> np.ndarray:
     """The t grid as a nonempty 1-D array of positive values.
 
@@ -665,13 +529,13 @@ def _pair_chunks(params: ProblemParams, perm: Permutation, spec: SeedSpec, trial
 
     Trial i draws from ``spec.rng(i)`` as a lone ``sample_alt`` call would.
     A chunk holds as many trials as keep every array of the draw and of
-    ``_events_hold`` with ``method`` within ``_BATCH * 50`` values.
+    ``_events_hold`` with ``method`` within ``ARRAY_BUDGET`` values.
     """
     n, d = params.n, params.d
     per_trial = 3 * n * d
     if method == "enumerate":
         per_trial = max(per_trial, 3 * max(math.comb(n, k) * k for k in range(n + 1)))
-    chunk = max(_BATCH * 50 // per_trial, 1)
+    chunk = max(ARRAY_BUDGET // per_trial, 1)
     for start in range(0, trials, chunk):
         rngs = [spec.rng(i) for i in range(start, min(start + chunk, trials))]
         yield sample_alt_stack(params, perm, rngs)

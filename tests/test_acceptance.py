@@ -27,12 +27,11 @@ from corralign.core import (
 )
 from corralign.detect import monte_carlo_risk, nominal_threshold, optimal_gamma
 from corralign.gen import DatabasePair
+from corralign.laws import exact_second_moment, second_moment_reduction
 from corralign.oracle import (
-    exact_second_moment,
     gaussian_chaos_check,
     laurent_massart_check,
     mc_second_moment,
-    second_moment_reduction,
     tv_risk_lower_bound_mc,
 )
 

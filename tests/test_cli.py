@@ -45,6 +45,7 @@ class TestConfigRoundTrip:
             seed=9,
             threads=2,
             threshold=12.5,
+            format="json",
         )
         assert read_config(cfg.render()) == cfg
 
@@ -61,6 +62,31 @@ class TestConfigRoundTrip:
             format="json",
         )
         assert read_config(cfg.render()) == cfg
+
+    @pytest.mark.parametrize("argv, fmt", [
+        (["verify"], "json"),
+        (["curve", "--axis", "d", "--grid", "10:90:5", "--n", "100"], "csv"),
+    ])
+    def test_format_is_resolved(self, argv, fmt):
+        assert resolve_config(argv).format == fmt
+
+    def test_logged_config_reproduces_the_run(self, tmp_path, capsys):
+        # The config line names the threshold the results used, and a re-run
+        # from it prints the same report, timestamp aside.
+        argv = ["simulate-detection", "--n", "20", "--d", "50", "--rho", "0.3",
+                "--trials", "200"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        logged = json.loads(first.err.splitlines()[0].removeprefix("config: "))
+        assert logged["format"] == "json"
+        assert logged["threshold"] == json.loads(first.out)["results"]["threshold"] == 150.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(logged))
+        assert main(["simulate-detection", "--config", str(path)]) == 0
+        second = capsys.readouterr()
+        assert second.err.splitlines()[0] == first.err.splitlines()[0]
+        stamp = re.compile(r'"timestamp": "[^"]*"')
+        assert stamp.sub("", second.out) == stamp.sub("", first.out)
 
     def test_unknown_field_rejected(self, read_config):
         with pytest.raises(UsageError, match="bogus"):

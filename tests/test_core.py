@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -424,3 +425,13 @@ def test_pool_and_interval_live_only_in_core():
     sources = {p.name: p.read_text() for p in Path(corralign.__file__).parent.glob("*.py")}
     for needle in ("ProcessPoolExecutor", "3.0 / trials", "range(start, start + size)"):
         assert [name for name, text in sources.items() if needle in text] == ["core.py"]
+
+
+def test_readme_layout_names_every_module():
+    """README's Layout block lists each module of the package, and no other."""
+    package = Path(corralign.__file__).parent
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE))
+    modules = {p.name for p in package.glob("*.py") if not p.name.startswith("__")}
+    assert listed == modules

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from corralign import bounds, oracle
+from corralign import bounds, laws, oracle
 from corralign.core import (
     Permutation,
     ProblemParams,
@@ -22,25 +22,27 @@ from corralign.core import (
 from corralign.detect import sip_statistic
 from corralign.errors import DomainError, SizeCapError
 from corralign.gen import DatabasePair, sample_alt, sample_alt_stack, sample_null
+from corralign.laws import (
+    SECOND_MOMENT_CAP,
+    exact_second_moment,
+    quadratic_form_tail,
+    second_moment_reduction,
+)
 from corralign.oracle import (
     CIRCULANT_CAP,
     DISPATCH_ORDER,
     ENUMERATE_CAP,
     MC_CAP,
-    SECOND_MOMENT_CAP,
     VERIFY_CHECKS,
     _batched_log_l,
     _log_ratio_matrix,
     circulant_det_check,
-    exact_second_moment,
     gaussian_chaos_check,
     laurent_massart_check,
     log_likelihood_ratio,
     mc_second_moment,
     pair_mgf_check,
-    quadratic_form_tail,
     quadratic_mgf_check,
-    second_moment_reduction,
     truncated_first_moment_check,
     truncation_event_holds,
     tv_risk_lower_bound_mc,
@@ -375,8 +377,8 @@ class TestExactTail:
         tail, error = quadratic_form_tail(weights, xs)
         vals, counts = np.unique(weights, return_counts=True)
         mult = counts.astype(np.float64)
-        h, nodes, _ = oracle._imhof_grid(vals, mult, xs)
-        fine, _ = oracle._imhof_sums(vals, mult, xs, h / 10.0, 10 * nodes)
+        h, nodes, _ = laws._imhof_grid(vals, mult, xs)
+        fine, _ = laws._imhof_sums(vals, mult, xs, h / 10.0, 10 * nodes)
         assert np.all(np.abs(tail - (0.5 + h / 10.0 * fine / math.pi)) <= error)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -526,7 +528,7 @@ class TestStackedEvent:
         assert res.detail.startswith(f"{fails} event failures in {trials} ")
 
     def test_first_moment_row_memory_stays_chunked(self):
-        # The row tests its 2,000 trials in stacks of at most _BATCH * 50
+        # The row tests its 2,000 trials in stacks of at most ARRAY_BUDGET
         # values per array (a peak of about 5 MB); one stack of all 2,000
         # trials took about 30 MB.
         check = oracle._REGISTRY["truncation-first-moment"]
