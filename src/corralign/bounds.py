@@ -20,11 +20,11 @@ turns any of them into the squared correlation needed to meet a target risk.
 bound of every kind (``detection_ach_risk``, ``truncated_converse_risk``,
 ``unconditional_converse_risk``, ``recovery_ach_perr`` and
 ``recovery_conv_perr``) also take arrays, one lane per point:
-``curve_points`` inverts a block of grid points at once, with one bound call
-per kind for the pre-scan and one per search step.  Lanes step together
-but never mix, so each gets the floats of its own scalar call (see
-docs/math_notes.md, section 3).  A scalar call runs the same lane path and
-pays its fixed numpy cost (``recovery_ach_perr`` takes about 17 us on a
+``curve_points`` inverts its grid in blocks of ``LANE_CAP`` points, with one
+bound call per kind for a block's pre-scan and one per search step.  Lanes
+step together but never mix, so each gets the floats of its own scalar call
+(see docs/math_notes.md, section 3).  A scalar call runs the same lane path
+and pays its fixed numpy cost (``recovery_ach_perr`` takes about 17 us on a
 2-core Xeon), so a caller looping over points should pass them as arrays
 instead.
 """
@@ -776,6 +776,8 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
     ``risk(sel, rho2)`` evaluates lanes ``sel`` at the rho2 values, one
     each.  Returns, per lane, the float or the ``InversionUndefinedError``.
     """
+    ends = float(_PRESCAN[0]), float(_PRESCAN[-1])
+    scanned = f"the scanned range [{ends[0]!r}, {ends[1]!r}] of rho2"
     sel = np.repeat(np.arange(lanes), _PRESCAN.size)
     table = risk(sel, np.tile(_PRESCAN, lanes)).reshape(lanes, _PRESCAN.size)
     high = operator.gt if mode == "ach" else operator.ge
@@ -803,11 +805,11 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
             ))
         elif not first_high[lane]:
             out.append(float(_PRESCAN[0]) if mode == "ach" else InversionUndefinedError(
-                f"{bound_kind} bound is below target {target} everywhere on (0, 1)"
+                f"{bound_kind} bound is below target {target} everywhere on {scanned}"
             ))
         elif last_high[lane]:
             out.append(float(_PRESCAN[-1]) if mode == "conv" else InversionUndefinedError(
-                f"{bound_kind} bound never reaches target {target} on (0, 1)"
+                f"{bound_kind} bound never reaches target {target} on {scanned}"
             ))
         else:
             out.append(None)
@@ -904,9 +906,13 @@ def invert_for_rho2(
     safeguarded Illinois regula falsi on ln(risk / target) against ln rho2
     until its width is at most ``INVERT_RTOL`` times its high end (at most
     ``INVERT_MAX_STEPS`` steps).  It reports the bracket's high end for
-    achievability, its low end for converses.  Raises
-    ``InversionUndefinedError`` when the target is never crossed on (0, 1),
-    monotonicity fails or the pre-scan holds a NaN.
+    achievability, its low end for converses.  The pre-scan spans
+    [1e-13, 1 - 1e-9]: a bound already on the low side of the target at
+    1e-13 gives 1e-13 for achievability, and one still on the high side at
+    1 - 1e-9 gives 1 - 1e-9 for converses.  In the other two such cases the
+    target is not crossed on the scanned range, and
+    ``InversionUndefinedError`` is raised, naming that range; it is raised
+    too when monotonicity fails or the pre-scan holds a NaN.
 
     ``n`` and ``d`` may also be arrays, broadcast to a block of lanes.  The
     block is inverted at once and a list comes back with, per lane, the
@@ -1018,10 +1024,10 @@ def curve_points(
 
     Returns the points in grid order along with diagnostic notes for grid
     points where an inversion was undefined (those fields are None).
-    The grid is cut into one block per worker, of at most ``LANE_CAP``
-    points, and each block is inverted by one ``invert_for_rho2`` call per
-    kind.  Evaluation is pure and lanes never mix, so the result is
-    identical for any worker count.
+    The grid is cut into consecutive blocks of ``LANE_CAP`` points, each
+    inverted by one ``invert_for_rho2`` call per kind; ``workers`` only sets
+    how many processes share them, so any worker count makes the same calls,
+    and a grid of at most ``LANE_CAP`` points is one block, run in process.
     """
     if axis not in ("d", "n"):
         raise DomainError("axis must be 'd' or 'n'")
@@ -1030,10 +1036,9 @@ def curve_points(
     if axis == "n" and d is None:
         raise DomainError("axis='n' sweeps require a fixed d")
     grid = [float(v) for v in values]
-    size = max(1, min(LANE_CAP, -(-len(grid) // max(workers, 1))))
     tasks = []
-    for start in range(0, len(grid), size):
-        block = grid[start : start + size]
+    for start in range(0, len(grid), LANE_CAP):
+        block = grid[start : start + LANE_CAP]
         nn = block if axis == "n" else [float(n)] * len(block)
         dd = block if axis == "d" else [float(d)] * len(block)
         tasks.append((block, nn, dd, target_risk, k_star, margin, epsilon_d))

@@ -25,5 +25,6 @@ class ConditionViolatedError(CorralignError):
 
 
 class InversionUndefinedError(CorralignError):
-    """A monotone bound inversion has no solution on (0, 1) for the requested
-    target, or the pre-scan detected non-monotone behaviour."""
+    """A monotone bound inversion does not cross the requested target on the
+    rho2 range its pre-scan covers, [1e-13, 1 - 1e-9], or the pre-scan
+    found a NaN or non-monotone behaviour."""

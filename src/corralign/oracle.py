@@ -901,16 +901,14 @@ def _chk_pair_mgf(spec: SeedSpec) -> CheckResult:
 
 @_check("circulant-dets")
 def _chk_circulant(spec: SeedSpec) -> CheckResult:
-    worst = ""
-    ok = True
+    failed = []
     for length in (1, 2, 3, 7, 50):
         for rho in (0.3, 0.5, 0.9):
             res = circulant_det_check(length, rho)
             if not res.passed:
-                ok = False
-                worst = res.name
-    return CheckResult("circulant-dets", ok, 0.0, 0.0,
-                       worst or "all cycle lengths in {1,2,3,7,50} matched")
+                failed.append(f"L={length} rho={rho}: {res.detail}")
+    return CheckResult("circulant-dets", not failed, 0.0, 0.0,
+                       "; ".join(failed) or "all cycle lengths in {1,2,3,7,50} matched")
 
 
 @_check("tail-squares")

@@ -653,6 +653,15 @@ class TestInversion:
         with pytest.raises(InversionUndefinedError, match="never reaches"):
             invert_for_rho2("rec-ach", 1e6, 1, 0.1)
 
+    def test_uncrossed_target_names_the_scanned_range(self):
+        # At d sqrt(n) = 1e12 the det-conv crossing, near 0.0456 / (d sqrt n),
+        # lies below the pre-scan's first point: the target is not crossed on
+        # the scanned range, though it is on (0, 1).
+        assert truncated_converse_risk(1e12, 1e6, 4.5e-14) >= 0.1
+        scanned = r"on the scanned range \[1e-13, 0\.999999999\] of rho2$"
+        with pytest.raises(InversionUndefinedError, match="below target 0.1 everywhere " + scanned):
+            invert_for_rho2("det-conv", 1e12, 1e6, 0.1)
+
     def test_conv_below_target_at_left_edge_raises(self):
         with pytest.raises(InversionUndefinedError, match="below target .* everywhere"):
             invert_for_rho2("det-conv", 1000, 500, 0.999999)
@@ -930,12 +939,39 @@ class TestLockstep:
             ("d", {"n": 1000.0, "target_risk": 0.999999}, [1.0, 50.0, 500.0]),
         ],
     )
-    def test_curve_blocks_match_single_points(self, workers, axis, fixed, values):
+    def test_curve_blocks_match_single_points(self, monkeypatch, workers, axis, fixed, values):
+        # The grid is one block at LANE_CAP; at a cap of 2 it is several,
+        # run in process at workers=1 and over the pool at workers=2.
         with np.errstate(over="ignore"):
-            points, notes = curve_points(axis, values, workers=workers, **fixed)
+            serial = curve_points(axis, values, **fixed)
             singles = [curve_points(axis, [v], **fixed) for v in values]
-        assert points == [p for ps, _ in singles for p in ps]
-        assert notes == [m for _, ms in singles for m in ms]
+            monkeypatch.setattr(bounds, "LANE_CAP", 2)
+            blocks = curve_points(axis, values, workers=workers, **fixed)
+        assert serial[0] == [p for ps, _ in singles for p in ps]
+        assert serial[1] == [m for _, ms in singles for m in ms]
+        assert blocks == serial
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_curve_blocks_do_not_depend_on_workers(self, monkeypatch, workers):
+        # Consecutive LANE_CAP-point blocks at any worker count, so a grid of
+        # at most LANE_CAP points is one task, which parallel_map runs in
+        # process.
+        calls = []
+
+        def spy(fn, tasks, w):
+            calls.append(([len(task[0]) for task in tasks], w))
+            return [([], []) for _ in tasks]
+
+        monkeypatch.setattr(bounds, "parallel_map", spy)
+        for size in (1, 50, LANE_CAP, LANE_CAP + 1, 3 * LANE_CAP + 5):
+            curve_points("d", np.linspace(20.0, 10_000.0, size), n=1e4, workers=workers)
+        assert calls == [
+            ([1], workers),
+            ([50], workers),
+            ([LANE_CAP], workers),
+            ([LANE_CAP, 1], workers),
+            ([LANE_CAP] * 3 + [5], workers),
+        ]
 
     @pytest.mark.parametrize("kind", BOUND_KINDS)
     def test_empty_block_inverts_to_an_empty_list(self, kind):
@@ -979,6 +1015,16 @@ class TestLockstep:
             tracemalloc.stop()
         assert len(points) == 200
         assert peak < 3_000_000
+        # Across blocks: 1,000 points in four LANE_CAP blocks peaked at
+        # 3.6 MB, against 11.7 MB inverted as one block.
+        tracemalloc.start()
+        try:
+            points, _ = curve_points("d", np.linspace(20.0, 10_000.0, 1000), n=1e9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 1000
+        assert peak < 6_000_000
 
 
 def test_one_golden_section_loop():

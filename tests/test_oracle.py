@@ -241,14 +241,17 @@ class TestCirculant:
             circulant_det_check(CIRCULANT_CAP + 1, 0.3)
 
     def test_verify_row_names_a_failing_length(self, monkeypatch):
+        # Every failing (L, rho) is listed with its relative error, in order.
         def check(length, rho):
             res = circulant_det_check(length, rho)
-            return dataclasses.replace(res, passed=res.passed and length != 7)
+            forced = (length, rho) in {(3, 0.5), (7, 0.3)}
+            return dataclasses.replace(res, passed=res.passed and not forced)
 
         monkeypatch.setattr(oracle, "circulant_det_check", check)
         res = oracle._REGISTRY["circulant-dets"](SeedSpec(0, "verify/circulant-dets"))
         assert not res.passed
-        assert res.detail == "circulant-det-L7"
+        errors = [circulant_det_check(*case).detail for case in ((3, 0.5), (7, 0.3))]
+        assert res.detail == f"L=3 rho=0.5: {errors[0]}; L=7 rho=0.3: {errors[1]}"
 
 
 class TestConcentration:
