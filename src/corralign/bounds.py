@@ -757,6 +757,9 @@ _PRESCAN = np.sort(
     )
 )
 
+#: Where a converse is below its target at 1e-13, it is evaluated on these
+#: decades in turn: 1e-14 down to 1e-307, the last above the least normal float.
+_DECADES = [10.0**-k for k in range(14, 308)]
 
 #: Relative width at which ``invert_for_rho2`` stops narrowing a bracket
 #: [lo, hi] of rho2: hi - lo <= INVERT_RTOL * hi.
@@ -764,8 +767,8 @@ INVERT_RTOL = 1e-12
 
 #: Most steps of a ``_illinois`` search: after the pre-scan, and in each
 #: ``minimize_two_exponent`` call.  Geometric bisection alone takes the widest
-#: pre-scan bracket (a factor of 4.3 in rho2) to ``INVERT_RTOL`` in 41 steps;
-#: the regula falsi takes 8-17 on the reference grids.  A lane still wider at
+#: pre-scan bracket (a factor of 4.3 in rho2) to ``INVERT_RTOL`` in 41 steps,
+#: and a decade in 42; the regula falsi takes 8-17 on the reference grids.  A lane still wider at
 #: the cap reports its bracket end, which keeps the convention.
 INVERT_MAX_STEPS = 64
 
@@ -777,7 +780,6 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
     each.  Returns, per lane, the float or the ``InversionUndefinedError``.
     """
     ends = float(_PRESCAN[0]), float(_PRESCAN[-1])
-    scanned = f"the scanned range [{ends[0]!r}, {ends[1]!r}] of rho2"
     sel = np.repeat(np.arange(lanes), _PRESCAN.size)
     table = risk(sel, np.tile(_PRESCAN, lanes)).reshape(lanes, _PRESCAN.size)
     high = operator.gt if mode == "ach" else operator.ge
@@ -788,33 +790,45 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
     prev = np.take_along_axis(table, np.maximum(last, 0), axis=1)
     with np.errstate(invalid="ignore"):
         rise = table[:, 1:] - prev > 1e-9 * np.maximum(np.abs(prev), 1.0)
-    increases = (finite[:, 1:] & (last >= 0) & rise).any(axis=1).tolist()
-    nan = np.isnan(table).any(axis=1).tolist()
+    increases = (finite[:, 1:] & (last >= 0) & rise).any(axis=1)
+    nan = np.isnan(table).any(axis=1)
     high_side = high(table, target)
-    first_high, last_high = high_side[:, 0].tolist(), high_side[:, -1].tolist()
+    first_high, last_high = high_side[:, 0], high_side[:, -1].tolist()
     cross = np.argmin(high_side, axis=1)  # first pre-scan point past the crossing
+    rows = np.arange(lanes)
+    lo, hi = _PRESCAN[cross - 1], _PRESCAN[cross]
+    v_lo, v_hi = table[rows, cross - 1], table[rows, cross]
+    # A converse already below the target at the first pre-scan point steps
+    # down ``_DECADES``, one array call per decade, until it is on the high
+    # side; that decade and the one above it are its bracket.
+    live = np.flatnonzero(~(first_high | nan | increases)) if mode == "conv" else rows[:0]
+    above, v_above = ends[0], table[live, 0]
+    for r2 in _DECADES:
+        if not live.size:
+            break
+        vals = risk(live, np.full(live.size, r2))
+        up, bad = high(vals, target), np.isnan(vals)
+        hit = live[up]
+        lo[hit], hi[hit], v_lo[hit], v_hi[hit] = r2, above, vals[up], v_above[up]
+        first_high[hit] = True
+        nan[live[bad]] = True
+        live, above, v_above = live[~(up | bad)], r2, vals[~(up | bad)]
+    low = ends[0] if mode == "ach" else _DECADES[-1]
+    scanned = f"the scanned range [{low!r}, {ends[1]!r}] of rho2"
     out: list = []
     for lane in range(lanes):
-        if nan[lane]:
-            out.append(InversionUndefinedError(
-                f"{bound_kind} bound is NaN on the rho2 pre-scan; inversion undefined"
-            ))
-        elif increases[lane]:
-            out.append(InversionUndefinedError(
-                f"{bound_kind} bound is not decreasing in rho2; inversion undefined"
-            ))
+        if nan[lane] or increases[lane]:
+            why = "NaN on the rho2 pre-scan" if nan[lane] else "not decreasing in rho2"
+            out.append(InversionUndefinedError(f"{bound_kind} bound is {why}; inversion undefined"))
         elif not first_high[lane]:
             out.append(float(_PRESCAN[0]) if mode == "ach" else InversionUndefinedError(
-                f"{bound_kind} bound is below target {target} everywhere on {scanned}"
-            ))
+                f"{bound_kind} bound is below target {target} everywhere on {scanned}"))
         elif last_high[lane]:
             out.append(float(_PRESCAN[-1]) if mode == "conv" else InversionUndefinedError(
-                f"{bound_kind} bound never reaches target {target} on {scanned}"
-            ))
+                f"{bound_kind} bound never reaches target {target} on {scanned}"))
         else:
             out.append(None)
     bracketed = np.array([lane for lane, v in enumerate(out) if v is None], dtype=np.intp)
-    cross = cross[bracketed]
     # The search runs on f = ln(risk / target), infinite where the risk is
     # inf or a converse is clamped to 0; the bracket's low end is on the high
     # side of the target, its high end not.
@@ -826,9 +840,9 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
             return high(r, target), np.log(r) - log_target
 
     with np.errstate(divide="ignore"):
-        f_lo = np.log(table[bracketed, cross - 1]) - log_target
-        f_hi = np.log(table[bracketed, cross]) - log_target
-    lo, hi = _illinois(step, _PRESCAN[cross - 1], _PRESCAN[cross], f_lo, f_hi, INVERT_RTOL)
+        f_lo = np.log(v_lo[bracketed]) - log_target
+        f_hi = np.log(v_hi[bracketed]) - log_target
+    lo, hi = _illinois(step, lo[bracketed], hi[bracketed], f_lo, f_hi, INVERT_RTOL)
     for lane, value in zip(bracketed.tolist(), (hi if mode == "ach" else lo).tolist()):
         out[lane] = value
     return out
@@ -846,7 +860,7 @@ def _illinois(step, lo, hi, f_lo, f_hi, rtol: float):
     at least 0.4 * rtol * hi inside the bracket, so after a point lands on
     the root the next one falls just past it and closes the bracket; where
     an end's f is not finite, the step is the geometric midpoint instead,
-    held inside the same way (it underflows to 0 for subnormal ends).
+    held inside the same way.
     """
     # The live lanes' brackets, values and last move (+1: lo moved, -1: hi
     # moved), packed; a lane's bracket is written back when it is done.
@@ -863,7 +877,9 @@ def _illinois(step, lo, hi, f_lo, f_hi, rtol: float):
         gap = 0.4 * rtol * b
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             x = np.exp(log_a + fa / (fa - fb) * (np.log(b) - log_a))
-        x = np.minimum(np.maximum(np.where(secant, x, np.sqrt(a * b)), a + gap), b - gap)
+        # a b underflows below about 1e-154; sqrt(a) sqrt(b) keeps the midpoint there.
+        mid = np.where(a * b >= np.finfo(float).tiny, np.sqrt(a * b), np.sqrt(a) * np.sqrt(b))
+        x = np.minimum(np.maximum(np.where(secant, x, mid), a + gap), b - gap)
         up, fx = step(live, x)
         # Illinois: halve the f of an end kept for the second step running.
         a, b, fa, fb = (
@@ -909,10 +925,11 @@ def invert_for_rho2(
     achievability, its low end for converses.  The pre-scan spans
     [1e-13, 1 - 1e-9]: a bound already on the low side of the target at
     1e-13 gives 1e-13 for achievability, and one still on the high side at
-    1 - 1e-9 gives 1 - 1e-9 for converses.  In the other two such cases the
-    target is not crossed on the scanned range, and
-    ``InversionUndefinedError`` is raised, naming that range; it is raised
-    too when monotonicity fails or the pre-scan holds a NaN.
+    1 - 1e-9 gives 1 - 1e-9 for converses.  A converse below the target at
+    1e-13 steps down by decades (1e-14, ..., 1e-307) until it is not.  A
+    converse below it down to 1e-307, or an achievability bound above it
+    at 1 - 1e-9, raises ``InversionUndefinedError``, naming the range
+    scanned; so do a failed monotonicity check and a NaN in the scan.
 
     ``n`` and ``d`` may also be arrays, broadcast to a block of lanes.  The
     block is inverted at once and a list comes back with, per lane, the

@@ -26,5 +26,5 @@ class ConditionViolatedError(CorralignError):
 
 class InversionUndefinedError(CorralignError):
     """A monotone bound inversion does not cross the requested target on the
-    rho2 range its pre-scan covers, [1e-13, 1 - 1e-9], or the pre-scan
-    found a NaN or non-monotone behaviour."""
+    rho2 range it scanned, which the message names, or its scan found a NaN
+    or non-monotone behaviour."""

@@ -1,40 +1,30 @@
 """Independent verification oracles for every closed form in the package.
 
 Everything here recomputes a quantity by a second route — brute-force
-enumeration, Monte Carlo, numerical inversion, or dense linear algebra — and
-compares it against the closed form used elsewhere, or against an exact law
-from ``laws``.  The ``verify`` entry point runs the whole named-check suite
-and returns a structured report; the CLI surfaces it.
+enumeration, Monte Carlo, quadrature, numerical inversion, or dense linear
+algebra — and compares it against the closed form used elsewhere, or
+against an exact law from ``laws``.  The ``verify`` entry point runs the
+whole named-check suite and returns a structured report; the CLI surfaces it.
 
 All Monte-Carlo checks accept at 3 sigma (with a rule-of-three floor for
 degenerate counts) and derive their generators from (master seed, check
 name, batch index) so reruns and worker counts cannot change results.
 Each job has one implementation: both tail bounds take their exact tails
 from ``laws.quadratic_form_tail``, both statistic MGFs run through
-``_mgf_mc_check``, and every worst-case fold is ``_worst``, which lets a NaN
-through so it fails its check.
+``_mgf_mc_check``, both Gaussian MGFs through ``quadratic_mgf_check`` (80-node
+Gauss-Hermite quadrature in R's eigenbasis, held to ``MGF_RTOL``), and every
+worst-case fold is ``_worst``, which lets a NaN through so it fails its check.
 
-The draws never change: each check keeps its streams, draw count and draw
-order.  There are two exceptions.  The tail rows, ``tail-squares`` and
-``tail-chaos``, draw nothing: their bounds are checked against the exact
-law of a Gaussian quadratic form, the same at every seed.  The column-sum
-rows, ``null-mgf-mc``, ``alt-mgf-mc`` and ``statistic-moments``, draw the
-two column sums of each database pair from their law, not the databases
-(``_column_sum_stats``): two (size, d) blocks per batch where the databases
-took two (size, n, d) blocks, with the same trial counts, batches and
-3-sigma rules; ``statistic-moments`` takes its radii from the exact
-standard deviations of the statistic and its square.  The two truncation
-rows, ``truncation-event-methods`` and ``truncation-first-moment``, keep one
-generator per trial, ``spec.rng(i)``, and its draws; they test the event
-on stacks of such trials (``_pair_chunks`` and ``_events_hold``), whose
-sums run along the last axis, so each trial gets the floats it gets alone.
-The batch arithmetic around the draws may change only where every bit of
-the pinned rows holds (``test_refactored_rows_are_pinned``,
-``test_batched_rows_are_pinned`` and ``test_rows_not_redrawn_are_pinned``),
-so a faster form must compute the same floats, not merely close ones.  Two
-rows moved on purpose: log L's factored form (``_batched_log_l``), by
-rounding only, and ``closed-min-quadratic``, whose grid minimum is refined
-by the library's one bracketing search (``bounds._illinois`` on f').
+The tail rows and the Gaussian MGF rows draw nothing, so they read the same
+at every seed.  The column-sum rows draw the two column sums of each
+database pair from their law (``_column_sum_stats``), not the databases.
+The truncation rows keep one generator per trial, ``spec.rng(i)``, and test
+the event on stacks of such trials (``_pair_chunks`` and ``_events_hold``),
+whose sums run along the last axis, so each trial gets the floats it gets
+alone.  Arithmetic around the draws may change only where the pinned rows
+keep every bit (``test_refactored_rows_are_pinned``,
+``test_batched_rows_are_pinned`` and ``test_rows_not_redrawn_are_pinned``):
+a faster form must compute the same floats, not merely close ones.
 """
 
 from __future__ import annotations
@@ -247,75 +237,75 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix must be finite")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise DomainError("matrix must be symmetric")
     return a
 
 
-def _quadratic_form(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row t's x_t' A x_t for each row of ``x``.
+#: Relative tolerance of the two MGF rows.
+MGF_RTOL = 1e-12
 
-    Adds the products (x_i A_ij) x_j in row-major (i, j) order, starting
-    from 0, as the three-operand ``np.einsum("ti,ij,tj->t", ...)`` does, so
-    the values keep its bits; zero entries of A add nothing and are skipped.
+
+@functools.lru_cache(maxsize=None)
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 80-node Gauss-Hermite rule for E f(Z), Z ~ N(0, 1)."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
+
+
+def quadratic_mgf_check(R: np.ndarray, b: np.ndarray) -> CheckResult:
+    """E exp(X'RX/2 + X'b), X ~ N(0, I), by quadrature against the closed form
+    det(I - R)^(-1/2) exp(b'(I - R)^(-1) b / 2); passes at ``MGF_RTOL``.
+
+    With R = Q diag(lam) Q', c = Q'b and s = (1 - lam)^(-1/2), the mean is
+    prod_i s_i E exp(s_i c_i Z) (``docs/math_notes.md`` section 7); each
+    factor is the 80-node rule, accurate to 1e-12 for |s_i c_i| <= 10.
     """
-    out = np.zeros(x.shape[0])
-    cols = np.ascontiguousarray(x.T)
-    for i, j in zip(*np.nonzero(a)):
-        out += (cols[i] * a[i, j]) * cols[j]
-    return out
-
-
-def quadratic_mgf_check(R: np.ndarray, b: np.ndarray, trials: int, seed) -> CheckResult:
-    """MC mean of exp(X'RX/2 + X'b) against the Gaussian closed form."""
     r = _require_symmetric(R)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    dim = r.shape[0]
-    if b.shape[0] != dim:
+    if b.shape[0] != r.shape[0]:
         raise DomainError("b must have one entry per dimension of R")
-    eye = np.eye(dim)
-    try:
-        np.linalg.cholesky(eye - r)
-    except np.linalg.LinAlgError:
-        raise DomainError("I - R must be positive definite") from None
-    sign, logdet = np.linalg.slogdet(eye - r)
-    closed = math.exp(0.5 * float(b @ np.linalg.solve(eye - r, b)) - 0.5 * logdet)
-
-    def draw(rng, size):
-        x = rng.standard_normal((size, dim))
-        return np.exp(0.5 * _quadratic_form(x, r) + x @ b)
-
-    mean, ci = _mc_mean(as_seedspec(seed, "oracle/quadratic-mgf"), trials, draw)
-    return CheckResult(
-        name="quadratic-mgf",
-        passed=abs(mean - closed) <= ci + 1e-12,
-        statistic=mean,
-        reference=closed,
-        detail=f"3-sigma half-width {ci:.3e} over {trials} draws",
-    )
+    if not np.isfinite(b).all():
+        raise DomainError("b must be finite")
+    lam, q = np.linalg.eigh(r)
+    if not lam.max(initial=-math.inf) < 1.0:
+        raise DomainError("I - R must be positive definite")
+    s = 1.0 / np.sqrt(1.0 - lam)
+    slopes = s * (q.T @ b)
+    if np.abs(slopes).max(initial=0.0) > 10.0:
+        raise DomainError("a factor's slope |s_i c_i| exceeds 10, where the 80-node rule "
+                          "misses 1e-12 (the MGF exceeds e^50)")
+    nodes, weights = _hermite_rule()
+    quad = float(np.prod(s * (np.exp(np.outer(slopes, nodes)) @ weights)))
+    i_r = np.eye(b.size) - r
+    closed = math.exp(0.5 * float(b @ np.linalg.solve(i_r, b)) - 0.5 * np.linalg.slogdet(i_r)[1])
+    rel = abs(quad - closed) / closed
+    return CheckResult("quadratic-mgf", rel <= MGF_RTOL, quad, closed,
+                       f"relative error {rel:.3e} (80-node Gauss-Hermite per eigenvalue)")
 
 
-def pair_mgf_check(a: float, b: float, d: int, trials: int, seed) -> CheckResult:
-    """MC and block-matrix routes to E exp(-a|X|^2 - a|Y|^2 + b X'Y).
+def pair_mgf_check(a: float, b: float, d: int) -> CheckResult:
+    """Quadrature and block-matrix routes to E exp(-a|X|^2 - a|Y|^2 + b X'Y).
 
     The closed form ((1+2a)^2 - b^2)^(-d/2) must agree with the generic
-    quadratic-form formula applied to the 2d-dimensional block matrix, and
-    the MC mean must agree with both.
+    quadratic-form formula applied to the 2d-dimensional block matrix to
+    1e-10, and the quadrature on that matrix with it to ``MGF_RTOL``.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("a and b must be finite")
     if 1.0 + 2.0 * a <= 0.0 or abs(1.0 + 2.0 * a) <= abs(b):
         raise DomainError("need 1 + 2a > 0 and |1 + 2a| > |b| for convergence")
     closed = ((1.0 + 2.0 * a) ** 2 - b * b) ** (-0.5 * d)
     eye = np.eye(d)
     r = np.block([[-2.0 * a * eye, b * eye], [b * eye, -2.0 * a * eye]])
-    inner = quadratic_mgf_check(r, np.zeros(2 * d), trials, seed)
+    inner = quadratic_mgf_check(r, np.zeros(2 * d))
     forms_agree = abs(inner.reference - closed) <= 1e-10 * closed
-    return CheckResult(
-        name="pair-mgf",
-        passed=bool(inner.passed and forms_agree),
-        statistic=inner.statistic,
-        reference=closed,
-        detail=f"block-form reference {inner.reference!r}; {inner.detail}",
-    )
+    rel = abs(inner.statistic - closed) / closed
+    return CheckResult("pair-mgf", inner.passed and forms_agree and rel <= MGF_RTOL,
+                       inner.statistic, closed,
+                       f"block-form reference {inner.reference!r}; relative error {rel:.3e}")
 
 
 def circulant_det_check(cycle_len: int, rho: float) -> CheckResult:
@@ -563,13 +553,8 @@ def truncated_first_moment_check(
     rates = bounds.truncation_exponents(schedule, n, d, params.rho2)
     m = min(rates.deficit_norm, rates.deficit_cross)
     if not schedule.valid or m <= 0.0:
-        return CheckResult(
-            name="truncation-first-moment",
-            passed=False,
-            statistic=m,
-            reference=0.0,
-            detail="schedule preconditions failed; no deficit bound available",
-        )
+        return CheckResult("truncation-first-moment", False, m, 0.0,
+                           "schedule preconditions failed; no deficit bound available")
     if trials < 1:
         raise DomainError("trials must be >= 1")
     deficit = 4.0 * math.exp(-k_star * m) / -math.expm1(-m)
@@ -581,13 +566,8 @@ def truncated_first_moment_check(
             ~_events_hold(xs, ys, identity, schedule, params.rho_sign)))
     rate = failures / trials
     ci = binomial_ci(failures, trials)
-    return CheckResult(
-        name="truncation-first-moment",
-        passed=rate <= deficit + ci,
-        statistic=rate,
-        reference=deficit,
-        detail=f"{failures} event failures in {trials} planted trials; 3-sigma {ci:.2e}",
-    )
+    return CheckResult("truncation-first-moment", rate <= deficit + ci, rate, deficit,
+                       f"{failures} event failures in {trials} planted trials; 3-sigma {ci:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -890,13 +870,12 @@ def _chk_tv_bound(spec: SeedSpec) -> CheckResult:
 
 @_check("quadratic-mgf")
 def _chk_quadratic_mgf(spec: SeedSpec) -> CheckResult:
-    r = np.diag([0.3, -0.2])
-    return quadratic_mgf_check(r, np.array([1.0, 0.0]), 400_000, spec)
+    return quadratic_mgf_check(np.diag([0.3, -0.2]), np.array([1.0, 0.0]))
 
 
 @_check("pair-mgf")
 def _chk_pair_mgf(spec: SeedSpec) -> CheckResult:
-    return pair_mgf_check(0.2, 0.3, 3, 400_000, spec)
+    return pair_mgf_check(0.2, 0.3, 3)
 
 
 @_check("circulant-dets")
@@ -982,14 +961,14 @@ VERIFY_CHECKS: tuple[str, ...] = tuple(_REGISTRY)
 #: paragraph gives the command that re-times the checks; a new check must
 #: be placed here too.
 DISPATCH_ORDER: tuple[str, ...] = (
-    "truncation-first-moment", "tv-vs-unconditional", "pair-mgf", "likelihood-unit-mean",
-    "statistic-moments", "jensen-consistency", "null-mgf-mc", "second-moment-mc",
-    "alt-mgf-mc", "quadratic-mgf", "curve-ordering", "truncation-event-methods",
-    "likelihood-single-row", "likelihood-logsumexp-naive", "tail-chaos",
-    "closed-min-quadratic", "chernoff-identity", "second-moment-census",
-    "second-moment-dominance", "sqrt-floor-family", "exponent-floor-md", "circulant-dets",
-    "truncated-vs-unconditional", "tail-squares", "balanced-tuning-slack",
-    "sqrt-cube-envelope", "exponent-floor-fa",
+    "truncation-first-moment", "tv-vs-unconditional", "statistic-moments",
+    "likelihood-unit-mean", "jensen-consistency", "null-mgf-mc", "second-moment-mc",
+    "alt-mgf-mc", "curve-ordering", "truncation-event-methods", "likelihood-single-row",
+    "likelihood-logsumexp-naive", "tail-chaos", "chernoff-identity", "closed-min-quadratic",
+    "sqrt-floor-family", "second-moment-census", "second-moment-dominance",
+    "exponent-floor-md", "circulant-dets", "truncated-vs-unconditional",
+    "balanced-tuning-slack", "tail-squares", "sqrt-cube-envelope", "exponent-floor-fa",
+    "quadratic-mgf", "pair-mgf",
 )
 
 

@@ -654,17 +654,48 @@ class TestInversion:
             invert_for_rho2("rec-ach", 1e6, 1, 0.1)
 
     def test_uncrossed_target_names_the_scanned_range(self):
-        # At d sqrt(n) = 1e12 the det-conv crossing, near 0.0456 / (d sqrt n),
-        # lies below the pre-scan's first point: the target is not crossed on
-        # the scanned range, though it is on (0, 1).
-        assert truncated_converse_risk(1e12, 1e6, 4.5e-14) >= 0.1
-        scanned = r"on the scanned range \[1e-13, 0\.999999999\] of rho2$"
+        # A converse below the target at 1e-13 is scanned down by decades to
+        # 1e-307; the recovery-converse floor never exceeds 1 - 1/n^2 - 4/n,
+        # here 0 < 0.1, so the error names the whole range scanned.
+        scanned = r"on the scanned range \[1e-307, 0\.999999999\] of rho2$"
         with pytest.raises(InversionUndefinedError, match="below target 0.1 everywhere " + scanned):
-            invert_for_rho2("det-conv", 1e12, 1e6, 0.1)
+            invert_for_rho2("rec-conv", 2.0, 100.0, 0.1)
+        # An achievability bound names the pre-scan's own range.
+        scanned = r"on the scanned range \[1e-13, 0\.999999999\] of rho2$"
+        with pytest.raises(InversionUndefinedError, match="never reaches target 0.1 " + scanned):
+            invert_for_rho2("rec-ach", 1e6, 1, 0.2)
+
+    def test_converse_crossing_below_the_prescan_is_found(self):
+        # At d sqrt(n) = 1e12 the det-conv crossing, near 0.0456 / (d sqrt n),
+        # lies below the pre-scan's first point, 1e-13: the decade scan
+        # brackets it in [1e-14, 1e-13], with one bound call per decade.
+        with mock.patch.object(bounds, "truncated_converse_risk",
+                               wraps=bounds.truncated_converse_risk) as spy:
+            r2 = invert_for_rho2("det-conv", 1e12, 1e6, 0.1)
+        assert 1e-14 < r2 < 1e-13
+        assert spy.call_args_list[1].args[2].tolist() == [1e-14]
+        assert r2 == pytest.approx(4.5640526479700506e-14, rel=1e-12)
+        assert _on_reported_side("det-conv", 1e12, 1e6, r2, 0.1)
+        assert not _on_reported_side("det-conv", 1e12, 1e6, r2 * (1.0 + 1e-9), 0.1)
+
+    def test_converse_crossing_near_the_float_floor_is_found(self):
+        # At n = 1e300 the converse is the unconditional bound, which
+        # crosses 0.1 near 5.9e-303; the bracket's ends multiply to below
+        # the smallest float there, so its midpoint is sqrt(lo) sqrt(hi).
+        r2 = invert_for_rho2("det-conv", 1e300, 100.0, 0.1)
+        assert 1e-303 < r2 < 1e-302
+        assert _on_reported_side("det-conv", 1e300, 100.0, r2, 0.1)
+        assert not _on_reported_side("det-conv", 1e300, 100.0, r2 * (1.0 + 1e-9), 0.1)
 
     def test_conv_below_target_at_left_edge_raises(self):
+        # Below the target at 1e-13 is not enough: the decade scan finds
+        # det-conv's crossing near 4.9e-18 here.  A converse raises only if
+        # no decade down to 1e-307 reaches the target; rec-conv at n = 10
+        # never exceeds 1 - 1/n^2 - 4/n = 0.59.
+        r2 = invert_for_rho2("det-conv", 1000, 500, 0.999999)
+        assert r2 == pytest.approx(4.854e-18, rel=1e-3)
         with pytest.raises(InversionUndefinedError, match="below target .* everywhere"):
-            invert_for_rho2("det-conv", 1000, 500, 0.999999)
+            invert_for_rho2("rec-conv", 10, 100, 0.7)
 
     # A NaN compares false against the target, which read as "met" and gave
     # the first pre-scan point, 1e-13.

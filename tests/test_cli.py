@@ -782,11 +782,11 @@ class TestReportGolden:
         [
             (
                 ["verify", "--seed", "0", "--format", "csv"],
-                "51f545a8840452f6033f70cdd7fe7e015908a2865b17c6ad97c97ebbef6b7f08",
+                "0b3215630881397e83f5967220a0e23e9a8abee1416e88529caad08ae0d8c36c",
             ),
             (
                 ["verify", "--seed", "0", "--format", "json"],
-                "d6ebbe2825e378401773b1a46a01bfbc0a17fdc001e89a743f55adea399393ff",
+                "d2403685a800c1e0654ff4944289f6f6c6c7ede93b7175ee41fc571ffd98eb48",
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "csv"],

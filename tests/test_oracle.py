@@ -207,26 +207,92 @@ class TestTvLowerBound:
         assert (max(e_abs - 5.0 / 3.0 * est.ci_radius, 0.0)) ** 2 <= rhs
 
 
+def _diagonal_mgf(lam, b) -> float:
+    """E exp(X'RX/2 + X'b) for R = diag(lam): prod (1 - lam)^(-1/2) exp(b^2 / (2 (1 - lam)))."""
+    return math.prod((1.0 - x) ** -0.5 * math.exp(c * c / (2.0 * (1.0 - x)))
+                     for x, c in zip(lam, b))
+
+
 class TestQuadraticMgf:
     def test_rejects_bad_matrix(self):
         with pytest.raises(DomainError):
-            quadratic_mgf_check(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), 100, 0)
+            quadratic_mgf_check(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
         # The exponent is X'RX/2 + X'b, so I - R must be positive definite.
         with pytest.raises(DomainError):
-            quadratic_mgf_check(np.eye(2) * 1.5, np.zeros(2), 100, 0)
+            quadratic_mgf_check(np.eye(2) * 1.5, np.zeros(2))
 
     def test_diagonal_case(self):
-        res = quadratic_mgf_check(np.diag([0.2, -0.3]), np.array([0.5, 0.0]), 200_000, 7)
-        assert res.passed
+        res = quadratic_mgf_check(np.diag([0.2, -0.3]), np.array([0.5, 0.0]))
+        assert res.passed, res.detail
+        assert abs(res.statistic - _diagonal_mgf([0.2, -0.3], [0.5, 0.0])) <= 1e-12 * res.statistic
+
+    def test_accurate_where_an_unscaled_rule_is_not(self):
+        # The rule runs on Z after y = s z with s = (1 - lam)^(-1/2); run on
+        # y's own weight exp(-y^2/2), the same 80 nodes miss by about 100% at
+        # lam = 0.99 and lam = -1e6.
+        rng = np.random.default_rng(36)
+        m = rng.standard_normal((6, 6))
+        m = (m + m.T) / 6.0
+        m -= (np.linalg.eigvalsh(m).max() - 0.5) * np.eye(6)  # top eigenvalue 0.5
+        eye = np.eye(50)
+        cases = [
+            (np.diag([0.99]), np.array([0.5]), _diagonal_mgf([0.99], [0.5])),
+            (np.diag([-1e6, 0.2]), np.array([3.0, 1.0]), _diagonal_mgf([-1e6, 0.2], [3.0, 1.0])),
+            (m, rng.standard_normal(6), None),
+            (np.block([[-0.4 * eye, 0.3 * eye], [0.3 * eye, -0.4 * eye]]), np.zeros(100),
+             (1.4**2 - 0.09) ** -25.0),
+        ]
+        for r, b, exact in cases:
+            res = quadratic_mgf_check(r, b)
+            assert res.passed, res.detail
+            assert abs(res.statistic - res.reference) <= 1e-12 * res.reference
+            if exact is not None:
+                assert abs(res.statistic - exact) <= 1e-12 * exact
+
+    def test_row_is_exact_at_every_seed(self):
+        # The rows draw nothing, so every seed gives the seed-0 row.
+        for name in ("quadratic-mgf", "pair-mgf"):
+            rows = {oracle._REGISTRY[name](SeedSpec(seed, f"verify/{name}"))
+                    for seed in (0, 10, 224, 234)}
+            (row,) = rows
+            assert row.passed
+            assert abs(row.statistic - row.reference) <= 1e-12 * row.reference
+
+    @pytest.mark.parametrize(
+        "r, b, match",
+        [
+            (np.array([[0.1, np.nan], [np.nan, 0.1]]), [0.0, 0.0], "matrix must be finite"),
+            (np.diag([0.1, np.inf]), [0.0, 0.0], "matrix must be finite"),
+            (np.diag([0.1, 0.2]), [np.nan, 0.0], "b must be finite"),
+            (np.diag([0.1, 0.2]), [0.0, -np.inf], "b must be finite"),
+            # lam = 0.99 gives s = 10, so c = 1.01 is a slope of 10.1.
+            (np.diag([0.99, 0.0]), [1.01, 0.0], "slope"),
+            (np.diag([0.0]), [10.5], "slope"),
+        ],
+    )
+    def test_input_checks_name_the_cause(self, r, b, match):
+        with pytest.raises(DomainError, match=match):
+            quadratic_mgf_check(r, np.array(b))
+
+    def test_slope_cap_is_inclusive(self):
+        # |s c| = 10 is the largest slope the rule is held to.
+        res = quadratic_mgf_check(np.diag([0.0]), np.array([10.0]))
+        assert res.passed, res.detail
 
     def test_pair_mgf(self):
-        res = pair_mgf_check(0.15, 0.25, 2, 200_000, 8)
-        assert res.passed
+        res = pair_mgf_check(0.15, 0.25, 2)
+        assert res.passed, res.detail
         assert "0." in res.detail  # records the block-form reference value
+        assert abs(res.statistic - (1.3**2 - 0.0625) ** -1.0) <= 1e-12 * res.statistic
 
     def test_pair_mgf_domain(self):
         with pytest.raises(DomainError):
-            pair_mgf_check(0.1, 1.3, 2, 100, 0)  # |b| >= 1 + 2a
+            pair_mgf_check(0.1, 1.3, 2)  # |b| >= 1 + 2a
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.25), (0.15, math.nan), (math.inf, 0.25)])
+    def test_pair_mgf_rejects_non_finite(self, a, b):
+        with pytest.raises(DomainError, match="a and b must be finite"):
+            pair_mgf_check(a, b, 2)
 
 
 class TestCirculant:
@@ -287,11 +353,11 @@ class TestConcentration:
     "helper, args",
     [
         (truncated_first_moment_check, (12, 40, math.sqrt(0.2), 4, 1.0)),
-        (quadratic_mgf_check, (np.diag([0.3, -0.2]), [1.0, 0.0])),
-        (pair_mgf_check, (0.15, 0.25, 2)),
         (mc_second_moment, (2, 2, 0.3)),
         (tv_risk_lower_bound_mc, (2, 2, 0.3)),
     ],
+    ids=["truncated_first_moment_check-args0", "mc_second_moment-args3",
+         "tv_risk_lower_bound_mc-args4"],
 )
 def test_zero_trials_is_domain_error(helper, args):
     # Every Monte-Carlo rate or mean divides by the trial count.
@@ -659,16 +725,18 @@ def test_floor_md_matches_scalar_g_md_loop():
 
 
 def test_batched_rows_are_pinned():
-    # Bits of the checks whose batch arithmetic is rewritten around
-    # unchanged draws (the quadratic forms, the column-sum blend); every row
-    # must keep its bits.  closed-min-quadratic was re-pinned when its
-    # golden-section refinement became a root search on f'.  statistic-moments
+    # Bits of the checks whose arithmetic was rewritten (the column-sum
+    # blend); every row must keep its bits.  closed-min-quadratic was
+    # re-pinned when its golden-section refinement became a root search on
+    # f', and quadratic-mgf and pair-mgf when Gauss-Hermite quadrature in
+    # R's eigenbasis replaced their Monte Carlo: they draw nothing and read
+    # the same at every seed.  statistic-moments
     # missed its 3-sigma band at seed 7 when it drew whole databases; drawing
     # the column sums from their law, it passes at seeds 1 and 7, and a
     # future miss is pinned as it stands.  Its radii are the exact standard
     # deviations of T and T^2, not sample ones.
     names = ("closed-min-quadratic", "quadratic-mgf", "pair-mgf", "statistic-moments")
-    assert _row_digest(names) == "d5149e5cb1b15309ffdfb48359252df8b57e9a17785edcd88644ff846054db27"
+    assert _row_digest(names) == "9265575ca1307a7e62cd8921be9d1ce1fa8fa2b22c79304627f3f432c7d3da8c"
 
 
 def test_rows_not_redrawn_are_pinned():
@@ -678,10 +746,11 @@ def test_rows_not_redrawn_are_pinned():
     # digest and must be pinned here.  The likelihood rows were re-pinned
     # when log L took its sigma-free part out of the sum over permutations:
     # same draws, values moved by rounding (a few ulp), no pass/fail changed.
-    # closed-min-quadratic was re-pinned with its root search on f'.
+    # closed-min-quadratic was re-pinned with its root search on f', and
+    # quadratic-mgf and pair-mgf with their quadrature.
     redrawn = ("null-mgf-mc", "alt-mgf-mc", "statistic-moments")
     names = [name for name in VERIFY_CHECKS if name not in redrawn]
-    assert _row_digest(names) == "1a1848de796d2595c5f11734d7c7bcdd85e777ab6c41c65b2f43c7df1ab6fc41"
+    assert _row_digest(names) == "c7f759e67002178f7de696aa2e8dd68d9a91a67092f1c8725fc84d7969aa3f37"
 
 
 def _closed_min(a: float, d: float) -> float:
@@ -711,23 +780,6 @@ def test_closed_min_row_passes_at_every_seed():
         result = oracle._REGISTRY["closed-min-quadratic"](
             SeedSpec(seed, "verify/closed-min-quadratic"))
         assert result.passed and result.statistic <= 1e-12, seed
-
-
-def test_quadratic_form_keeps_einsum_bits():
-    # np.einsum("ti,ij,tj->t") is the reference the checks' quadratic forms
-    # replaced; dense matrices check the summation order, sparse ones the
-    # skipped zeros.
-    rng = np.random.default_rng(21)
-    dense = rng.standard_normal((10, 10))
-    sparse = np.where(rng.random((7, 7)) < 0.3, rng.standard_normal((7, 7)), 0.0)
-    mats = [np.diag([0.3, -0.2]), np.diag(np.linspace(0.2, 1.0, 6)),
-            np.block([[-0.4 * np.eye(3), 0.3 * np.eye(3)], [0.3 * np.eye(3), -0.4 * np.eye(3)]]),
-            oracle.aligned_cross_term_matrix(0.6, 5), oracle.aligned_cross_term_matrix(-0.3, 4),
-            dense + dense.T, sparse + sparse.T, np.zeros((3, 3))]
-    for a in mats:
-        x = rng.standard_normal((513, a.shape[0]))
-        want = np.einsum("ti,ij,tj->t", x, a, x)
-        assert np.array_equal(oracle._quadratic_form(x, a).view(np.int64), want.view(np.int64))
 
 
 class TestTruncationEventNegativeRho:
