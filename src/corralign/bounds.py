@@ -209,6 +209,12 @@ def _phi(ratio, neg_half_d, fa, md):
         return ratio + neg_half_d * (fa - md)
 
 
+def _phi_at(gamma, neg_half_d, abs_rho, u, log_u):
+    """``_phi`` at gamma; elementwise in all arguments."""
+    return _phi(_slope_log_ratio(gamma, abs_rho, u), neg_half_d, _g_fa(gamma),
+                _g_md(gamma, abs_rho, u, log_u))
+
+
 #: Relative width in gamma at which ``minimize_two_exponent`` stops its root
 #: search.  Near the minimum the bound's relative error is about
 #: (h'' gamma^2 / h) w^2 / 2 at width w, and h'' gamma^2 / h is about
@@ -247,7 +253,7 @@ def minimize_two_exponent(d, rho2):
         raise DomainError("rho2 must lie in (0, 1)")
     if not np.all(dd >= 1.0):  # NaN fails this too
         raise DomainError("d must be >= 1")
-    gamma, bound = _minimize_lanes(dd, r2)
+    gamma, bound, _ = _minimize_lanes(dd, r2)
     return _shaped(gamma, shape), _shaped(bound, shape)
 
 
@@ -276,6 +282,10 @@ def _md_lane_args(rho2):
 #: [1e-12, 1/63] times 4 rho^2, log-spaced about 0.5 e-folds apart.
 PROBE = 48
 
+#: Relative half-width of a warm-start bracket of ``_minimize_lanes``: a
+#: lane's previous minimizer, as a fraction of 4 rho^2, times 1 -/+ this.
+WARM_WIDTH = 1e-3
+
 
 def _first_turn(x, phi):
     """Per row, the first neighbouring points x[i] < x[i+1] with
@@ -290,16 +300,78 @@ def _first_turn(x, phi):
     return x[n, i], x[n, i + 1], phi[n, i], phi[n, i + 1], turns[n, i]
 
 
-def _minimize_lanes(d, rho2):
-    """``minimize_two_exponent`` on 1-D lanes.
+def _minimize_lanes(d, rho2, warm=None):
+    """``minimize_two_exponent`` on 1-D lanes; returns (gamma, bound, settled).
 
-    The scan grid and its ``_g_fa``/``_g_md`` rows depend on rho^2 alone, so
-    they are built once per distinct rho^2 (at most ``LANE_CAP`` rows at a
-    time) and gathered per lane, ``LANE_CAP`` lanes per scan step.  The scan
-    compares the bound scaled by a per-lane power of e, which keeps the
-    smallest point between 1 and 2, and evaluates the bound itself only
-    there.  Gathers and ``np.where`` only select, so each lane gets its
-    scalar call's bits.
+    Each lane's bracket of the minimum comes from ``_scan_lanes``, and one
+    root search then refines every bracket.  ``warm``, where given, holds a
+    previous minimizer per lane as a fraction of 4 rho^2, NaN for none.  A
+    lane where phi turns from + to - across that fraction times
+    1 -/+ ``WARM_WIDTH`` takes that bracket instead of a scan, and its
+    candidates are the bracket's ends and the balanced point.  ``settled``
+    marks the lanes whose bracket is such a warm one or a turn of the scan
+    outside the first-cell probe, so a later call may warm-start them
+    (docs/math_notes.md, section 3).  Gathers and ``np.where`` only select,
+    so each lane's floats depend on its own inputs alone: without ``warm``,
+    they are those of its scalar ``minimize_two_exponent`` call.
+    """
+    lane_args = (-0.5 * d, *_md_lane_args(rho2))
+    if warm is None:
+        lo, hi, f_lo, f_hi, turn, settled, scan_gamma, scan_bound = _scan_lanes(d, rho2)
+    else:
+        lo, hi, f_lo, f_hi, scan_gamma = (np.full(d.size, np.nan) for _ in range(5))
+        scan_bound = np.full(d.size, np.inf)  # never a better candidate
+        turn = np.zeros(d.size, dtype=bool)
+        start = np.flatnonzero(~np.isnan(warm))
+        x = (4.0 * rho2[start] * warm[start])[:, None] * [1.0 - WARM_WIDTH, 1.0 + WARM_WIDTH]
+        phi = _phi_at(x, *(v[start, None] for v in lane_args))
+        held = (phi[:, 0] > 0.0) & (phi[:, 1] <= 0.0)
+        at = start[held]
+        lo[at], hi[at], f_lo[at], f_hi[at] = x[held, 0], x[held, 1], phi[held, 0], phi[held, 1]
+        turn[at] = True
+        settled = turn.copy()
+        scan = np.flatnonzero(~turn)
+        if scan.size:
+            found = _scan_lanes(d[scan], rho2[scan])
+            for out, v in zip((lo, hi, f_lo, f_hi, turn, settled, scan_gamma, scan_bound), found):
+                out[scan] = v
+    # Where the bound underflows to 0 at the scan's smallest point there is
+    # nothing left to refine.
+    bracket = np.flatnonzero(turn & (scan_bound > 0.0))
+    turn_args = tuple(v[bracket] for v in lane_args)
+
+    def step(live, g):
+        phi = _phi_at(g, *(v[live] for v in turn_args))
+        return phi > 0.0, phi
+
+    lo[bracket], hi[bracket] = _illinois(
+        step, lo[bracket], hi[bracket], f_lo[bracket], f_hi[bracket], MINIMIZE_RTOL
+    )
+    # The first smallest of (bracket low end, high end, scan, balanced): the
+    # better end of the bracket, then min() over it, the scan and balanced.
+    # The three bounds are one stacked call, elementwise like three.
+    at_lo, at_hi, balanced = _two_exp_bound(np.stack([lo, hi, rho2]), *lane_args)
+    gamma, bound = lo, at_lo
+    candidates = ((hi, at_hi), (scan_gamma, scan_bound), (rho2, balanced))
+    for cand_gamma, cand_bound in candidates:
+        better = cand_bound < bound
+        gamma = np.where(better, cand_gamma, gamma)
+        bound = np.where(better, cand_bound, bound)
+    return gamma, bound, settled & (scan_bound > 0.0)
+
+
+def _scan_lanes(d, rho2):
+    """The scan of ``minimize_two_exponent`` on 1-D lanes.
+
+    Returns per lane (lo, hi, phi_lo, phi_hi, turn, scanned, gamma, bound):
+    the bracket of a turn and phi at its ends, whether a turn was found,
+    whether the 3-point scan (not the first-cell probe) found it, and the
+    scan's smallest point and its bound.  The scan grid and its
+    ``_g_fa``/``_g_md`` rows depend on rho^2 alone, so they are built once
+    per distinct rho^2 (at most ``LANE_CAP`` rows at a time) and gathered
+    per lane, ``LANE_CAP`` lanes per scan step.  The scan compares the bound
+    scaled by a per-lane power of e, which keeps the smallest point between
+    1 and 2, and evaluates the bound itself only there.
     """
     lane_of, first = _first_lanes(rho2)
     at = np.array(list(first.values()), dtype=np.intp)  # ascending
@@ -341,6 +413,7 @@ def _minimize_lanes(d, rho2):
             scan_gamma[lanes] = x[:, 1]
             with np.errstate(over="ignore"):
                 scan_log[lanes] = np.logaddexp(c[:, 0] * fa[:, 1], c[:, 0] * md[:, 1])
+    scanned = turn.copy()
     # The first cell spans ten decades, and the bound can dip and rise
     # again inside it when d is small and rho^2 near 1.  It is probed on a
     # log grid where the smallest point is one of its ends and phi can be
@@ -363,30 +436,7 @@ def _minimize_lanes(d, rho2):
         better = probe[found[4]]
         for out, v in zip((lo, hi, f_lo, f_hi, turn), found):
             out[better] = v[found[4]]
-    # Where the bound underflows to 0 at the scan's smallest point there is
-    # nothing left to refine.
-    scan_bound = np.exp(scan_log)
-    bracket = np.flatnonzero(turn & (scan_bound > 0.0))
-    turn_args = tuple(v[bracket] for v in lane_args)
-
-    def step(live, g):
-        c, abs_rho, u, log_u = (v[live] for v in turn_args)
-        phi = _phi(_slope_log_ratio(g, abs_rho, u), c, _g_fa(g), _g_md(g, abs_rho, u, log_u))
-        return phi > 0.0, phi
-
-    lo[bracket], hi[bracket] = _illinois(
-        step, lo[bracket], hi[bracket], f_lo[bracket], f_hi[bracket], MINIMIZE_RTOL
-    )
-    # The first smallest of (bracket low end, high end, scan, balanced): the
-    # better end of the bracket, then min() over it, the scan and balanced.
-    gamma, bound = lo, _two_exp_bound(lo, *lane_args)
-    candidates = ((hi, _two_exp_bound(hi, *lane_args)), (scan_gamma, scan_bound),
-                  (rho2, _two_exp_bound(rho2, *lane_args)))
-    for cand_gamma, cand_bound in candidates:
-        better = cand_bound < bound
-        gamma = np.where(better, cand_gamma, gamma)
-        bound = np.where(better, cand_bound, bound)
-    return gamma, bound
+    return lo, hi, f_lo, f_hi, turn, scanned, scan_gamma, np.exp(scan_log)
 
 
 def detection_ach_risk(d, rho2):
@@ -550,6 +600,30 @@ def _schedule_k_star(n: float, d: float, k_star: int | None, margin: float) -> i
     return k_star
 
 
+def _k_stars(n, d, k_star: int | None, margin: float):
+    """``_schedule_k_star`` on 1-D lanes: each lane's k_star as a float, or 0
+    where a precondition fails.
+
+    The same tests with the same floats: ``math.log`` lane by lane, and an
+    explicit k_star compared with floor(n) as a Python int.  None of them
+    reads rho^2, and none loops over lanes in Python but the log.
+    """
+    if not margin > 0.0:  # NaN fails this too
+        return np.zeros(n.size)
+    with _float_errstate():
+        ok = np.isfinite(d * n)
+    n_top = np.floor(n)
+    if k_star is None:
+        ks = np.minimum(n_top, np.ceil(13.0 * np.sqrt(n)))  # ``default_k_star``
+        ok &= ks >= 1.0
+    else:
+        ok &= np.array([1 <= k_star <= top for top in n_top.tolist()], dtype=bool)
+        ks = np.full(n.size, float(k_star) if ok.any() else 0.0)
+    ln_star = 1.0 + np.array([math.log(x) for x in (n[ok] / ks[ok]).tolist()])
+    ok[ok] = ~(d[ok] < 4.0 * ln_star)
+    return np.where(ok, ks, 0.0)
+
+
 def _schedule(n, d, rho2, k_star, ks, margin) -> TruncationSchedule:
     """The thresholds at the subset sizes ``ks``, with ``valid`` over those sizes.
 
@@ -656,17 +730,9 @@ def truncated_converse_risk(n, d, rho2, k_star: int | None = None, margin: float
     """
     shape, (n, d, rho2) = _checked_lanes(n, d, rho2)
     out = _unconditional_lanes(n, d, rho2)
-    # The schedule preconditions do not involve rho2, so they are checked once
-    # per distinct (n, d); k_star = 0 marks a failure.  A lane failing them,
-    # or at rho2 = 0, keeps the unconditional bound.
-    lane_of, first = _first_lanes(n, d)
-    k_at = {}
-    for (nn, dd), lane in first.items():
-        try:
-            k_at[lane] = _schedule_k_star(nn, dd, k_star, margin)
-        except ConditionViolatedError:
-            k_at[lane] = 0
-    ks = np.array([k_at[lane] for lane in lane_of], dtype=np.float64)
+    # A lane failing the schedule preconditions (k_star 0), or at rho2 = 0,
+    # keeps the unconditional bound.
+    ks = _k_stars(n, d, k_star, margin)
     live = np.flatnonzero((ks > 0.0) & (rho2 != 0.0))
     for i in range(0, live.size, CONVERSE_LANE_CAP):
         at = live[i : i + CONVERSE_LANE_CAP]
@@ -765,19 +831,26 @@ _DECADES = [10.0**-k for k in range(14, 308)]
 #: [lo, hi] of rho2: hi - lo <= INVERT_RTOL * hi.
 INVERT_RTOL = 1e-12
 
-#: Most steps of a ``_illinois`` search: after the pre-scan, and in each
-#: ``minimize_two_exponent`` call.  Geometric bisection alone takes the widest
-#: pre-scan bracket (a factor of 4.3 in rho2) to ``INVERT_RTOL`` in 41 steps,
-#: and a decade in 42; the regula falsi takes 8-17 on the reference grids.  A lane still wider at
-#: the cap reports its bracket end, which keeps the convention.
+#: Most steps of a ``_illinois`` search: after the pre-scan, after the
+#: ``det-ach`` confirmation, and in each ``minimize_two_exponent`` call.
+#: Geometric bisection alone takes the widest pre-scan bracket (a factor of
+#: 4.3 in rho2) to ``INVERT_RTOL`` in 41 steps, and a decade in 42; the regula
+#: falsi takes 8-17 on the reference grids, and none after a confirmation
+#: there.  A lane still wider at the cap reports its bracket end, which keeps
+#: the convention.
 INVERT_MAX_STEPS = 64
 
 
-def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -> list:
+def _invert_lanes(risk, search, lanes: int, bound_kind: str, target: float, mode: str) -> list:
     """The pre-scan and bracket search, run for ``lanes`` lanes in lockstep.
 
     ``risk(sel, rho2)`` evaluates lanes ``sel`` at the rho2 values, one
-    each.  Returns, per lane, the float or the ``InversionUndefinedError``.
+    each, and ``search`` does so for the search steps.  Where ``search`` is
+    not ``risk`` (it may differ from it in the last digits), one call of
+    ``risk`` confirms each final bracket's ends and a point half a stop
+    width outside each, and a lane whose new bracket is still wide searches
+    on with ``risk``.  Returns, per lane, the float or the
+    ``InversionUndefinedError``.
     """
     ends = float(_PRESCAN[0]), float(_PRESCAN[-1])
     sel = np.repeat(np.arange(lanes), _PRESCAN.size)
@@ -813,6 +886,12 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
         first_high[hit] = True
         nan[live[bad]] = True
         live, above, v_above = live[~(up | bad)], r2, vals[~(up | bad)]
+        if r2 == _DECADES[0] and live.size:
+            # The bound decreases in rho2, so a lane still below the target
+            # at the last decade meets it at none and leaves the scan now.
+            vals = risk(live, np.full(live.size, _DECADES[-1]))
+            keep = high(vals, target) | np.isnan(vals)
+            live, v_above = live[keep], v_above[keep]
     low = ends[0] if mode == "ach" else _DECADES[-1]
     scanned = f"the scanned range [{low!r}, {ends[1]!r}] of rho2"
     out: list = []
@@ -834,18 +913,53 @@ def _invert_lanes(risk, lanes: int, bound_kind: str, target: float, mode: str) -
     # side of the target, its high end not.
     log_target = math.log(target)
 
-    def step(live, x):
-        r = risk(bracketed[live], x)
-        with np.errstate(divide="ignore"):
-            return high(r, target), np.log(r) - log_target
+    def narrow(bound, at, lo, hi, v_lo, v_hi):
+        def step(live, x):
+            r = bound(at[live], x)
+            with np.errstate(divide="ignore"):
+                return high(r, target), np.log(r) - log_target
 
-    with np.errstate(divide="ignore"):
-        f_lo = np.log(v_lo[bracketed]) - log_target
-        f_hi = np.log(v_hi[bracketed]) - log_target
-    lo, hi = _illinois(step, lo[bracketed], hi[bracketed], f_lo, f_hi, INVERT_RTOL)
-    for lane, value in zip(bracketed.tolist(), (hi if mode == "ach" else lo).tolist()):
+        with np.errstate(divide="ignore"):
+            f_lo, f_hi = np.log(v_lo) - log_target, np.log(v_hi) - log_target
+        return _illinois(step, lo, hi, f_lo, f_hi, INVERT_RTOL)
+
+    lo, hi, v_lo, v_hi = (v[bracketed] for v in (lo, hi, v_lo, v_hi))
+    s_lo, s_hi = narrow(search, bracketed, lo.copy(), hi.copy(), v_lo, v_hi)
+    if search is not risk and bracketed.size:
+        # Per lane, the pre-scan's ends, the search's ends and a point half a
+        # stop width outside each, in order, with ``risk`` at the middle four
+        # in one call; the first point not on the high side and the one
+        # before it are the bracket.  Most are the search's own ends, or one
+        # of them and its neighbour, and need no further step.
+        gap = 0.5 * INVERT_RTOL
+        points = np.stack([lo, np.maximum(s_lo * (1.0 - gap), lo), s_lo,
+                           s_hi, np.minimum(s_hi * (1.0 + gap), hi), hi], axis=1)
+        values = np.empty_like(points)
+        values[:, 0], values[:, -1] = v_lo, v_hi
+        values[:, 1:-1] = risk(np.repeat(bracketed, 4), points[:, 1:-1].ravel()).reshape(-1, 4)
+        k = np.argmin(high(values, target), axis=1)
+        rows = np.arange(bracketed.size)
+        s_lo, s_hi = narrow(risk, bracketed, points[rows, k - 1], points[rows, k],
+                            values[rows, k - 1], values[rows, k])
+    for lane, value in zip(bracketed.tolist(), (s_hi if mode == "ach" else s_lo).tolist()):
         out[lane] = value
     return out
+
+
+def _warm_ach_search(d):
+    """The ``det-ach`` bound for one inversion's search steps, on lanes of ``d``.
+
+    Each lane keeps its last minimizer as a fraction of 4 rho^2, and the
+    next step's ``_minimize_lanes`` warm-starts from it where it settled.
+    """
+    warm = np.full(d.size, np.nan)
+
+    def risk(sel, rho2):
+        gamma, bound, settled = _minimize_lanes(d[sel], rho2, warm[sel])
+        warm[sel] = np.where(settled, gamma / (4.0 * rho2), np.nan)
+        return bound
+
+    return risk
 
 
 def _illinois(step, lo, hi, f_lo, f_hi, rtol: float):
@@ -926,10 +1040,20 @@ def invert_for_rho2(
     [1e-13, 1 - 1e-9]: a bound already on the low side of the target at
     1e-13 gives 1e-13 for achievability, and one still on the high side at
     1 - 1e-9 gives 1 - 1e-9 for converses.  A converse below the target at
-    1e-13 steps down by decades (1e-14, ..., 1e-307) until it is not.  A
-    converse below it down to 1e-307, or an achievability bound above it
-    at 1 - 1e-9, raises ``InversionUndefinedError``, naming the range
-    scanned; so do a failed monotonicity check and a NaN in the scan.
+    1e-13 steps down by decades (1e-14, ..., 1e-307) until it is not; one
+    still below it at 1e-14 is evaluated at 1e-307 next, and leaves the
+    scan at once if it is below it there too.  A converse below it down to
+    1e-307, or an achievability bound above it at 1 - 1e-9, raises
+    ``InversionUndefinedError``, naming the range scanned; so do a failed
+    monotonicity check and a NaN in the scan.
+
+    ``det-ach``'s search steps warm-start each lane's minimization over the
+    test's tuning from its last step's minimizer, within the call
+    (``_minimize_lanes``).  That bound can differ from
+    ``detection_ach_risk`` in its last digits, so one
+    ``detection_ach_risk`` call then confirms each lane's final bracket,
+    and the reported value keeps the convention with the public bound
+    (docs/math_notes.md, section 3).
 
     ``n`` and ``d`` may also be arrays, broadcast to a block of lanes.  The
     block is inverted at once and a list comes back with, per lane, the
@@ -937,7 +1061,8 @@ def invert_for_rho2(
     floats are those of the scalar calls.  One lane runs per distinct input
     of the kind's bound: d for ``det-ach`` (its bound ignores n), (n, d) for
     the others.  The lanes search in lockstep, and the 41-point pre-scan and
-    each search step are one array call of the kind's bound.
+    each search step are one array call of the kind's bound (for
+    ``det-ach``, a step is one call of its warm-started minimizer).
     """
     if not 0.0 < target_risk < 1.0:
         raise DomainError("target_risk must lie in (0, 1)")
@@ -959,8 +1084,13 @@ def invert_for_rho2(
     lane_of, first = _first_lanes(*reads)
     at = np.array(list(first.values()), dtype=np.intp)
     nn, dd = n_lanes[at], d_lanes[at]
+
+    def risk(sel, r2):
+        return bound(nn[sel], dd[sel], r2)
+
+    search = _warm_ach_search(dd) if bound_kind == "det-ach" else risk
     found = dict(zip(first.values(), _invert_lanes(
-        lambda sel, r2: bound(nn[sel], dd[sel], r2), at.size, bound_kind, target, mode)))
+        risk, search, at.size, bound_kind, target, mode)))
     results = [found[lane] for lane in lane_of]
     if shape != ():
         return results

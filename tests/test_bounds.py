@@ -369,6 +369,30 @@ class TestConverses:
         with pytest.raises(ConditionViolatedError, match="overflows"):
             truncation_schedule(10, 1.7e308, 1e-4)  # d * n is not finite
 
+    @given(
+        st.lists(st.tuples(st.one_of(st.floats(min_value=1e-3, max_value=1e12),
+                                     st.just(math.inf), st.just(1e300)),
+                           st.one_of(st.floats(min_value=0.0, max_value=1e5),
+                                     st.just(1.7e308))),
+                 min_size=1, max_size=12),
+        st.one_of(st.none(), st.integers(min_value=-2, max_value=300),
+                  st.just(2**53 + 1), st.just(10**400)),
+        st.one_of(st.floats(min_value=-1.0, max_value=10.0), st.just(math.nan)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lane_preconditions_match_the_scalar_ones(self, lanes, k_star, margin):
+        # The converse checks the schedule preconditions on all lanes at
+        # once; each lane gets the k_star of the scalar check, or 0 where it
+        # raises, including an explicit k_star that is not a float.
+        n, d = (np.array(column) for column in zip(*lanes))
+        want = []
+        for nn, dd in lanes:
+            try:
+                want.append(bounds._schedule_k_star(nn, dd, k_star, margin))
+            except ConditionViolatedError:
+                want.append(0)
+        assert bounds._k_stars(n, d, k_star, margin).tolist() == [float(k) for k in want]
+
     def test_schedule_structure(self):
         sch = truncation_schedule(1000, 500, 1e-5, margin=0.1)
         assert sch.ks[0] == sch.k_star and sch.ks[-1] == 1000
@@ -696,6 +720,53 @@ class TestInversion:
         assert r2 == pytest.approx(4.854e-18, rel=1e-3)
         with pytest.raises(InversionUndefinedError, match="below target .* everywhere"):
             invert_for_rho2("rec-conv", 10, 100, 0.7)
+
+    def test_unreachable_converse_raises_after_the_last_decade(self):
+        # A lane still below the target at 1e-14 is evaluated at 1e-307, the
+        # last decade; a decreasing bound below the target there meets it at
+        # no decade, so the lane raises without the other 292.
+        with mock.patch.object(bounds, "recovery_conv_perr",
+                               wraps=bounds.recovery_conv_perr) as spy:
+            with pytest.raises(InversionUndefinedError) as raised:
+                invert_for_rho2("rec-conv", 10, 100, 0.7)
+        assert [call.args[2].tolist() for call in spy.call_args_list[1:]] == [[1e-14], [1e-307]]
+        assert str(raised.value) == (
+            "rec-conv bound is below target 0.7 everywhere on "
+            "the scanned range [1e-307, 0.999999999] of rho2")
+
+    # det-conv reaches any target below 1 as rho^2 -> 0, so its lanes take
+    # n from 1e280, where the crossing nears 1e-307 and d n may overflow.
+    # rec-conv's floor never exceeds 1 - 1/n^2 - 4/n, below 0.3 for n < 5.7,
+    # and its lanes take d from 1e12, where it crosses below 1e-13.
+    @pytest.mark.parametrize("kind, log_n, log_d", [("det-conv", (280.0, 308.0), (0.0, 7.0)),
+                                                    ("rec-conv", (0.3, 4.0), (12.0, 17.0))])
+    def test_decade_probe_matches_the_full_scan(self, kind, log_n, log_d):
+        # Random converse lanes below their target at 1e-13 against the full
+        # decade scan: the first decade at or above the target brackets the
+        # crossing, and a lane with none raises "below target everywhere".
+        rng = np.random.default_rng(41)
+        n = 10.0 ** rng.uniform(*log_n, 300)
+        d = 10.0 ** rng.uniform(*log_d, 300)
+        target = 0.3
+        bound = _BOUND_NAMES[kind]
+        got = invert_for_rho2(kind, n, d, target)
+        decades = np.array(bounds._DECADES)
+        risk = getattr(bounds, bound)(np.repeat(n, decades.size), np.repeat(d, decades.size),
+                                      np.tile(decades, n.size)).reshape(n.size, decades.size)
+        below = [r for r in range(n.size)
+                 if getattr(bounds, bound)(n[r], d[r], _PRESCAN[0]) < target]
+        reached = 0
+        for r in below:
+            met = np.flatnonzero(risk[r] >= target)
+            if not met.size:
+                assert isinstance(got[r], InversionUndefinedError), (n[r], d[r])
+                assert "below target 0.3 everywhere on the scanned range [1e-307," in str(got[r])
+                continue
+            reached += 1
+            lo, hi = decades[met[0]], (decades[met[0] - 1] if met[0] else _PRESCAN[0])
+            assert lo <= got[r] < hi
+            assert _on_reported_side(kind, n[r], d[r], got[r], target)
+        assert reached >= 5 and len(below) - reached >= 5
 
     # A NaN compares false against the target, which read as "met" and gave
     # the first pre-scan point, 1e-13.
@@ -1305,3 +1376,82 @@ def test_det_ach_inversion_evaluates_g_md_a_bounded_number_of_times(monkeypatch,
     }[grid]
     invert_for_rho2("det-ach", n, d, 0.1)
     assert len(calls) <= ceiling
+
+
+def _det_ach_lanes():
+    """(n, d, target) blocks: both benchmark grids, then 2,048 random lanes,
+    half of them at small d and high targets, whose crossings lie near
+    rho^2 = 1, where the minimizer probes its first scan cell."""
+    rng = np.random.default_rng(37)
+    blocks = [(np.full(50, 10_000.0), np.linspace(18.420680743952367, 10_000.0, 50), 0.1),
+              (np.linspace(10.0, 100_000.0, 20), np.full(20, 1000.0), 0.1)]
+    wide = 10.0 ** rng.uniform(0.0, 6.0, 1024)
+    small = rng.uniform(1.0, 30.0, 1024)
+    for i, target in enumerate((0.02, 0.1, 0.3, 0.7)):
+        blocks.append((np.ones(256), wide[256 * i : 256 * (i + 1)], target))
+    for i, target in enumerate((0.3, 0.5, 0.9, 0.95)):
+        blocks.append((np.ones(256), small[256 * i : 256 * (i + 1)], target))
+    return blocks
+
+
+class TestWarmStart:
+    """det-ach search steps warm-start each lane's minimizer from the last."""
+
+    def test_warm_steps_reach_the_minimum(self, monkeypatch):
+        # The criterion of test_minimizer_reaches_the_minimum, with the full
+        # minimizer as reference, on every search step's lanes.
+        real, steps = bounds._minimize_lanes, []
+
+        def spy(d, rho2, warm=None):
+            gamma, bound, settled = real(d, rho2, warm)
+            if warm is not None:
+                steps.append((d, rho2, bound, ~np.isnan(warm)))
+            return gamma, bound, settled
+
+        monkeypatch.setattr(bounds, "_minimize_lanes", spy)
+        for n, d, target in _det_ach_lanes():
+            invert_for_rho2("det-ach", n, d, target)
+        d, rho2, got, started = (np.concatenate(v) for v in zip(*steps))
+        assert started.sum() > 10_000 and (started & (rho2 > 0.9)).sum() > 100
+        gamma, full = minimize_two_exponent(d, rho2)
+        slack = 1.0 + 1e-12 + 4.0 * _rounding(d, rho2, gamma)
+        assert np.all(got <= full * slack)
+        assert np.all(full <= got * slack)
+
+    def test_det_ach_cells_are_on_the_reported_side(self):
+        for n, d, target in _det_ach_lanes():
+            cells = invert_for_rho2("det-ach", n, d, target)
+            found = [(nn, dd, r2) for nn, dd, r2 in zip(n, d, cells) if isinstance(r2, float)]
+            assert len(found) >= 0.3 * len(cells)
+            for nn, dd, r2 in found:
+                assert _on_reported_side("det-ach", nn, dd, r2, target)
+            # Minimal too, checked as one block (each lane gets its scalar
+            # bits), where the cell is not the pre-scan's first point.
+            _, dd, r2 = (np.array(column) for column in zip(*found))
+            inner = r2 > _PRESCAN[0]
+            assert np.all(detection_ach_risk(dd[inner], r2[inner] * (1.0 - 1e-9)) > target)
+
+    @pytest.mark.parametrize("grid", [0, 1], ids=["d-grid", "n-grid"])
+    def test_warm_steps_run_no_scan(self, monkeypatch, grid):
+        # One 64-point scan row set per minimization at the parent: 10 on the
+        # d-grid (the pre-scan and 9 steps) and the pre-scan's first-cell
+        # probe.  Now only the pre-scan, the first step and the public
+        # confirmation of the final brackets scan.
+        real_min, real_rows = bounds._minimize_lanes, bounds._linspace_lanes
+        events = []
+
+        def minimize(d, rho2, warm=None):
+            events.append("warm" if warm is not None and not np.isnan(warm).all() else "full")
+            return real_min(d, rho2, warm)
+
+        def rows(*args):
+            events.append("rows")
+            return real_rows(*args)
+
+        monkeypatch.setattr(bounds, "_minimize_lanes", minimize)
+        monkeypatch.setattr(bounds, "_linspace_lanes", rows)
+        n, d, target = _det_ach_lanes()[grid]
+        invert_for_rho2("det-ach", n, d, target)
+        assert events.count("warm") >= 7
+        assert all(b != "rows" for a, b in zip(events, events[1:]) if a == "warm")
+        assert events.count("rows") <= 4

@@ -815,11 +815,11 @@ class TestReportGolden:
             (
                 ["--axis", "d", "--grid", "18.420680743952367:10000:50", "--n", "10000",
                  "--risk", "0.1"],
-                "7ae3bd19b9326047d3737e4c28128601fcef1660b1afd515df2b56e409de0a23",
+                "c6bb276ff55b54768a131fb37a65f4d9b88e2c7ba03b2852f25c06146ad21892",
             ),
             (
                 ["--axis", "n", "--grid", "10:100000:20", "--d", "1000"],
-                "df8e0daba551a16a23127d3c2e6ada32319e71d79f33be2336020bf02eaa967c",
+                "2976911856f6fc9e059370a8f466237962aa426ea72d143f1131a3f6a8b30e8a",
             ),
         ],
         ids=["d-sweep", "n-sweep"],
