@@ -10,14 +10,18 @@ All Monte-Carlo checks accept at 3 sigma (with a rule-of-three floor for
 degenerate counts) and derive their generators from (master seed, check
 name, batch index) so reruns and worker counts cannot change results.
 Each job has one implementation: both tail bounds take their exact tails
-from ``laws.quadratic_form_tail``, both statistic MGFs run through
-``_mgf_mc_check``, both Gaussian MGFs through ``quadratic_mgf_check`` (80-node
-Gauss-Hermite quadrature in R's eigenbasis, held to ``MGF_RTOL``), and every
-worst-case fold is ``_worst``, which lets a NaN through so it fails its check.
+from ``laws.quadratic_form_tail``, every Gaussian MGF runs through
+``quadratic_mgf_check`` (80-node Gauss-Hermite quadrature in R's eigenbasis,
+held to ``MGF_RTOL``), and every worst-case fold is ``_worst``, which lets a
+NaN through so it fails its check.
 
-The tail rows and the Gaussian MGF rows draw nothing, so they read the same
-at every seed.  The column-sum rows draw the two column sums of each
-database pair from their law (``_column_sum_stats``), not the databases.
+The tail rows, the Gaussian MGF rows and the column-sum rows draw nothing,
+so they read the same at every seed.  The column-sum rows take the
+detection statistic's MGFs and moments from the law of its two column sums
+(``docs/math_notes.md`` section 5) by that quadrature; ``null-mgf-mc`` and
+``alt-mgf-mc`` keep their Monte-Carlo-era names, on which the benchmark's
+per-check timings key.
+
 The truncation rows keep one generator per trial, ``spec.rng(i)``, and test
 the event on stacks of such trials (``_pair_chunks`` and ``_events_hold``),
 whose sums run along the last axis, so each trial gets the floats it gets
@@ -117,6 +121,22 @@ def _log_ratio_matrix(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     return -0.5 * d * math.log(u) - quad / (2.0 * u)
 
 
+def _gram(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """g[i, j, t] = <x_i, y_j> of trial t, summed from +0.0 in coordinate order: one
+    reduce per d-block of at most ``ARRAY_BUDGET`` products, the running sum added
+    into the block's first products."""
+    n, d = xs.shape[-2:]
+    xd, yd = (np.ascontiguousarray(a.transpose(2, 1, 0)) for a in (xs, ys))
+    g = np.zeros((n, n, len(xs)))
+    block = max(ARRAY_BUDGET // g.size, 1)
+    for k in range(0, d, block):
+        terms = np.empty((min(block, d - k),) + g.shape)
+        np.multiply(xd[k:k + block, :, None], yd[k:k + block, None, :], out=terms)
+        terms[0] += g
+        g = np.add.reduce(terms, axis=0)
+    return g
+
+
 def _batched_log_l(xs: np.ndarray, ys: np.ndarray, rho: float) -> np.ndarray:
     """log L per pair, by the floats each pair gets alone: every sum runs per trial."""
     n, d = xs.shape[-2:]
@@ -125,11 +145,7 @@ def _batched_log_l(xs: np.ndarray, ys: np.ndarray, rho: float) -> np.ndarray:
         return np.concatenate([_batched_log_l(xs[i:i + step], ys[i:i + step], rho)
                                for i in range(0, len(xs), step)])
     u = 1.0 - rho * rho
-    xt, yt = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (xs, ys))
-    g = np.zeros((n, n, len(xs)))
-    for k in range(d):
-        g += xt[:, None, k] * yt[None, :, k]
-    g = g.reshape(n * n, -1)
+    g = _gram(xs, ys).reshape(n * n, -1)
     cols = (np.arange(n) * n + enumerate_permutations(n)).T
     s = np.take(g, cols[0], axis=0)
     for c in cols[1:]:
@@ -168,26 +184,18 @@ def _worst(values, floor: float = -math.inf) -> float:
     return float(np.max(values, initial=floor))
 
 
-def _batches(spec: SeedSpec, trials: int):
-    """Yield ``(rng, size)`` for each batch of ``trials`` draws.
-
-    Batch b holds up to ``_BATCH`` draws from ``spec.rng(b)``.
-    """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    for batch, start in enumerate(range(0, trials, _BATCH)):
-        yield spec.rng(batch), min(_BATCH, trials - start)
-
-
 def _mc_mean(spec: SeedSpec, trials: int, draw) -> tuple[float, float]:
     """Sample mean of ``draw(rng, size)`` values and its 3-sigma radius.
 
-    The values come in ``_batches``; the radius uses the sample variance.
+    Batch b holds up to ``_BATCH`` draws from ``spec.rng(b)``; the radius
+    uses the sample variance.
     """
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     total = 0.0
     total_sq = 0.0
-    for rng, size in _batches(spec, trials):
-        w = draw(rng, size)
+    for batch, start in enumerate(range(0, trials, _BATCH)):
+        w = draw(spec.rng(batch), min(_BATCH, trials - start))
         total += float(w.sum())
         total_sq += float((w * w).sum())
     mean = total / trials
@@ -300,10 +308,16 @@ def pair_mgf_check(a: float, b: float, d: int) -> CheckResult:
     closed = ((1.0 + 2.0 * a) ** 2 - b * b) ** (-0.5 * d)
     eye = np.eye(d)
     r = np.block([[-2.0 * a * eye, b * eye], [b * eye, -2.0 * a * eye]])
-    inner = quadratic_mgf_check(r, np.zeros(2 * d))
+    return _block_mgf_check("pair-mgf", r, closed)
+
+
+def _block_mgf_check(name: str, r: np.ndarray, closed: float) -> CheckResult:
+    """``quadratic_mgf_check`` on r (b = 0) against a row's own closed form: the
+    generic closed form must meet it to 1e-10, the quadrature to ``MGF_RTOL``."""
+    inner = quadratic_mgf_check(r, np.zeros(r.shape[0]))
     forms_agree = abs(inner.reference - closed) <= 1e-10 * closed
     rel = abs(inner.statistic - closed) / closed
-    return CheckResult("pair-mgf", inner.passed and forms_agree and rel <= MGF_RTOL,
+    return CheckResult(name, inner.passed and forms_agree and rel <= MGF_RTOL,
                        inner.statistic, closed,
                        f"block-form reference {inner.reference!r}; relative error {rel:.3e}")
 
@@ -700,64 +714,49 @@ def _chk_chernoff_identity(spec: SeedSpec) -> CheckResult:
                        "optimized exponential bounds equal the two closed exponents")
 
 
-def _column_sum_stats(rng, size: int, n: int, d: int, rho: float = 0.0) -> np.ndarray:
-    """The statistic <sum_i x_i, sum_i y_i> of ``size`` database pairs.
-
-    Draws the column sums from their law (docs/math_notes.md, section 5),
-    not the databases: sum_i y_i = sqrt(n) g1 and sum_i x_i = sqrt(n) (rho
-    g1 + sqrt(1-rho^2) g2) for independent N(0, I_d) rows g1 and g2.  Draws
-    the (size, d) blocks g1, then g2, sets x = rho g1 + sqrt(1-rho^2) g2 in
-    place of g2 and returns n <x, g1>.
-    """
-    g1 = rng.standard_normal((size, d))
-    x = rng.standard_normal((size, d))
-    if rho:  # at rho = 0, x = g2 exactly
-        x *= math.sqrt(1.0 - rho * rho)
-        x += rho * g1
-    return n * np.einsum("tj,tj->t", x, g1)
-
-
-def _mgf_mc_check(spec: SeedSpec, name: str, closed: float, lam: float,
-                  n: int, d: int, rho: float = 0.0) -> CheckResult:
-    """MC mean of exp(lam T) over 200,000 column-sum statistics vs ``closed``."""
-    mean, ci = _mc_mean(
-        spec, 200_000, lambda rng, size: np.exp(lam * _column_sum_stats(rng, size, n, d, rho)))
-    at = f"lambda={lam}, n={n}, d={d}" + (f", rho={rho}" if rho else "")
-    return CheckResult(name, abs(mean - closed) <= ci, mean, closed, f"3-sigma {ci:.2e} at {at}")
+def _statistic_mgf_check(name, closed, lam, n, d, rho=0.0) -> CheckResult:
+    """E exp(lam T) against ``closed``: with T = n <rho g1 + sqrt(1-rho^2) g2, g1>
+    (``docs/math_notes.md`` section 5), lam T = Z'RZ/2 for Z = (g1, g2) and
+    R = lam n [[2 rho I, sqrt(1-rho^2) I], [sqrt(1-rho^2) I, 0]]."""
+    eye = np.eye(d)
+    c = math.sqrt(1.0 - rho * rho) * eye
+    r = lam * n * np.block([[2.0 * rho * eye, c], [c, np.zeros((d, d))]])
+    return _block_mgf_check(name, r, closed)
 
 
 @_check("null-mgf-mc")
 def _chk_null_mgf(spec: SeedSpec) -> CheckResult:
-    return _mgf_mc_check(spec, "null-mgf-mc", bounds.mgf_null(0.05, 3, 4), 0.05, 3, 4)
+    return _statistic_mgf_check("null-mgf-mc", bounds.mgf_null(0.05, 3, 4), 0.05, 3, 4)
 
 
 @_check("alt-mgf-mc")
 def _chk_alt_mgf(spec: SeedSpec) -> CheckResult:
-    return _mgf_mc_check(spec, "alt-mgf-mc", bounds.mgf_alt(0.05, 2, 3, 0.5), 0.05, 2, 3, 0.5)
+    return _statistic_mgf_check("alt-mgf-mc", bounds.mgf_alt(0.05, 2, 3, 0.5), 0.05, 2, 3, 0.5)
+
+
+def _coordinate_moments(n: int, rho: float, powers) -> list[float]:
+    """E t^k, k in ``powers``, of one coordinate t = n (rho g1 + sqrt(1-rho^2) g2) g1 of
+    T by the 80 x 80 product of ``_hermite_rule``, exact to degree 159 in g1 and g2."""
+    nodes, weights = _hermite_rule()
+    t = n * (rho * nodes[:, None] + math.sqrt(1.0 - rho * rho) * nodes) * nodes[:, None]
+    w = weights[:, None] * weights
+    return [float(np.sum(w * t**k)) for k in powers]
 
 
 @_check("statistic-moments")
 def _chk_stat_moments(spec: SeedSpec) -> CheckResult:
     n, d, rho = 4, 8, 0.5
-    trials = 100_000
-    t_null = np.empty(trials)
-    t_alt = np.empty(trials)
-    done = 0
-    for rng, size in _batches(spec, trials):
-        t_null[done:done + size] = _column_sum_stats(rng, size, n, d)
-        t_alt[done:done + size] = _column_sum_stats(rng, size, n, d, rho)
-        done += size
-    # 3-sigma radii from the exact standard deviations of T and, under the
-    # null, of T^2 (E T^4 = n^4 (3d^2 + 6d); docs/math_notes.md section 5).
-    radius = 3.0 / math.sqrt(trials)
-    checks = [
-        (abs(t_null.mean()), radius * n * math.sqrt(d)),
-        (abs(t_alt.mean() - rho * n * d), radius * n * math.sqrt(d * (1.0 + rho * rho))),
-        (abs(t_null.var() - n * n * d), radius * n * n * math.sqrt(2.0 * d * d + 6.0 * d)),
-    ]
-    worst = _worst([stat - tol for stat, tol in checks])
-    return CheckResult("statistic-moments", worst <= 0.0, worst, 0.0,
-                       "null mean 0, correlated mean |rho|nd, null variance n^2 d")
+    # T sums d independent coordinates.  The null mean, 0, is held in units
+    # of T's null standard deviation n sqrt(d); the others relative.
+    mean0, square0 = _coordinate_moments(n, 0.0, (1, 2))
+    (mean1,) = _coordinate_moments(n, rho, (1,))
+    errors = [abs(d * mean0) / (n * math.sqrt(d)),
+              abs(d * mean1 - rho * n * d) / (rho * n * d),
+              abs(d * (square0 - mean0 * mean0) - n * n * d) / (n * n * d)]
+    worst = _worst(errors, 0.0)
+    return CheckResult("statistic-moments", worst <= MGF_RTOL, worst, 0.0,
+                       "null mean 0, correlated mean |rho|nd, null variance n^2 d "
+                       "by the 80 x 80 Gauss-Hermite product rule")
 
 
 @_check("likelihood-unit-mean")
@@ -961,14 +960,14 @@ VERIFY_CHECKS: tuple[str, ...] = tuple(_REGISTRY)
 #: paragraph gives the command that re-times the checks; a new check must
 #: be placed here too.
 DISPATCH_ORDER: tuple[str, ...] = (
-    "truncation-first-moment", "tv-vs-unconditional", "statistic-moments",
-    "likelihood-unit-mean", "jensen-consistency", "null-mgf-mc", "second-moment-mc",
-    "alt-mgf-mc", "curve-ordering", "truncation-event-methods", "likelihood-single-row",
-    "likelihood-logsumexp-naive", "tail-chaos", "chernoff-identity", "closed-min-quadratic",
-    "sqrt-floor-family", "second-moment-census", "second-moment-dominance",
-    "exponent-floor-md", "circulant-dets", "truncated-vs-unconditional",
-    "balanced-tuning-slack", "tail-squares", "sqrt-cube-envelope", "exponent-floor-fa",
-    "quadratic-mgf", "pair-mgf",
+    "tv-vs-unconditional", "truncation-first-moment", "likelihood-unit-mean",
+    "jensen-consistency", "second-moment-mc", "curve-ordering", "truncation-event-methods",
+    "likelihood-single-row", "tail-chaos", "likelihood-logsumexp-naive", "chernoff-identity",
+    "closed-min-quadratic", "sqrt-floor-family", "second-moment-census",
+    "second-moment-dominance", "exponent-floor-md", "circulant-dets",
+    "truncated-vs-unconditional", "balanced-tuning-slack", "tail-squares",
+    "sqrt-cube-envelope", "exponent-floor-fa", "quadratic-mgf", "pair-mgf", "null-mgf-mc",
+    "alt-mgf-mc", "statistic-moments",
 )
 
 

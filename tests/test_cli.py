@@ -782,11 +782,11 @@ class TestReportGolden:
         [
             (
                 ["verify", "--seed", "0", "--format", "csv"],
-                "0b3215630881397e83f5967220a0e23e9a8abee1416e88529caad08ae0d8c36c",
+                "2386395aa6d6b416d3e50010f7e9f512b1df6cead9118a166127400e72074e99",
             ),
             (
                 ["verify", "--seed", "0", "--format", "json"],
-                "d2403685a800c1e0654ff4944289f6f6c6c7ede93b7175ee41fc571ffd98eb48",
+                "ed52b567ec16a1872104d5f59beeb619121b88c54093bb5f6dde129764282855",
             ),
             (
                 [*_CURVE_GOLDEN_ARGS, "--format", "csv"],

@@ -636,10 +636,14 @@ class TestVerify:
     [(3, 4, 0.0, 0), (2, 3, 0.5, 1), (4, 8, 0.0, 2), (4, 8, 0.5, 3)],
     ids=["null-mgf-mc", "alt-mgf-mc", "statistic-moments-null", "statistic-moments-alt"],
 )
-def test_column_sum_law_matches_the_databases(n, d, rho, seed):
-    # The column-sum rows draw T from the law of the column sums; at each
-    # row's (n, d, rho) that law must be the one of sip_statistic on whole
-    # databases (a non-identity permutation planted under the alternate).
+def test_column_sum_law_matches_the_databases(n, d, rho, seed, request):
+    # The column-sum rows compute with the law of the column sums,
+    # T = n (c1 A - c2 B) for independent chi-square_d A and B
+    # (docs/math_notes.md section 5).  At each row's (n, d, rho),
+    # sip_statistic on whole databases (a non-identity permutation planted
+    # under the alternate) must meet that law's exact tail at three points,
+    # its exact mean and variance and, for an MGF row, the row's quadrature
+    # value, each at 3 sigma.
     rng = np.random.default_rng(seed)
     m = 10_000
     params = ProblemParams(n=n, d=d, rho=rho)
@@ -649,29 +653,91 @@ def test_column_sum_law_matches_the_databases(n, d, rho, seed):
     else:
         db = [sip_statistic(sample_null(params, rng), 1.0) for _ in range(m)]
     db = np.array(db)
-    cs = oracle._column_sum_stats(rng, m, n, d, rho)
-    assert stats.ks_2samp(db, cs).pvalue > 0.0027  # 3-sigma significance level
+    mean, var = rho * n * d, n * n * d * (1.0 + rho * rho)
+    xs = mean + math.sqrt(var) * np.array([-1.0, 0.0, 1.0])
+    weights = n * np.repeat([(1.0 + rho) / 2.0, -(1.0 - rho) / 2.0], d)
+    tail, error = quadratic_form_tail(weights, xs)
+    assert np.all(error <= 1e-8)
+    for x, p in zip(xs, tail):
+        count = int(np.count_nonzero(db > x))
+        assert abs(count / m - p) <= binomial_ci(count, m), (x, count, p)
+    assert abs(db.mean() - mean) <= 3.0 * math.sqrt(var / m)
+    var_of_var = np.var((db - db.mean()) ** 2) / m  # sampling variance of the sample variance
+    assert abs(db.var() - var) <= 3.0 * math.sqrt(var_of_var)
+    name = request.node.callspec.id
+    if name.endswith("-mgf-mc"):
+        row = oracle._REGISTRY[name](SeedSpec(0, f"verify/{name}"))
+        w = np.exp(0.05 * db)
+        assert abs(w.mean() - row.statistic) <= 3.0 * w.std() / math.sqrt(m)
 
-    def var_of_var(t):  # sampling variance of the sample variance
-        return np.var((t - t.mean()) ** 2) / m
 
-    assert abs(db.mean() - cs.mean()) <= 3.0 * math.sqrt((db.var() + cs.var()) / m)
-    assert abs(db.var() - cs.var()) <= 3.0 * math.sqrt(var_of_var(db) + var_of_var(cs))
+def test_statistic_moment_rule_gives_the_exact_moments():
+    # statistic-moments integrates one coordinate t of T with the 80 x 80
+    # Gauss-Hermite product rule.  It must give the moments of
+    # docs/math_notes.md section 5 to rounding: Var T = n^2 d (1 + rho^2),
+    # and under the null E T^2 = n^2 d and E T^4 = n^4 (3 d^2 + 6 d), from
+    # the d independent coordinates' E t^2 and E t^4.
+    n, d, rho = 4, 8, 0.5
+    mean, square = oracle._coordinate_moments(n, rho, (1, 2))
+    assert mean == pytest.approx(rho * n, rel=1e-14)
+    assert d * (square - mean * mean) == pytest.approx(n * n * d * (1.0 + rho * rho), rel=1e-14)
+    mean0, square0, fourth0 = oracle._coordinate_moments(n, 0.0, (1, 2, 4))
+    assert abs(mean0) <= 1e-14 * n
+    assert d * square0 == pytest.approx(n * n * d, rel=1e-14)
+    e_t4 = d * fourth0 + 3.0 * d * (d - 1) * square0 * square0
+    assert e_t4 == pytest.approx(n**4 * (3.0 * d * d + 6.0 * d), rel=1e-14)
+    # A wrong constant, such as 2 d^2 + 2 d, is far outside rounding.
+    assert e_t4 != pytest.approx(n**4 * (2.0 * d * d + 2.0 * d), rel=1e-3)
 
 
-def test_statistic_moment_radii_are_the_exact_deviations():
-    # statistic-moments takes its radii from the exact standard deviations
-    # of T (null and alternate) and of T^2 under the null
-    # (docs/math_notes.md section 5); 200,000 draws give each to about 1%,
-    # and a wrong constant (say 2d^2 + 2d for T^2) is off by about 10%.
-    n, d, rho, m = 4, 8, 0.5, 200_000
-    rng = np.random.default_rng(2)
-    t_null = oracle._column_sum_stats(rng, m, n, d)
-    t_alt = oracle._column_sum_stats(rng, m, n, d, rho)
-    exact = [n * math.sqrt(d), n * math.sqrt(d * (1.0 + rho * rho)),
-             n * n * math.sqrt(2.0 * d * d + 6.0 * d)]
-    sample = [t_null.std(), t_alt.std(), (t_null**2).std()]
-    assert np.allclose(sample, exact, rtol=0.03, atol=0.0), (sample, exact)
+#: The rows that draw nothing: the exact tails, the Gaussian MGFs and the
+#: column-sum rows, whose statistic has a known law.
+_DRAW_FREE_ROWS = ("tail-squares", "tail-chaos", "quadratic-mgf", "pair-mgf",
+                   "null-mgf-mc", "alt-mgf-mc", "statistic-moments")
+
+
+def test_draw_free_rows_never_build_a_generator(monkeypatch):
+    def refuse(self, index):
+        raise AssertionError(f"{self.stream_label} asked for a generator")
+
+    monkeypatch.setattr(SeedSpec, "rng", refuse)
+    for name in _DRAW_FREE_ROWS:
+        rows = {oracle._REGISTRY[name](SeedSpec(seed, f"verify/{name}")) for seed in (0, 1, 7)}
+        (row,) = rows
+        assert row.passed, row
+
+
+def _null_exponent(lam, n, d):
+    return math.exp(-0.49 * d * math.log1p(-(n * lam) ** 2))
+
+
+@pytest.mark.parametrize(
+    "closed_form, mutant, name",
+    [("mgf_null", lambda f: lambda *a: f(*a) * (1.0 + 1e-6), "null-mgf-mc"),
+     ("mgf_null", lambda f: _null_exponent, "null-mgf-mc"),
+     ("mgf_alt", lambda f: lambda *a: f(*a) * (1.0 + 1e-6), "alt-mgf-mc"),
+     ("mgf_alt", lambda f: lambda *a: math.exp(0.98 * bounds.log_mgf_alt(*a)), "alt-mgf-mc")],
+    ids=["null-scaled", "null-exponent", "alt-scaled", "alt-exponent"],
+)
+def test_statistic_mgf_rows_catch_a_wrong_closed_form(monkeypatch, closed_form, mutant, name):
+    # A closed form off by a factor of 1 + 1e-6, or with -0.49 d for -d/2 in
+    # its exponent, fails its row (the Monte-Carlo rows passed three of the
+    # four at seed 0).
+    monkeypatch.setattr(bounds, closed_form, mutant(getattr(bounds, closed_form)))
+    assert not oracle._REGISTRY[name](SeedSpec(0, f"verify/{name}")).passed
+
+
+@pytest.mark.parametrize("size, n, d", [(1, 6, 2000), (1365, 4, 2), (7, 2, 30_000)])
+def test_gram_reduce_matches_the_coordinate_loop(size, n, d):
+    # log L's Gram sums run as one reduce per d-block; they must give the
+    # bits of the loop that added one coordinate at a time from +0.0, also
+    # where d spans several blocks (the last case).
+    rng = np.random.default_rng(38)
+    xs, ys = rng.standard_normal((2, size, n, d))
+    loop = np.zeros((n, n, size))
+    for k in range(d):
+        loop += xs[:, :, k].T[:, None] * ys[:, :, k].T[None, :]
+    assert oracle._gram(xs, ys).tobytes() == loop.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -707,11 +773,13 @@ def _row_digest(names) -> str:
 
 
 def test_refactored_rows_are_pinned():
-    # Bits of the checks that share the exact tail, the MGF helper and the
-    # truncation event; a refactor of those paths must keep every row.
+    # Bits of the checks that share the exact tail, the block-matrix MGF
+    # helper and the truncation event; a refactor of those paths must keep
+    # every row.  Re-pinned when null-mgf-mc and alt-mgf-mc became quadrature
+    # on the block matrix of lam T.
     names = ("null-mgf-mc", "alt-mgf-mc", "tail-squares", "tail-chaos",
              "truncation-event-methods", "truncation-first-moment")
-    assert _row_digest(names) == "c3d85424fa6808bc99559fc7aae97d2a7c9a02914e76e77bbd39a8fd6dbd4ca5"
+    assert _row_digest(names) == "83e7580c7fc44ad438e829dd6fe6a6b3ed29440d298d31bbccee0de78e815233"
 
 
 def test_floor_md_matches_scalar_g_md_loop():
@@ -725,18 +793,15 @@ def test_floor_md_matches_scalar_g_md_loop():
 
 
 def test_batched_rows_are_pinned():
-    # Bits of the checks whose arithmetic was rewritten (the column-sum
-    # blend); every row must keep its bits.  closed-min-quadratic was
-    # re-pinned when its golden-section refinement became a root search on
-    # f', and quadratic-mgf and pair-mgf when Gauss-Hermite quadrature in
-    # R's eigenbasis replaced their Monte Carlo: they draw nothing and read
-    # the same at every seed.  statistic-moments
-    # missed its 3-sigma band at seed 7 when it drew whole databases; drawing
-    # the column sums from their law, it passes at seeds 1 and 7, and a
-    # future miss is pinned as it stands.  Its radii are the exact standard
-    # deviations of T and T^2, not sample ones.
+    # Bits of the checks whose arithmetic was rewritten; every row must keep
+    # its bits.  closed-min-quadratic was re-pinned when its golden-section
+    # refinement became a root search on f', quadratic-mgf and pair-mgf when
+    # Gauss-Hermite quadrature in R's eigenbasis replaced their Monte Carlo,
+    # and statistic-moments when the product rule replaced its column-sum
+    # draws (it had failed its 3-sigma bands at seeds 120 and 149).  The last
+    # three draw nothing and read the same at every seed.
     names = ("closed-min-quadratic", "quadratic-mgf", "pair-mgf", "statistic-moments")
-    assert _row_digest(names) == "9265575ca1307a7e62cd8921be9d1ce1fa8fa2b22c79304627f3f432c7d3da8c"
+    assert _row_digest(names) == "555a03e5dbcf083d6b7341e15fafd26b05ab15fca2db1fa666d0b76655af0824"
 
 
 def test_rows_not_redrawn_are_pinned():
