@@ -121,22 +121,6 @@ def _log_ratio_matrix(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     return -0.5 * d * math.log(u) - quad / (2.0 * u)
 
 
-def _gram(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """g[i, j, t] = <x_i, y_j> of trial t, summed from +0.0 in coordinate order: one
-    reduce per d-block of at most ``ARRAY_BUDGET`` products, the running sum added
-    into the block's first products."""
-    n, d = xs.shape[-2:]
-    xd, yd = (np.ascontiguousarray(a.transpose(2, 1, 0)) for a in (xs, ys))
-    g = np.zeros((n, n, len(xs)))
-    block = max(ARRAY_BUDGET // g.size, 1)
-    for k in range(0, d, block):
-        terms = np.empty((min(block, d - k),) + g.shape)
-        np.multiply(xd[k:k + block, :, None], yd[k:k + block, None, :], out=terms)
-        terms[0] += g
-        g = np.add.reduce(terms, axis=0)
-    return g
-
-
 def _batched_log_l(xs: np.ndarray, ys: np.ndarray, rho: float) -> np.ndarray:
     """log L per pair, by the floats each pair gets alone: every sum runs per trial."""
     n, d = xs.shape[-2:]
@@ -145,7 +129,11 @@ def _batched_log_l(xs: np.ndarray, ys: np.ndarray, rho: float) -> np.ndarray:
         return np.concatenate([_batched_log_l(xs[i:i + step], ys[i:i + step], rho)
                                for i in range(0, len(xs), step)])
     u = 1.0 - rho * rho
-    g = _gram(xs, ys).reshape(n * n, -1)
+    xt, yt = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (xs, ys))
+    g = np.zeros((n, n, len(xs)))
+    for k in range(d):
+        g += xt[:, None, k] * yt[None, :, k]
+    g = g.reshape(n * n, -1)
     cols = (np.arange(n) * n + enumerate_permutations(n)).T
     s = np.take(g, cols[0], axis=0)
     for c in cols[1:]:

@@ -123,10 +123,13 @@ class TestLikelihood:
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     @pytest.mark.parametrize("n, d, rho", [(1, 3, 0.5), (2, 2, 0.4), (3, 2, -0.3),
-                                           (4, 2, 0.0316), (5, 1, 0.9), (6, 5, -0.9)])
+                                           (4, 2, 0.0316), (5, 1, 0.9), (6, 5, -0.9),
+                                           (1, 50, 0.5)])
     def test_trial_value_does_not_depend_on_its_batch(self, n, d, rho):
         # Bit for bit, so batching never moves a pinned row; at n = 5 and 6
-        # the 300 trials also span several chunks.
+        # the 300 trials also span several chunks.  At n = 1 with d = 50 a
+        # sum over coordinates that numpy may run pairwise for a lone trial
+        # would give other bits.
         rng = np.random.default_rng(n)
         xs = rng.standard_normal((300, n, d))
         ys = rng.standard_normal((300, n, d))
@@ -725,19 +728,6 @@ def test_statistic_mgf_rows_catch_a_wrong_closed_form(monkeypatch, closed_form, 
     # four at seed 0).
     monkeypatch.setattr(bounds, closed_form, mutant(getattr(bounds, closed_form)))
     assert not oracle._REGISTRY[name](SeedSpec(0, f"verify/{name}")).passed
-
-
-@pytest.mark.parametrize("size, n, d", [(1, 6, 2000), (1365, 4, 2), (7, 2, 30_000)])
-def test_gram_reduce_matches_the_coordinate_loop(size, n, d):
-    # log L's Gram sums run as one reduce per d-block; they must give the
-    # bits of the loop that added one coordinate at a time from +0.0, also
-    # where d spans several blocks (the last case).
-    rng = np.random.default_rng(38)
-    xs, ys = rng.standard_normal((2, size, n, d))
-    loop = np.zeros((n, n, size))
-    for k in range(d):
-        loop += xs[:, :, k].T[:, None] * ys[:, :, k].T[None, :]
-    assert oracle._gram(xs, ys).tobytes() == loop.tobytes()
 
 
 @pytest.mark.parametrize(
