@@ -880,17 +880,15 @@ def _invert_lanes(risk, search, lanes: int, bound_kind: str, target: float, mode
         if not live.size:
             break
         vals = risk(live, np.full(live.size, r2))
-        up, bad = high(vals, target), np.isnan(vals)
+        up = high(vals, target)
         hit = live[up]
         lo[hit], hi[hit], v_lo[hit], v_hi[hit] = r2, above, vals[up], v_above[up]
         first_high[hit] = True
-        nan[live[bad]] = True
-        live, above, v_above = live[~(up | bad)], r2, vals[~(up | bad)]
+        live, above, v_above = live[~up], r2, vals[~up]
         if r2 == _DECADES[0] and live.size:
             # The bound decreases in rho2, so a lane still below the target
             # at the last decade meets it at none and leaves the scan now.
-            vals = risk(live, np.full(live.size, _DECADES[-1]))
-            keep = high(vals, target) | np.isnan(vals)
+            keep = high(risk(live, np.full(live.size, _DECADES[-1])), target)
             live, v_above = live[keep], v_above[keep]
     low = ends[0] if mode == "ach" else _DECADES[-1]
     scanned = f"the scanned range [{low!r}, {ends[1]!r}] of rho2"

@@ -59,29 +59,26 @@ def sample_alt(params: ProblemParams, perm: Permutation, seed) -> DatabasePair:
     so corr(X_i[k], Y_{sigma_i}[k]) = rho for every feature k.  The one-pair
     case of :func:`sample_alt_stack`.
     """
-    x, y = sample_alt_stack(params, perm, [as_generator(seed)])
+    x, y = sample_alt_stack(params, perm, as_generator(seed), 1)
     return DatabasePair(x[0], y[0])
 
 
 def sample_alt_stack(
-    params: ProblemParams, perm: Permutation, rngs
+    params: ProblemParams, perm: Permutation, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) stacks of shape (k, n, d): pair j is drawn from ``rngs[j]`` alone.
+    """(x, y) stacks of shape (size, n, d): ``size`` successive ``sample_alt``
+    draws from ``rng``.
 
-    Each generator draws its y block, then its z block, so pair j has the
-    bits of ``sample_alt(params, perm, rngs[j])``.  x is formed in z's
-    buffer as sqrt(1 - rho^2) z + rho y[sigma], the same floats as the
-    sum in the other order.
+    Each pair draws its y block, then its z block, so one
+    ``standard_normal((size, 2, n, d))`` call gives every block.  x is
+    formed in z's buffer as sqrt(1 - rho^2) z + rho y[sigma], the same
+    floats as the sum in the other order.
     """
     params.require_alt()
     if perm.n != params.n:
         raise ValueError(f"permutation length {perm.n} does not match n = {params.n}")
-    shape = (len(rngs), params.n, params.d)
-    y = np.empty(shape)
-    x = np.empty(shape)
-    for rng, y_j, z_j in zip(rngs, y, x):
-        rng.standard_normal(out=y_j)
-        rng.standard_normal(out=z_j)
+    draws = rng.standard_normal((size, 2, params.n, params.d))
+    y, x = draws[:, 0], draws[:, 1]
     x *= np.sqrt(1.0 - params.rho2)
     paired = y[:, perm.map]
     paired *= params.rho

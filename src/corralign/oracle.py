@@ -22,11 +22,8 @@ detection statistic's MGFs and moments from the law of its two column sums
 ``alt-mgf-mc`` keep their Monte-Carlo-era names, on which the benchmark's
 per-check timings key.
 
-The truncation rows keep one generator per trial, ``spec.rng(i)``, and test
-the event on stacks of such trials (``_pair_chunks`` and ``_events_hold``),
-whose sums run along the last axis, so each trial gets the floats it gets
-alone.  Arithmetic around the draws may change only where the pinned rows
-keep every bit (``test_refactored_rows_are_pinned``,
+Arithmetic around the draws may change only where the pinned rows keep
+every bit (``test_refactored_rows_are_pinned``,
 ``test_batched_rows_are_pinned`` and ``test_rows_not_redrawn_are_pinned``):
 a faster form must compute the same floats, not merely close ones.
 """
@@ -519,18 +516,18 @@ def _pair_chunks(params: ProblemParams, perm: Permutation, spec: SeedSpec, trial
                  method: str = "sorted"):
     """Yield (xs, ys) stacks of ``sample_alt_stack`` over trials 0 .. trials - 1.
 
-    Trial i draws from ``spec.rng(i)`` as a lone ``sample_alt`` call would.
-    A chunk holds as many trials as keep every array of the draw and of
-    ``_events_hold`` with ``method`` within ``ARRAY_BUDGET`` values.
+    Every trial draws from the one generator ``spec.rng(0)``, in trial
+    order.  A chunk holds as many trials as keep every array of the draw
+    and of ``_events_hold`` with ``method`` within ``ARRAY_BUDGET`` values.
     """
     n, d = params.n, params.d
     per_trial = 3 * n * d
     if method == "enumerate":
         per_trial = max(per_trial, 3 * max(math.comb(n, k) * k for k in range(n + 1)))
     chunk = max(ARRAY_BUDGET // per_trial, 1)
+    rng = spec.rng(0)
     for start in range(0, trials, chunk):
-        rngs = [spec.rng(i) for i in range(start, min(start + chunk, trials))]
-        yield sample_alt_stack(params, perm, rngs)
+        yield sample_alt_stack(params, perm, rng, min(chunk, trials - start))
 
 
 def truncated_first_moment_check(
@@ -547,8 +544,7 @@ def truncated_first_moment_check(
     Draws correlated pairs with the identity permutation planted and counts
     how often the event fails; the rate must stay below the closed-form
     deficit bound plus 3 sigma.  Requires a schedule whose rates are
-    positive.  Trial i draws from its own generator, and the event is
-    tested on stacks of trials (``_pair_chunks``).
+    positive.  The event is tested on stacks of trials (``_pair_chunks``).
     """
     params = ProblemParams(n=n, d=d, rho=rho)
     schedule = bounds.truncation_schedule(n, d, params.rho2, k_star=k_star, margin=margin)
@@ -948,14 +944,14 @@ VERIFY_CHECKS: tuple[str, ...] = tuple(_REGISTRY)
 #: paragraph gives the command that re-times the checks; a new check must
 #: be placed here too.
 DISPATCH_ORDER: tuple[str, ...] = (
-    "tv-vs-unconditional", "truncation-first-moment", "likelihood-unit-mean",
-    "jensen-consistency", "second-moment-mc", "curve-ordering", "truncation-event-methods",
-    "likelihood-single-row", "tail-chaos", "likelihood-logsumexp-naive", "chernoff-identity",
-    "closed-min-quadratic", "sqrt-floor-family", "second-moment-census",
+    "tv-vs-unconditional", "likelihood-unit-mean", "jensen-consistency",
+    "truncation-first-moment", "second-moment-mc", "curve-ordering", "likelihood-single-row",
+    "truncation-event-methods", "likelihood-logsumexp-naive", "tail-chaos",
+    "closed-min-quadratic", "chernoff-identity", "sqrt-floor-family", "second-moment-census",
     "second-moment-dominance", "exponent-floor-md", "circulant-dets",
-    "truncated-vs-unconditional", "balanced-tuning-slack", "tail-squares",
-    "sqrt-cube-envelope", "exponent-floor-fa", "quadratic-mgf", "pair-mgf", "null-mgf-mc",
-    "alt-mgf-mc", "statistic-moments",
+    "truncated-vs-unconditional", "balanced-tuning-slack", "null-mgf-mc", "sqrt-cube-envelope",
+    "tail-squares", "pair-mgf", "alt-mgf-mc", "quadratic-mgf", "exponent-floor-fa",
+    "statistic-moments",
 )
 
 

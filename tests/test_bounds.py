@@ -1158,6 +1158,26 @@ def test_illinois_stops_at_max_steps(monkeypatch):
     assert (hi - lo > bounds.INVERT_RTOL * hi).all()
 
 
+def test_illinois_all_nan_lane_on_a_wide_bracket():
+    """An all-NaN lane on [1e-150, 1e150] takes all INVERT_MAX_STEPS steps
+    and ends inside its bracket, with no floating-point warning; the clamp
+    0.4 * rtol * hi inside the bracket sets its steps, and it stops about
+    1.6e-11 wide."""
+    calls = []
+
+    def step(live, x):
+        calls.append(live.size)
+        return np.zeros(x.size, dtype=bool), np.full_like(x, np.nan)
+
+    nan = np.full(1, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = bounds._illinois(step, np.array([1e-150]), np.array([1e150]), nan, nan,
+                                  bounds.INVERT_RTOL)
+    assert calls == [1] * bounds.INVERT_MAX_STEPS
+    assert 1e-150 <= lo[0] < hi[0] <= 1e150
+
+
 # One lane per path through the truncated converse at k_star = 44,
 # margin = 8.19: rho2 = 0, floor(n) < k_star, d n not finite, t1 > 700, an
 # invalid two-size schedule, psi <= 0, then three lanes that reach the value.
@@ -1175,6 +1195,26 @@ _PATH_LANES = [
 
 _sizes = st.one_of(st.floats(min_value=0.5, max_value=1e12), st.just(math.inf))
 _rho2s = st.one_of(st.just(0.0), st.floats(min_value=1e-13, max_value=0.98))
+_decades = st.integers(min_value=1, max_value=307).map(lambda k: 10.0**-k)
+
+
+@given(
+    st.lists(st.tuples(st.one_of(_sizes, st.just(1e300)),
+                       st.one_of(st.floats(min_value=0.0, max_value=1e5), st.just(0.0),
+                                 st.just(math.inf)),
+                       st.one_of(_rho2s, _decades)),
+             min_size=1, max_size=12),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=200)),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_converses_are_never_nan(lanes, k_star, margin, epsilon_d):
+    # The converse decade walk in ``_invert_lanes`` relies on this: both
+    # converses clamp their value with np.where(value > 0, value, 0).
+    n, d, rho2 = (np.array(column) for column in zip(*lanes))
+    assert not np.isnan(truncated_converse_risk(n, d, rho2, k_star, margin)).any()
+    assert not np.isnan(recovery_conv_perr(n, d, rho2, epsilon_d)).any()
 
 
 def _bound_calls(k_star=None, margin=0.1, epsilon_d=0.0):

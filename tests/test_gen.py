@@ -52,24 +52,24 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_alt(p, Permutation.identity(3), SeedSpec(0, "t"))
         with pytest.raises(ValueError):
-            sample_alt_stack(p, Permutation.identity(3), [SeedSpec(0, "t").rng(0)])
+            sample_alt_stack(p, Permutation.identity(3), SeedSpec(0, "t").rng(0), 2)
 
     @pytest.mark.parametrize("rho", [0.44, -0.7])
     def test_stack_pairs_match_lone_draws(self, rho):
-        # Pair k of a stack is sample_alt on generator k, bit for bit, and
-        # both are the two-block draw x = rho y[sigma] + sqrt(1 - rho^2) z.
+        # A size-5 stack is five successive sample_alt calls on one
+        # generator, bit for bit, and each pair is the two-block draw
+        # x = rho y[sigma] + sqrt(1 - rho^2) z.
         p = ProblemParams(n=9, d=13, rho=rho)
         perm = uniform_permutation(9, SeedSpec(4, "perm"))
         spec = SeedSpec(4, "stack")
-        indices = [0, 5, 1, 17, 2]
-        xs, ys = sample_alt_stack(p, perm, [spec.rng(i) for i in indices])
+        xs, ys = sample_alt_stack(p, perm, spec.rng(0), 5)
         assert xs.shape == ys.shape == (5, 9, 13)
-        for k, i in enumerate(indices):
-            lone = sample_alt(p, perm, spec.rng(i))
+        lone_rng, block_rng = spec.rng(0), spec.rng(0)
+        for k in range(5):
+            lone = sample_alt(p, perm, lone_rng)
             assert np.array_equal(xs[k], lone.x) and np.array_equal(ys[k], lone.y)
-            rng = spec.rng(i)
-            y = rng.standard_normal((9, 13))
-            z = rng.standard_normal((9, 13))
+            y = block_rng.standard_normal((9, 13))
+            z = block_rng.standard_normal((9, 13))
             x = rho * y[perm.map] + np.sqrt(1.0 - rho * rho) * z
             assert np.array_equal(xs[k], x) and np.array_equal(ys[k], y)
 

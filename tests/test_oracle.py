@@ -569,7 +569,7 @@ class TestStackedEvent:
         for mapping in ([0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 0, 3, 4, 5, 6, 7],
                         [1, 2, 3, 4, 5, 0, 6, 7]):
             perm = Permutation(np.array(mapping))
-            xs, ys = sample_alt_stack(p, perm, [spec.rng(i) for i in range(40)])
+            xs, ys = sample_alt_stack(p, perm, spec.rng(0), 40)
             for j, s in enumerate(schedules):
                 for method in ("sorted", "enumerate"):
                     stacked = oracle._events_hold(xs, ys, perm, s, p.rho_sign, method)
@@ -583,18 +583,18 @@ class TestStackedEvent:
 
     @pytest.mark.parametrize("rho", [math.sqrt(0.2), -math.sqrt(0.2)])
     def test_first_moment_count_matches_a_per_trial_loop(self, rho):
-        # At k_star = 1 and a thin margin some of the 400 trials fail (3 at
-        # rho > 0, 2 at rho < 0), spread over three stacks of trials; the
-        # count must be that of one draw and one event test per trial.
-        n, d, k_star, margin, trials = 12, 40, 1, 0.02, 400
+        # At k_star = 1 and a thin margin some of the 1,000 trials fail (5 at
+        # rho > 0, in three of the eight stacks of trials, and 2 at rho < 0);
+        # the count must be that of successive draws from one generator and
+        # one event test per trial.
+        n, d, k_star, margin, trials = 12, 40, 1, 0.02, 1000
         res = truncated_first_moment_check(n, d, rho, k_star, margin, trials, 0)
         p = ProblemParams(n=n, d=d, rho=rho)
         sch = bounds.truncation_schedule(n, d, p.rho2, k_star=k_star, margin=margin)
         ident = Permutation.identity(n)
-        spec = SeedSpec(0, "oracle/truncation-first-moment")
-        fails = sum(not truncation_event_holds(sample_alt(p, ident, spec.rng(i)), ident, sch,
-                                               p.rho_sign)
-                    for i in range(trials))
+        rng = SeedSpec(0, "oracle/truncation-first-moment").rng(0)
+        fails = sum(not truncation_event_holds(sample_alt(p, ident, rng), ident, sch, p.rho_sign)
+                    for _ in range(trials))
         assert fails > 0
         assert res.statistic == fails / trials
         assert res.detail.startswith(f"{fails} event failures in {trials} ")
@@ -708,6 +708,23 @@ def test_draw_free_rows_never_build_a_generator(monkeypatch):
         rows = {oracle._REGISTRY[name](SeedSpec(seed, f"verify/{name}")) for seed in (0, 1, 7)}
         (row,) = rows
         assert row.passed, row
+
+
+@pytest.mark.parametrize("name", ["truncation-first-moment", "truncation-event-methods"])
+def test_truncation_rows_build_one_generator(monkeypatch, name):
+    # Each truncation row draws all its pairs from one generator.
+    calls = []
+    rng = SeedSpec.rng
+
+    def spy(self, index=0):
+        calls.append((self.stream_label, index))
+        return rng(self, index)
+
+    monkeypatch.setattr(SeedSpec, "rng", spy)
+    for seed in (0, 1, 7):
+        calls.clear()
+        assert oracle._REGISTRY[name](SeedSpec(seed, f"verify/{name}")).passed
+        assert calls == [(f"verify/{name}", 0)]
 
 
 def _null_exponent(lam, n, d):
