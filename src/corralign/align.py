@@ -23,6 +23,7 @@ from .core import (
     binomial_ci,
     count_failures,
     enumerate_permutations,
+    sign_factor,
 )
 from .errors import DomainError, InvalidAlternateError
 from .gen import DatabasePair, sample_alt
@@ -41,9 +42,7 @@ class AlignmentResult:
 
 def score_matrix(pair: DatabasePair, rho_sign: float) -> np.ndarray:
     """S[i, j] = rho_sign * <X_i, Y_j>; decoding maximizes its trace-sum."""
-    if rho_sign not in (1.0, -1.0, 1, -1):
-        raise DomainError(f"rho_sign must be +1 or -1, got {rho_sign}")
-    return float(rho_sign) * (pair.x @ pair.y.T)
+    return sign_factor(rho_sign) * (pair.x @ pair.y.T)
 
 
 def _require_corr(rho: float) -> float:

@@ -172,14 +172,10 @@ def g_md(gamma, rho):
     return _shaped(np.where(rho == 0.0, _g_fa(g), value), shape)
 
 
-def _two_exp(neg_half_d, fa, md):
-    """exp(-d/2 fa) + exp(-d/2 md), in log space; elementwise in all arguments."""
-    return np.exp(np.logaddexp(neg_half_d * fa, neg_half_d * md))
-
-
 def _two_exp_bound(gamma, neg_half_d, abs_rho, u, log_u):
-    """``_two_exp`` of the two exponents at gamma; elementwise in all arguments."""
-    return _two_exp(neg_half_d, _g_fa(gamma), _g_md(gamma, abs_rho, u, log_u))
+    """exp(-d/2 g_fa) + exp(-d/2 g_md) at gamma, in log space; elementwise."""
+    fa, md = _g_fa(gamma), _g_md(gamma, abs_rho, u, log_u)
+    return np.exp(np.logaddexp(neg_half_d * fa, neg_half_d * md))
 
 
 def _slope_log_ratio(g, abs_rho, u):
@@ -475,8 +471,8 @@ def log_mgf_alt(lam: float, n: float, d: float, rho: float) -> float:
     """Log moment generating function of the statistic under the correlated law.
 
     -(d/2) ln(1 - 2 n lam |rho| - n^2 lam^2 (1-rho^2)), valid for
-    lam in (-1/(n(1-|rho|)), 1/(n(1+|rho|))).  rho = 0 recovers the null MGF.
-    Stays finite where ``mgf_alt`` underflows to 0 (large d).
+    lam in (-1/(n(1-|rho|)), 1/(n(1+|rho|))).  rho = 0 gives the null MGF's
+    log, by ``log1p``.  Stays finite where ``mgf_alt`` underflows or overflows.
     """
     rho = float(rho)
     if abs(rho) >= 1.0:
@@ -489,22 +485,20 @@ def log_mgf_alt(lam: float, n: float, d: float, rho: float) -> float:
             f"lambda = {lam} outside the MGF strip ({lo}, {hi}) "
             "(bound constraint 1 - 2 n lam |rho| - n^2 lam^2 (1-rho^2) > 0)"
         )
-    return -0.5 * d * math.log(base)
+    return -0.5 * d * (math.log(base) if rho else math.log1p(-(n * lam) ** 2))
 
 
 def mgf_alt(lam: float, n: float, d: float, rho: float) -> float:
     """Moment generating function of the statistic under the correlated law.
 
-    (1 - 2 n lam |rho| - n^2 lam^2 (1-rho^2))^(-d/2); see ``log_mgf_alt``.
+    (1 - 2 n lam |rho| - n^2 lam^2 (1-rho^2))^(-d/2), the null MGF at rho = 0;
+    inf past the float range.  See ``log_mgf_alt``.
     """
-    return math.exp(log_mgf_alt(lam, n, d, rho))
-
-
-def mgf_null(lam: float, n: float, d: float) -> float:
-    """Moment generating function of the statistic under independence."""
-    if not abs(lam) < 1.0 / n:
-        raise DomainError(f"lambda must satisfy |lambda| < 1/n = {1.0 / n}")
-    return math.exp(-0.5 * d * math.log1p(-(n * lam) ** 2))
+    log_mgf = log_mgf_alt(lam, n, d, rho)
+    try:
+        return math.exp(log_mgf)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +524,10 @@ def _unconditional_lanes(n, d, rho2):
     return np.where(value > 0.0, value, 0.0)
 
 
-def default_k_star(n: float) -> int:
-    """Default truncation depth: ceil(13 sqrt(n)), clamped to n."""
-    return int(min(math.floor(n), math.ceil(13.0 * math.sqrt(n))))
+def default_k_star(n):
+    """Default truncation depth, elementwise: ceil(13 sqrt(n)) clamped to floor(n), NaN at n < 0."""
+    with _float_errstate():
+        return np.minimum(np.floor(n), np.ceil(13.0 * np.sqrt(n)))
 
 
 #: Most subset sizes (k_star .. floor(n)) ``truncation_schedule`` builds; a
@@ -581,47 +576,28 @@ class TruncationExponents:
     second_moment: float
 
 
-def _schedule_k_star(n: float, d: float, k_star: int | None, margin: float) -> int:
-    """The schedule preconditions, but for the length cap; returns k_star or its default."""
-    if not math.isfinite(d * n):
-        raise ConditionViolatedError(f"d * n overflows the float range: d = {d}, n = {n}")
-    if not margin > 0.0:  # NaN fails this too
-        raise ConditionViolatedError("margin must be > 0")
-    n_top = int(math.floor(n))
-    if k_star is None:
-        k_star = default_k_star(n)
-    if not 1 <= k_star <= n_top:
-        raise ConditionViolatedError(f"k_star must lie in [1, {n_top}], got {k_star}")
-    ln_star = 1.0 + math.log(n / k_star)  # ln(en/k_star)
-    if d < 4.0 * ln_star:
-        raise ConditionViolatedError(
-            f"d >= 4 ln(en/k_star) fails: d = {d}, 4 ln(en/k_star) = {4.0 * ln_star}"
-        )
-    return k_star
-
-
 def _k_stars(n, d, k_star: int | None, margin: float):
-    """``_schedule_k_star`` on 1-D lanes: each lane's k_star as a float, or 0
-    where a precondition fails.
+    """The schedule preconditions but its length cap, on 1-D lanes of (n, d):
+    d n finite, margin > 0, 1 <= k_star <= floor(n) and d >= 4 ln(en/k_star).
 
-    The same tests with the same floats: ``math.log`` lane by lane, and an
-    explicit k_star compared with floor(n) as a Python int.  None of them
-    reads rho^2, and none loops over lanes in Python but the log.
+    Returns each lane's k_star as a float (``default_k_star`` for None), 0
+    where a precondition fails, and the index of its first failed one, 4 if
+    none.  An explicit k_star is compared with floor(n) as a Python int and
+    made a float only if a lane passes.  None of the tests reads rho^2.
     """
-    if not margin > 0.0:  # NaN fails this too
-        return np.zeros(n.size)
     with _float_errstate():
-        ok = np.isfinite(d * n)
-    n_top = np.floor(n)
-    if k_star is None:
-        ks = np.minimum(n_top, np.ceil(13.0 * np.sqrt(n)))  # ``default_k_star``
-        ok &= ks >= 1.0
-    else:
-        ok &= np.array([1 <= k_star <= top for top in n_top.tolist()], dtype=bool)
-        ks = np.full(n.size, float(k_star) if ok.any() else 0.0)
-    ln_star = 1.0 + np.array([math.log(x) for x in (n[ok] / ks[ok]).tolist()])
-    ok[ok] = ~(d[ok] < 4.0 * ln_star)
-    return np.where(ok, ks, 0.0)
+        fails = [~np.isfinite(d * n), np.full(n.size, not margin > 0.0)]  # NaN fails too
+        if k_star is None:
+            ks = default_k_star(n)
+            fails.append(~(ks >= 1.0))
+        else:
+            fails.append(~np.array([1 <= k_star <= top for top in np.floor(n).tolist()],
+                                   dtype=bool))
+            usable = not (fails[0] | fails[1] | fails[2]).all()
+            ks = np.full(n.size, float(k_star) if usable else 0.0)
+        fails.append(d < 4.0 * (1.0 + np.log(n / ks)))  # ln(en/k_star)
+    first = np.argmax(np.stack([*fails, np.ones(n.size, dtype=bool)]), axis=0)
+    return np.where(first == len(fails), ks, 0.0), first
 
 
 def _schedule(n, d, rho2, k_star, ks, margin) -> TruncationSchedule:
@@ -664,8 +640,19 @@ def truncation_schedule(
     """
     if not 0.0 < rho2 < 1.0:
         raise ConditionViolatedError("truncation schedule requires 0 < rho2 < 1")
-    k_star = _schedule_k_star(n, d, k_star, margin)
+    _, (failed,) = _k_stars(*_lanes(n, d)[1], k_star, margin)
+    if failed == 0:
+        raise ConditionViolatedError(f"d * n overflows the float range: d = {d}, n = {n}")
+    if failed == 1:
+        raise ConditionViolatedError("margin must be > 0")
     n_top = int(math.floor(n))
+    if k_star is None:  # a default out of range is 0, or NaN at n < 0
+        k_star = int(default_k_star(n)) if failed > 2 else 0
+    if failed == 2:
+        raise ConditionViolatedError(f"k_star must lie in [1, {n_top}], got {k_star}")
+    if failed == 3:
+        raise ConditionViolatedError(f"d >= 4 ln(en/k_star) fails: d = {d}, "
+                                     f"4 ln(en/k_star) = {4.0 * (1.0 + math.log(n / k_star))}")
     if n_top - k_star + 1 > SCHEDULE_CAP:
         raise ConditionViolatedError(
             f"schedule of {n_top - k_star + 1} subset sizes exceeds the cap {SCHEDULE_CAP}"
@@ -732,7 +719,7 @@ def truncated_converse_risk(n, d, rho2, k_star: int | None = None, margin: float
     out = _unconditional_lanes(n, d, rho2)
     # A lane failing the schedule preconditions (k_star 0), or at rho2 = 0,
     # keeps the unconditional bound.
-    ks = _k_stars(n, d, k_star, margin)
+    ks, _ = _k_stars(n, d, k_star, margin)
     live = np.flatnonzero((ks > 0.0) & (rho2 != 0.0))
     for i in range(0, live.size, CONVERSE_LANE_CAP):
         at = live[i : i + CONVERSE_LANE_CAP]

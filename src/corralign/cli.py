@@ -430,7 +430,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

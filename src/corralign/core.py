@@ -138,6 +138,13 @@ class ProblemParams:
         return self
 
 
+def sign_factor(rho_sign) -> float:
+    """The statistic's orientation ``rho_sign``, +1 or -1, as a float; else ``DomainError``."""
+    if rho_sign not in (1, -1):
+        raise DomainError(f"rho_sign must be +1 or -1, got {rho_sign}")
+    return float(rho_sign)
+
+
 def _uint32_words(values) -> list[int]:
     """The uint32 words SeedSequence reads from a tuple of nonnegative ints.
 

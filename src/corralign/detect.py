@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import bounds
-from .core import ProblemParams, as_seedspec, binomial_ci, count_failures
+from .core import ProblemParams, as_seedspec, binomial_ci, count_failures, sign_factor
 from .errors import DomainError
 from .gen import DatabasePair
 
@@ -49,9 +49,7 @@ class RiskEstimate:
 
 def sip_statistic(pair: DatabasePair, rho_sign: float) -> float:
     """T = rho_sign * <column sum of X, column sum of Y>, in O(nd)."""
-    if rho_sign not in (1.0, -1.0, 1, -1):
-        raise DomainError(f"rho_sign must be +1 or -1, got {rho_sign}")
-    return float(rho_sign) * float(pair.x.sum(axis=0) @ pair.y.sum(axis=0))
+    return sign_factor(rho_sign) * float(pair.x.sum(axis=0) @ pair.y.sum(axis=0))
 
 
 def threshold_test(t_stat: float, threshold: float) -> int:

@@ -51,6 +51,7 @@ from .core import (
     enumerate_cycle_types,
     enumerate_permutations,
     parallel_map,
+    sign_factor,
 )
 from .errors import DomainError, SizeCapError
 from .gen import DatabasePair, sample_alt_stack
@@ -237,6 +238,12 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_float_mgf(log_mgf: float) -> None:
+    """``DomainError`` unless e^log_mgf is a normal float: not inf, nor (nearly) 0."""
+    if not abs(log_mgf) < math.log(np.finfo(float).max):
+        raise DomainError(f"the MGF, e^{log_mgf:.6g}, lies outside the float range")
+
+
 #: Relative tolerance of the two MGF rows.
 MGF_RTOL = 1e-12
 
@@ -262,6 +269,12 @@ def quadratic_mgf_check(R: np.ndarray, b: np.ndarray) -> CheckResult:
         raise DomainError("b must have one entry per dimension of R")
     if not np.isfinite(b).all():
         raise DomainError("b must be finite")
+    i_r = np.eye(b.size) - r
+    sign, log_det = np.linalg.slogdet(i_r)
+    if not sign > 0.0:  # a singular I - R has no solve
+        raise DomainError("I - R must be positive definite")
+    log_closed = 0.5 * float(b @ np.linalg.solve(i_r, b)) - 0.5 * log_det
+    _require_float_mgf(log_closed)
     lam, q = np.linalg.eigh(r)
     if not lam.max(initial=-math.inf) < 1.0:
         raise DomainError("I - R must be positive definite")
@@ -272,8 +285,7 @@ def quadratic_mgf_check(R: np.ndarray, b: np.ndarray) -> CheckResult:
                           "misses 1e-12 (the MGF exceeds e^50)")
     nodes, weights = _hermite_rule()
     quad = float(np.prod(s * (np.exp(np.outer(slopes, nodes)) @ weights)))
-    i_r = np.eye(b.size) - r
-    closed = math.exp(0.5 * float(b @ np.linalg.solve(i_r, b)) - 0.5 * np.linalg.slogdet(i_r)[1])
+    closed = math.exp(log_closed)
     rel = abs(quad - closed) / closed
     return CheckResult("quadratic-mgf", rel <= MGF_RTOL, quad, closed,
                        f"relative error {rel:.3e} (80-node Gauss-Hermite per eigenvalue)")
@@ -290,10 +302,11 @@ def pair_mgf_check(a: float, b: float, d: int) -> CheckResult:
         raise DomainError("a and b must be finite")
     if 1.0 + 2.0 * a <= 0.0 or abs(1.0 + 2.0 * a) <= abs(b):
         raise DomainError("need 1 + 2a > 0 and |1 + 2a| > |b| for convergence")
-    closed = ((1.0 + 2.0 * a) ** 2 - b * b) ** (-0.5 * d)
+    base = (1.0 + 2.0 * a) ** 2 - b * b
+    _require_float_mgf(-0.5 * d * math.log(base))
     eye = np.eye(d)
     r = np.block([[-2.0 * a * eye, b * eye], [b * eye, -2.0 * a * eye]])
-    return _block_mgf_check("pair-mgf", r, closed)
+    return _block_mgf_check("pair-mgf", r, base ** (-0.5 * d))
 
 
 def _block_mgf_check(name: str, r: np.ndarray, closed: float) -> CheckResult:
@@ -482,8 +495,7 @@ def _events_hold(xs, ys, perm: Permutation, schedule, rho_sign: float,
     Every sum runs along the last axis, so pair j gets the floats that it
     gets alone.
     """
-    if rho_sign not in (1.0, -1.0, 1, -1):
-        raise DomainError(f"rho_sign must be +1 or -1, got {rho_sign}")
+    sign = sign_factor(rho_sign)
     if method not in ("sorted", "enumerate"):
         raise DomainError(f"unknown method {method!r}")
     fixed = np.nonzero(perm.map == np.arange(perm.n))[0]
@@ -499,7 +511,7 @@ def _events_hold(xs, ys, perm: Permutation, schedule, rho_sign: float,
     np.multiply(y, y, out=products[1])
     np.multiply(x, y, out=products[2])
     terms = products.sum(axis=-1)
-    terms[2] *= -float(rho_sign)
+    terms[2] *= -sign
     if method == "sorted":
         smallest = np.cumsum(np.sort(terms, axis=-1), axis=-1)[..., k_star - 1 :]
     else:
@@ -687,7 +699,7 @@ def _chk_chernoff_identity(spec: SeedSpec) -> CheckResult:
         t = float(rng.uniform(0.05, 0.95)) * abs(rho) * n * d
         gamma = (2.0 * t / (d * n)) ** 2
         lam_fa, lam_md = bounds.chernoff_lambdas(t, n, d, rho)
-        lhs_fa = -lam_fa * t - 0.5 * d * math.log1p(-((n * lam_fa) ** 2))
+        lhs_fa = -lam_fa * t + bounds.log_mgf_alt(lam_fa, n, d, 0.0)
         rhs_fa = -0.5 * d * bounds.g_fa(gamma)
         lhs_md = lam_md * t + bounds.log_mgf_alt(-lam_md, n, d, rho)
         rhs_md = -0.5 * d * bounds.g_md(gamma, rho)
@@ -698,24 +710,24 @@ def _chk_chernoff_identity(spec: SeedSpec) -> CheckResult:
                        "optimized exponential bounds equal the two closed exponents")
 
 
-def _statistic_mgf_check(name, closed, lam, n, d, rho=0.0) -> CheckResult:
-    """E exp(lam T) against ``closed``: with T = n <rho g1 + sqrt(1-rho^2) g2, g1>
+def _statistic_mgf_check(name, lam, n, d, rho) -> CheckResult:
+    """E exp(lam T) against ``bounds.mgf_alt``: with T = n <rho g1 + sqrt(1-rho^2) g2, g1>
     (``docs/math_notes.md`` section 5), lam T = Z'RZ/2 for Z = (g1, g2) and
     R = lam n [[2 rho I, sqrt(1-rho^2) I], [sqrt(1-rho^2) I, 0]]."""
     eye = np.eye(d)
     c = math.sqrt(1.0 - rho * rho) * eye
     r = lam * n * np.block([[2.0 * rho * eye, c], [c, np.zeros((d, d))]])
-    return _block_mgf_check(name, r, closed)
+    return _block_mgf_check(name, r, bounds.mgf_alt(lam, n, d, rho))
 
 
 @_check("null-mgf-mc")
 def _chk_null_mgf(spec: SeedSpec) -> CheckResult:
-    return _statistic_mgf_check("null-mgf-mc", bounds.mgf_null(0.05, 3, 4), 0.05, 3, 4)
+    return _statistic_mgf_check("null-mgf-mc", 0.05, 3, 4, 0.0)
 
 
 @_check("alt-mgf-mc")
 def _chk_alt_mgf(spec: SeedSpec) -> CheckResult:
-    return _statistic_mgf_check("alt-mgf-mc", bounds.mgf_alt(0.05, 2, 3, 0.5), 0.05, 2, 3, 0.5)
+    return _statistic_mgf_check("alt-mgf-mc", 0.05, 2, 3, 0.5)
 
 
 def _coordinate_moments(n: int, rho: float, powers) -> list[float]:

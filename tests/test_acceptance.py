@@ -249,7 +249,7 @@ def test_criterion_10_byte_identical_reports(tmp_path):
 
     def run(args):
         proc = subprocess.run(
-            [sys.executable, "-m", "corralign.cli", *args],
+            [sys.executable, "-m", "corralign", *args],
             capture_output=True,
             text=True,
             timeout=300,

@@ -293,3 +293,14 @@ class TestRecovery:
         p = ProblemParams(n=4, d=4, rho=0.0)
         with pytest.raises(InvalidAlternateError):
             recovery_error_mc(p, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [(score_matrix, (_random_pair(np.random.default_rng(0), 3, 4), 0.5), "rho_sign must be"),
+     (max_assignment, (np.zeros((0, 0)),), "must be nonempty")],
+    ids=["score-sign", "assignment-empty"],
+)
+def test_input_checks_raise_domain_errors(fn, args, match):
+    with pytest.raises(DomainError, match=match):
+        fn(*args)

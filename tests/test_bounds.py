@@ -29,7 +29,6 @@ from corralign.bounds import (
     invert_for_rho2,
     log_mgf_alt,
     mgf_alt,
-    mgf_null,
     minimize_two_exponent,
     recovery_ach_perr,
     recovery_conv_perr,
@@ -309,7 +308,23 @@ class TestChernoff:
 class TestMgfs:
     def test_null_closed_form(self):
         lam, n, d = 0.1, 2, 3
-        assert mgf_null(lam, n, d) == pytest.approx((1.0 - (n * lam) ** 2) ** (-d / 2))
+        assert mgf_alt(lam, n, d, 0.0) == pytest.approx((1.0 - (n * lam) ** 2) ** (-d / 2))
+
+    def test_null_is_the_log1p_form_bit_for_bit(self):
+        # At rho = 0 the statistic's MGF is (1 - (n lam)^2)^(-d/2), taken by
+        # log1p: the bits of the null MGF's own closed form.
+        rng = np.random.default_rng(40)
+        for _ in range(500):
+            n = float(rng.choice([rng.integers(1, 10_000), rng.uniform(0.5, 1e6)]))
+            lam = rng.uniform(-0.999, 0.999) / n
+            d = float(rng.uniform(0.0, 200.0))
+            want = math.exp(-(d / 2) * math.log1p(-((n * lam) ** 2)))
+            assert mgf_alt(lam, n, d, 0.0).hex() == want.hex(), (lam, n, d)
+
+    def test_mgf_is_inf_past_the_float_range(self):
+        assert log_mgf_alt(0.999, 1, 2000, 0.0) == pytest.approx(6215.108, rel=1e-6)
+        assert mgf_alt(0.999, 1, 2000, 0.0) == math.inf
+        assert mgf_alt(0.666, 1, 2000, 0.5) == math.inf  # near the upper strip edge
 
     def test_alt_closed_form(self):
         lam, n, d, rho = 0.05, 2, 3, 0.5
@@ -332,7 +347,7 @@ class TestMgfs:
 
     def test_strip_validation(self):
         with pytest.raises(DomainError):
-            mgf_null(0.5, 2, 3)  # |lam| >= 1/n
+            mgf_alt(0.5, 2, 3, 0.0)  # |lam| >= 1/n
         with pytest.raises(DomainError):
             mgf_alt(1.0 / (2 * 0.5), 2, 3, 0.5)  # upper edge
         with pytest.raises(DomainError):
@@ -354,6 +369,7 @@ class TestConverses:
     def test_default_k_star(self):
         assert default_k_star(100) == 100  # 13 sqrt(100) = 130, clamped to n
         assert default_k_star(10_000) == 1300
+        assert default_k_star(np.array([100.0, 10_000.0, 0.5])).tolist() == [100.0, 1300.0, 0.0]
 
     def test_schedule_preconditions(self):
         with pytest.raises(ConditionViolatedError):
@@ -369,29 +385,58 @@ class TestConverses:
         with pytest.raises(ConditionViolatedError, match="overflows"):
             truncation_schedule(10, 1.7e308, 1e-4)  # d * n is not finite
 
-    @given(
-        st.lists(st.tuples(st.one_of(st.floats(min_value=1e-3, max_value=1e12),
-                                     st.just(math.inf), st.just(1e300)),
-                           st.one_of(st.floats(min_value=0.0, max_value=1e5),
-                                     st.just(1.7e308))),
-                 min_size=1, max_size=12),
-        st.one_of(st.none(), st.integers(min_value=-2, max_value=300),
-                  st.just(2**53 + 1), st.just(10**400)),
-        st.one_of(st.floats(min_value=-1.0, max_value=10.0), st.just(math.nan)),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_lane_preconditions_match_the_scalar_ones(self, lanes, k_star, margin):
-        # The converse checks the schedule preconditions on all lanes at
-        # once; each lane gets the k_star of the scalar check, or 0 where it
-        # raises, including an explicit k_star that is not a float.
-        n, d = (np.array(column) for column in zip(*lanes))
-        want = []
-        for nn, dd in lanes:
-            try:
-                want.append(bounds._schedule_k_star(nn, dd, k_star, margin))
-            except ConditionViolatedError:
-                want.append(0)
-        assert bounds._k_stars(n, d, k_star, margin).tolist() == [float(k) for k in want]
+    # The edge values of n, d, k_star and margin, each with its k_star, or
+    # 0 and the first failed precondition: 0 d n finite, 1 margin > 0,
+    # 2 1 <= k_star <= floor(n), 3 d >= 4 ln(en/k_star); 4 if all hold.
+    _PRECONDITION_CASES = [
+        # (n, d, k_star, margin, lane k_star, first failed)
+        (1e4, 100.0, None, 0.1, 1300.0, 4),
+        (math.inf, 100.0, None, 0.1, 0.0, 0),
+        (math.inf, 0.0, None, 0.1, 0.0, 0),  # 0 * inf is NaN
+        (1e300, 1e5, None, 0.1, 13.0 * 1e150, 4),
+        (1e300, 1e9, None, 0.1, 0.0, 0),  # d n = 1e309
+        (10.0, 1.7e308, None, 0.1, 0.0, 0),
+        (1e300, 1.0, None, 0.1, 0.0, 3),
+        (1e4, 0.0, None, 0.1, 0.0, 3),
+        (0.5, 100.0, None, 0.1, 0.0, 2),  # the default clamps to floor(n) = 0
+        (1e4, 100.0, -2, 0.1, 0.0, 2),
+        (1e4, 100.0, 0, 0.1, 0.0, 2),
+        (1e4, 100.0, 40, 0.1, 40.0, 4),
+        (1e4, 5.0, 40, 0.1, 0.0, 3),
+        (2.0**54, 100.0, 2**53 + 1, 0.1, 2.0**53, 4),  # made a float: 2^53
+        (2.0**53, 100.0, 2**53 + 1, 0.1, 0.0, 2),  # as a float it would pass
+        (1e300, 1e5, 10**400, 0.1, 0.0, 2),
+        (math.inf, 100.0, 10**400, math.nan, 0.0, 0),  # never made a float
+        (1e4, 100.0, None, math.nan, 0.0, 1),
+        (1e4, 100.0, 40, 0.0, 0.0, 1),
+        (1e4, 100.0, None, -1.0, 0.0, 1),
+        (math.inf, 100.0, None, 0.0, 0.0, 0),
+    ]
+
+    def test_lane_preconditions_match_the_scalar_ones(self):
+        # Each case's lane, alone and among the lanes that share its k_star
+        # and margin, gets its k_star or 0 and its first failed precondition;
+        # truncation_schedule raises that precondition's message, or builds
+        # the schedule (or meets the length cap) where all hold.
+        messages = ["overflows", "margin must be > 0", "k_star must lie in", "d >= 4 ln"]
+        cases = self._PRECONDITION_CASES
+        for n, d, k_star, margin, want_k, want_first in cases:
+            ks, first = bounds._k_stars(np.array([n]), np.array([d]), k_star, margin)
+            assert (ks.tolist(), first.tolist()) == ([want_k], [want_first]), (n, d, k_star)
+            # Tuples match the one math.nan object by identity.
+            group = [c for c in cases if c[2:4] == (k_star, margin)]
+            n_lanes, d_lanes = (np.array([c[i] for c in group]) for i in (0, 1))
+            ks, first = bounds._k_stars(n_lanes, d_lanes, k_star, margin)
+            assert ks.tolist() == [c[4] for c in group]
+            assert first.tolist() == [c[5] for c in group]
+            if want_first < 4:
+                with pytest.raises(ConditionViolatedError, match=re.escape(messages[want_first])):
+                    truncation_schedule(n, d, 1e-4, k_star=k_star, margin=margin)
+            elif n - want_k + 1 > SCHEDULE_CAP:
+                with pytest.raises(ConditionViolatedError, match="cap"):
+                    truncation_schedule(n, d, 1e-4, k_star=k_star, margin=margin)
+            else:
+                assert truncation_schedule(n, d, 1e-4, k_star=k_star, margin=margin).k_star == want_k
 
     def test_schedule_structure(self):
         sch = truncation_schedule(1000, 500, 1e-5, margin=0.1)
@@ -1328,17 +1373,14 @@ class TestArrayBounds:
         # Then log_d1 < 38 and log_tail < 37, and the converse needs no
         # overflow fallback for either.
         margin = 10.0**log_margin
-        kept, ks = [], []
-        for n, d, rho2 in lanes:
-            try:
-                ks.append(bounds._schedule_k_star(n, d, k_star, margin))
-            except ConditionViolatedError:
-                continue
-            kept.append((n, d, rho2))
-        if not kept:
+        n, d, rho2 = (np.array(column) for column in zip(*lanes))
+        k, _ = bounds._k_stars(n, d, k_star, margin)
+        kept = k > 0.0
+        if not kept.any():
             return
-        n, d, rho2 = (np.array(column)[:, None] for column in zip(*kept))
-        k = np.array(ks, dtype=np.float64)
+        n, d, rho2 = (column[kept, None] for column in (n, d, rho2))
+        k = k[kept]
+        ks = k.tolist()
         with bounds._float_errstate():
             schedule = bounds._schedule(n, d, rho2, k, np.stack([k, np.floor(n[:, 0])], axis=1),
                                         margin)
@@ -1495,3 +1537,20 @@ class TestWarmStart:
         assert events.count("warm") >= 7
         assert all(b != "rows" for a, b in zip(events, events[1:]) if a == "warm")
         assert events.count("rows") <= 4
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [(unconditional_converse_risk, (10, 10, 1.0), r"rho2 must lie in \[0, 1\)"),
+     (g_md, (-1.0, 0.5), "gamma must be nonnegative"),
+     (minimize_two_exponent, (10, 0.0), r"rho2 must lie in \(0, 1\)"),
+     (chernoff_lambdas, (1.0, 5, 5, 0.0), "rho must be nonzero"),
+     (log_mgf_alt, (0.01, 2, 3, 1.0), r"\|rho\| must be < 1"),
+     (invert_for_rho2, ("det-ach", 10, 10, 0.0), "target_risk must lie in"),
+     (curve_points, ("n", [10.0]), "require a fixed d")],
+    ids=["checked-lanes-rho2", "g_md-gamma", "minimize-rho2", "chernoff-rho", "mgf-rho",
+         "invert-target", "curve-axis-n"],
+)
+def test_input_checks_raise_domain_errors(fn, args, match):
+    with pytest.raises(DomainError, match=match):
+        fn(*args)

@@ -228,6 +228,40 @@ class TestResolveConfig:
             resolve_config([])
 
 
+class TestCurveRejections:
+    # Each rejection exits 1 with its message, before any bound is evaluated.
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--grid", "1:ten:3", "--n", "100"], "'grid': must contain two reals and a count"),
+         (["--grid", "1:10:0", "--n", "100"], "'grid': needs a positive point count"),
+         (["--grid", "1:inf:3", "--n", "100"], "'grid': endpoints must be positive and finite"),
+         (["--grid", "nan:10:3", "--n", "100"], "'grid': endpoints must be positive and finite"),
+         (["--grid", "0:10:3", "--n", "100"], "'grid': endpoints must be positive and finite"),
+         (["--grid", "1:10:3"], "'n': required when sweeping d"),
+         (["--axis", "n", "--grid", "1:10:3"], "'d': required when sweeping n")],
+        ids=["grid-not-a-number", "grid-count-0", "grid-inf", "grid-nan", "grid-at-0",
+             "axis-d-without-n", "axis-n-without-d"],
+    )
+    def test_flag_rejections(self, monkeypatch, capsys, args, message):
+        monkeypatch.setattr(bounds, "curve_points", lambda *a, **k: pytest.fail("curve ran"))
+        axis = [] if "--axis" in args else ["--axis", "d"]
+        assert main(["curve", *axis, *args]) == 1
+        captured = capsys.readouterr()
+        assert f"usage error: invalid field {message}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"axis": "d",', "is not valid JSON"), ('["axis", "d"]', "must be a JSON object")],
+        ids=["invalid-json", "not-an-object"],
+    )
+    def test_config_file_rejections(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["curve", "--config", str(path)]) == 1
+        assert f"config file '{path}' {message}" in capsys.readouterr().err
+
+
 class TestMainExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["curve", "--axis", "q"]) == 1
@@ -652,28 +686,30 @@ class TestCurveOutput:
     def test_huge_d_prints_no_numpy_warning(self):
         src = str(Path(corralign.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-m", "corralign.cli", "curve", "--axis", "d",
+            [sys.executable, "-m", "corralign", "curve", "--axis", "d",
              "--grid", "1e15:1e15:1", "--n", "1000000"],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(CURVE_HEADER)
         assert "RuntimeWarning" not in proc.stderr
 
 
 def test_python_m_corralign_matches_main(capsys):
-    # The package runs as a module, so the README's commands work from a
-    # checkout without the installed script.
+    # The package runs as a module through ``cli.entry``, so the README's
+    # commands work from a checkout without the installed script.
     src = str(Path(corralign.__file__).resolve().parents[1])
-    args = ["verify", "--seed", "0", "--format", "json"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "corralign", *args],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    code = main(args)
-    assert proc.returncode == code == 0, proc.stderr
-    assert proc.stdout == capsys.readouterr().out
+    for args in (["verify", "--seed", "0", "--format", "json"],
+                 ["curve", "--axis", "d", "--grid", "20:200:4", "--n", "100"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corralign", *args],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        code = main(args)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out
 
 
 class TestSimulateDeterminism:

@@ -17,6 +17,7 @@ import corralign
 from corralign import core
 from corralign.core import (
     FACTORIAL_CAP,
+    PARTITION_CAP,
     CycleType,
     MCEstimate,
     Permutation,
@@ -30,6 +31,7 @@ from corralign.core import (
     enumerate_cycle_types,
     enumerate_permutations,
     parallel_map,
+    sign_factor,
     uniform_permutation,
 )
 from corralign.errors import DomainError, InvalidAlternateError, SizeCapError
@@ -435,3 +437,37 @@ def test_readme_layout_names_every_module():
     listed = set(re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE))
     modules = {p.name for p in package.glob("*.py") if not p.name.startswith("__")}
     assert listed == modules
+
+
+@pytest.mark.parametrize(
+    "fn, args, error, match",
+    [(SeedSpec, (-1,), ValueError, "unsigned 64-bit"),
+     (SeedSpec, (2**64,), ValueError, "unsigned 64-bit"),
+     (CycleType, ((2,),), ValueError, "partition n"),
+     (enumerate_cycle_types, (0,), ValueError, "positive"),
+     (enumerate_cycle_types, (PARTITION_CAP + 1,), SizeCapError, "capped"),
+     (enumerate_permutations, (0,), ValueError, "positive"),
+     (uniform_permutation, (0, 0), ValueError, "positive"),
+     (sign_factor, (0.5,), DomainError, "rho_sign must be"),
+     (sign_factor, (math.nan,), DomainError, "rho_sign must be")],
+    ids=["seed-negative", "seed-2^64", "cycle-type-sum", "cycle-types-0", "cycle-types-cap",
+         "permutations-0", "uniform-0", "sign-half", "sign-nan"],
+)
+def test_input_checks_raise_their_errors(fn, args, error, match):
+    with pytest.raises(error, match=match):
+        fn(*args)
+
+
+def test_permutation_equality_and_hash():
+    p = Permutation(np.array([1, 0, 2]))
+    assert p.__eq__([1, 0, 2]) is NotImplemented
+    assert p != [1, 0, 2]
+    q = Permutation(np.array([1, 0, 2], dtype=np.int32))
+    assert p == q and hash(p) == hash(q)
+
+
+def test_sign_factor_is_the_one_sign_check():
+    for sign in (1, -1, 1.0, -1.0):
+        assert sign_factor(sign) == float(sign) and isinstance(sign_factor(sign), float)
+    sources = {p.name: p.read_text() for p in Path(corralign.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "rho_sign not in" in text] == ["core.py"]

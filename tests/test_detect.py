@@ -263,3 +263,16 @@ def test_monte_carlo_risk_memory_does_not_grow_with_n():
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, (n, d, peak)
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [(RiskEstimate, (0.1, 0.1, 0, 0.1), "trials must be positive"),
+     (RiskEstimate, (0.1, 0.1, 10, -0.1), "ci_radius must be nonnegative"),
+     (monte_carlo_risk, (ProblemParams(4, 8, 0.5), math.nan, 10, 0), "threshold must be finite"),
+     (monte_carlo_risk, (ProblemParams(4, 8, 0.5), math.inf, 10, 0), "threshold must be finite")],
+    ids=["risk-trials-0", "risk-negative-radius", "mc-nan-threshold", "mc-inf-threshold"],
+)
+def test_input_checks_raise_domain_errors(fn, args, match):
+    with pytest.raises(DomainError, match=match):
+        fn(*args)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import corralign
-from corralign.laws import exact_second_moment
+from corralign.core import CycleType
+from corralign.errors import DomainError
+from corralign.laws import cycle_type_weight, exact_second_moment
 
 
 def _recurrence_second_moments(n_max: int, d: float, rho2: float) -> list[float]:
@@ -59,3 +61,8 @@ def test_exact_laws_live_only_in_laws():
         assert ".oracle" not in _imports(sources[name])
     assert ".laws" in _imports(sources["oracle.py"])
 
+
+@pytest.mark.parametrize("rho2", [1.0, -0.1, math.nan])
+def test_cycle_type_weight_rejects_rho2_outside_the_unit_interval(rho2):
+    with pytest.raises(DomainError, match=r"rho2 must lie in \[0, 1\)"):
+        cycle_type_weight(CycleType((1,)), 2.0, rho2)

@@ -297,6 +297,20 @@ class TestQuadraticMgf:
         with pytest.raises(DomainError, match="a and b must be finite"):
             pair_mgf_check(a, b, 2)
 
+    @pytest.mark.parametrize(
+        "check, args",
+        [(pair_mgf_check, (-0.49, 0.0, 1000)),  # e^3912
+         (pair_mgf_check, (1e10, 0.0, 100)),  # e^-2372: no relative error to 0
+         (quadratic_mgf_check, (np.diag([0.5] * 100), np.full(100, 5.0)))],  # e^2535
+        ids=["pair-overflow", "pair-underflow", "quadratic-overflow"],
+    )
+    def test_mgf_outside_the_float_range_is_a_domain_error(self, monkeypatch, check, args):
+        # The closed form's log is checked before any eigendecomposition, so
+        # neither an OverflowError nor numpy's overflow warning comes first.
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("eigh ran"))
+        with pytest.raises(DomainError, match="outside the float range"):
+            check(*args)
+
 
 class TestCirculant:
     def test_matches_direct_determinant(self):
@@ -727,23 +741,19 @@ def test_truncation_rows_build_one_generator(monkeypatch, name):
         assert calls == [(f"verify/{name}", 0)]
 
 
-def _null_exponent(lam, n, d):
-    return math.exp(-0.49 * d * math.log1p(-(n * lam) ** 2))
-
-
 @pytest.mark.parametrize(
-    "closed_form, mutant, name",
-    [("mgf_null", lambda f: lambda *a: f(*a) * (1.0 + 1e-6), "null-mgf-mc"),
-     ("mgf_null", lambda f: _null_exponent, "null-mgf-mc"),
-     ("mgf_alt", lambda f: lambda *a: f(*a) * (1.0 + 1e-6), "alt-mgf-mc"),
-     ("mgf_alt", lambda f: lambda *a: math.exp(0.98 * bounds.log_mgf_alt(*a)), "alt-mgf-mc")],
+    "mutant, name",
+    [(lambda f: lambda *a: f(*a) * (1.0 + 1e-6), "null-mgf-mc"),
+     (lambda f: lambda *a: math.exp(0.98 * bounds.log_mgf_alt(*a)), "null-mgf-mc"),
+     (lambda f: lambda *a: f(*a) * (1.0 + 1e-6), "alt-mgf-mc"),
+     (lambda f: lambda *a: math.exp(0.98 * bounds.log_mgf_alt(*a)), "alt-mgf-mc")],
     ids=["null-scaled", "null-exponent", "alt-scaled", "alt-exponent"],
 )
-def test_statistic_mgf_rows_catch_a_wrong_closed_form(monkeypatch, closed_form, mutant, name):
-    # A closed form off by a factor of 1 + 1e-6, or with -0.49 d for -d/2 in
-    # its exponent, fails its row (the Monte-Carlo rows passed three of the
-    # four at seed 0).
-    monkeypatch.setattr(bounds, closed_form, mutant(getattr(bounds, closed_form)))
+def test_statistic_mgf_rows_catch_a_wrong_closed_form(monkeypatch, mutant, name):
+    # An MGF off by a factor of 1 + 1e-6, or with -0.49 d for -d/2 in its
+    # exponent, fails its row, the null one at rho = 0 (the Monte-Carlo rows
+    # passed three of the four at seed 0).
+    monkeypatch.setattr(bounds, "mgf_alt", mutant(bounds.mgf_alt))
     assert not oracle._REGISTRY[name](SeedSpec(0, f"verify/{name}")).passed
 
 
@@ -891,3 +901,26 @@ class TestTruncationEventNegativeRho:
         assert rows.shape == (20, 3) and not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 5
+
+
+_PAIR = _pair(np.random.default_rng(0), 3, 4)
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [(log_likelihood_ratio, (_PAIR, 1.0), "rho must lie in"),
+     (quadratic_mgf_check, (np.zeros((2, 3)), np.zeros(2)), "matrix must be square"),
+     (quadratic_mgf_check, (0.1 * np.eye(2), np.zeros(3)), "one entry per dimension"),
+     (circulant_det_check, (3, 1.0), "must be < 1"),
+     (laurent_massart_check, (3, [1.0, 1.0], [1.0]), "alpha must have d entries"),
+     (laurent_massart_check, (2, [1.0, -1.0], [1.0]), "nonnegative"),
+     (oracle.aligned_cross_term_matrix, (0.0, 2), "nonzero"),
+     (truncation_event_holds,
+      (_PAIR, Permutation.identity(3), bounds.truncation_schedule(3, 100, 0.25, k_star=1), 0.5),
+      "rho_sign")],
+    ids=["llr-rho", "quadratic-square", "quadratic-b", "circulant-rho", "tail-alpha-size",
+         "tail-alpha-sign", "chaos-rho", "event-sign"],
+)
+def test_input_checks_raise_domain_errors(fn, args, match):
+    with pytest.raises(DomainError, match=match):
+        fn(*args)
